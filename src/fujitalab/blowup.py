@@ -23,9 +23,8 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import solve_banded
 
-from .errors import NoBracket
+from .errors import NoBracket, StepFailure
 from .exponents import ProblemParams, critical_forced, require_valid
 from .radial import (RadialField, RadialGrid, bump_profile,
                      field_from_callable, sphere_area)
@@ -129,16 +128,18 @@ def integrate_nonlinear(u0: RadialField, w: Optional[RadialField],
 
     w_sup = float(np.max(np.abs(w_weighted))) if w_weighted is not None else 0.0
 
-    def step_once(tn: float, h: float, un: np.ndarray) -> Tuple[np.ndarray, float]:
+    def step_once(tn: float, h: float,
+                  un: np.ndarray) -> Tuple[Optional[np.ndarray], float]:
         rhs = un + h * power_weight * np.abs(un) ** params.p
         injected = 0.0
         if w_weighted is not None:
             cn = ((tn + h) ** rho1 - tn ** rho1) / rho1
             rhs = rhs + cn * w_weighted
             injected = cn * w_sup
-        out = solve_banded((1, 1), op.step_matrix_banded(h), rhs,
-                           overwrite_b=True, check_finite=False)
-        return out, injected
+        try:
+            return op.implicit_solve(rhs, h), injected
+        except StepFailure:
+            return None, injected
 
     while t < cfg.t_max:
         if wanted and t + dt > wanted[0] - 1e-14:
@@ -146,7 +147,7 @@ def integrate_nonlinear(u0: RadialField, w: Optional[RadialField],
         dt = min(dt, cfg.t_max - t)
 
         trial, injected = step_once(t, dt, u)
-        sup = float(np.max(np.abs(trial))) if np.all(np.isfinite(trial)) else math.inf
+        sup = math.inf if trial is None else float(np.max(np.abs(trial)))
 
         # the forcing injection is legitimate growth even from zero data,
         # so it widens the doubling allowance

@@ -267,6 +267,8 @@ def build_config(raw: Dict[str, str],
         elif spec.default is _REQUIRED:
             raise ConfigError("missing required key %r for %s"
                               % (key, command))
+        elif spec.kind == "profile":
+            typed[key] = parse_profile(spec.default)
         else:
             typed[key] = spec.default
 

@@ -12,8 +12,10 @@ flux, so compactly supported data conserve mass to rounding error.
 
 Time stepping is implicit Euler (first order, inverse-positive: the step
 matrix is an M-matrix, so nonnegative data stay nonnegative) or
-Crank-Nicolson (second order, A-stable).  Both reduce to O(M) banded
-solves per step.
+Crank-Nicolson (second order, A-stable).  Both reduce to one tridiagonal
+solve with I - dt L per step.  Each step size is factored once (LAPACK
+gttrf); the factors are kept and reused (gttrs) for every following step
+of that size.
 
 The module also carries the three certification studies used by the
 acceptance experiments:
@@ -34,7 +36,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .errors import ConditionViolation, StepFailure
 from .exponents import ProblemParams, require_valid
@@ -60,7 +62,8 @@ class SemigroupOp:
 
     scheme selects the default stepper; substeps is the default number of
     equal implicit steps used per apply() call.  The operator matrix is
-    assembled once at construction.
+    assembled once at construction; the LU factors of I - dt L are kept for
+    the last dt solved with.
     """
 
     grid: RadialGrid
@@ -98,6 +101,8 @@ class SemigroupOp:
         di[-1] = -scale[-1] * (cond[-1] + cond_gh)
         self._lo, self._di, self._up = lo, di, up
         self._cells = cells
+        self._lu_dt: Optional[float] = None
+        self._lu: Tuple[np.ndarray, ...] = ()
 
     # -- low-level pieces ---------------------------------------------------
 
@@ -118,8 +123,20 @@ class SemigroupOp:
         return ab
 
     def implicit_solve(self, rhs: np.ndarray, dt: float) -> np.ndarray:
-        """Solve (I - dt L) x = rhs; raises StepFailure on non-finite output."""
-        x = solve_banded((1, 1), self.step_matrix_banded(dt), rhs)
+        """Solve (I - dt L) x = rhs with the LU factors of I - dt L.
+
+        A dt other than the last one is factored first and its factors
+        replace the kept ones.  rhs is not modified.  Raises StepFailure on
+        a singular matrix or non-finite output.
+        """
+        if dt != self._lu_dt:
+            ab = self.step_matrix_banded(dt)
+            *lu, info = dgttrf(ab[2, :-1], ab[1], ab[0, 1:])
+            if info != 0:
+                raise StepFailure("step matrix I - dt L is singular at "
+                                  "dt=%g" % dt)
+            self._lu, self._lu_dt = tuple(lu), dt
+        x, _ = dgttrs(*self._lu, rhs)
         if not np.all(np.isfinite(x)):
             raise StepFailure("implicit solve produced non-finite values")
         return x

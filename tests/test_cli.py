@@ -1,7 +1,11 @@
+import glob
 import os
+import subprocess
+import sys
 
 import pytest
 
+import fujitalab
 from fujitalab import cli
 from fujitalab.exponents import REPORT_CSV_COLUMNS
 
@@ -21,6 +25,9 @@ def _read_csv(path):
 
 
 BASE = "N = 3\nsigma1 = 0\nsigma2 = 0\nrho = -0.5\np = 3\n"
+
+DEMO_CONFIGS = sorted(glob.glob(os.path.join(
+    os.path.dirname(__file__), os.pardir, "demos", "configs", "*.cfg")))
 
 
 # ---------------------------------------------------------------------------
@@ -115,6 +122,31 @@ def test_transform_check_command(tmp_path):
     assert len(data) >= 4          # header plus interior snapshots
 
 
+def test_unforced_problem_runs_without_profile_keys(tmp_path):
+    # u0 and w both fall back to the zero profile, parsed like a given one
+    cfg = _write(tmp_path, "bare.cfg", (
+        "N = 3\nsigma1 = 0\nsigma2 = -0.1\nrho = -0.5\np = 3\n"
+        "grid_m = 128\nt_max = 1\nn_times = 8\n"))
+    rc = cli.main(["mild-solve", "--config", cfg, "--out", str(tmp_path)])
+    assert rc == cli.EXIT_OK
+    comments, _ = _read_csv(tmp_path / "mild_trajectory.csv")
+    assert "u0=zero w=zero" in comments[0]
+
+
+def test_demo_configs_are_deterministic(tmp_path):
+    assert len(DEMO_CONFIGS) == len(cli.COMMANDS) == 7
+    for path in DEMO_CONFIGS:
+        command = os.path.basename(path)[:-len(".cfg")].replace("_", "-")
+        runs = []
+        for tag in ("a", "b"):
+            out = tmp_path / command / tag
+            assert cli.main([command, "--config", path,
+                             "--out", str(out)]) == cli.EXIT_OK, command
+            runs.append({name: (out / name).read_bytes()
+                         for name in sorted(os.listdir(out))})
+        assert runs[0] and runs[0] == runs[1], command
+
+
 def test_semigroup_check_command(tmp_path):
     cfg = _write(tmp_path, "sg.cfg", (
         "N = 3\nsigma1 = -0.5\n"
@@ -172,6 +204,25 @@ def test_numerical_failures_exit_4_but_write_artifacts(tmp_path):
     comments, data = _read_csv(tmp_path / "capacity_fit.csv")
     assert any("QUALITY GATE FAILED" in c for c in comments)
     assert len(data) == 6
+
+
+def test_overflowing_nonlinearity_exits_4_without_traceback(tmp_path):
+    # |u0|^3 overflows on the first Picard step: the non-finite right-hand
+    # side must end as a numerical failure, not as an uncaught error
+    cfg = _write(tmp_path, "ovf.cfg", (
+        "N = 3\nsigma1 = 0\nsigma2 = -0.1\nrho = -0.5\np = 3\n"
+        "u0 = gaussian(0, 1, 1e120)\nw = zero\n"
+        "grid_m = 128\nn_times = 8\n"))
+    src = os.path.dirname(os.path.dirname(fujitalab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from fujitalab import cli; sys.exit(cli.main())",
+         "mild-solve", "--config", cfg, "--out", str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == cli.EXIT_NUMERICAL, run.stderr
+    assert "numerical failure:" in run.stderr
+    assert "Traceback" not in run.stderr
 
 
 def test_cli_rejects_missing_command():

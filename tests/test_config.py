@@ -116,6 +116,17 @@ def test_describe_is_deterministic_and_complete():
     assert "p_lo=1.5" in line and "command=blowup-scan" in line
 
 
+@pytest.mark.parametrize("command",
+                         ["mild-solve", "local-solve", "transform-check"])
+def test_absent_profiles_default_to_parsed_zero(command):
+    cfg = config.build_config(_raw(command=command))
+    for key in ("u0", "w"):
+        spec = cfg.options[key]
+        assert isinstance(spec, config.ProfileSpec)
+        assert spec.name == "zero" and spec.args == ()
+    assert "u0=zero w=zero" in cfg.describe()
+
+
 def test_schema_help_mentions_every_command():
     text = config.schema_help()
     for command in config.COMMANDS:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from fujitalab import radial, semigroup
 from fujitalab.errors import ConditionViolation
@@ -55,6 +56,32 @@ def test_sup_norm_never_grows():
             cur = float(np.max(np.abs(op.apply(fld, t).values)))
             assert cur <= prev * (1.0 + 1e-12)
             prev = cur
+
+
+# ---------------------------------------------------------------------------
+# the cached tridiagonal factorisation
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("m", [384, 4096])
+def test_implicit_solve_matches_banded_solve_exactly(m):
+    # a repeated dt reuses the kept factors, a new dt replaces them, and a
+    # return to an earlier dt refactors it: every path must give the bits
+    # of a fresh banded solve
+    op = _op(-0.5, m=m)
+    rng = np.random.default_rng(m)
+    for dt in (1e-3, 1e-3, 2e-3, 1e-3):
+        rhs = rng.standard_normal(m)
+        ref = solve_banded((1, 1), op.step_matrix_banded(dt), rhs)
+        assert np.array_equal(op.implicit_solve(rhs, dt), ref)
+
+
+def test_implicit_solve_leaves_rhs_untouched():
+    op = _op(0.0)
+    rhs = np.linspace(1.0, 2.0, op.grid.m)
+    kept = rhs.copy()
+    for dt in (1e-3, 1e-3):
+        op.implicit_solve(rhs, dt)
+        assert np.array_equal(rhs, kept)
 
 
 def test_semigroup_property_one_step_composition():
