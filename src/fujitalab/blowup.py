@@ -9,7 +9,7 @@ integrated in closed form over each step so rho close to -1 costs nothing
 in accuracy.
 
 Blow-up cannot be observed, only diagnosed: we declare it when the sup
-norm passes a large cap, or when the step controller collapses below
+norm passes a large cap, or when the step size collapses below
 dt_min while the norm keeps climbing.  Reaching the horizon with bounded
 norm is reported as Global.  Everything in between stays Inconclusive;
 these labels are numerical evidence at a finite horizon, not theorems.
@@ -41,26 +41,21 @@ GLOBAL = "Global"
 BLOWN_UP = "BlownUp"
 INCONCLUSIVE = "Inconclusive"
 
-_CONTROLLER = "step-halving"
-
 
 @dataclass(frozen=True)
 class BlowupConfig:
-    """Step controller knobs for the direct integrator."""
+    """Step-size knobs for the direct integrator."""
 
     dt_init: float = 1e-3
     dt_min: float = 1e-10
     blowup_norm_cap: float = 1e8
     t_max: float = 50.0
-    controller: str = _CONTROLLER
 
     def __post_init__(self):
         if not (self.dt_min > 0.0 and self.dt_init >= self.dt_min):
             raise ValueError("need dt_init >= dt_min > 0")
         if self.blowup_norm_cap <= 0.0 or self.t_max <= 0.0:
             raise ValueError("blowup_norm_cap and t_max must be positive")
-        if self.controller != _CONTROLLER:
-            raise ValueError("unknown step controller %r" % (self.controller,))
 
 
 @dataclass
@@ -314,10 +309,7 @@ def calibrate_amplitude(params_base: ProblemParams, cfg: BlowupConfig,
         raise ValueError("need 1 < p_below < p_above, got %g and %g"
                          % (p_below, p_above))
     g = grid if grid is not None else _default_scan_grid(params_base)
-    fast_cfg = BlowupConfig(dt_init=cfg.dt_init, dt_min=cfg.dt_min,
-                            blowup_norm_cap=cfg.blowup_norm_cap,
-                            t_max=min(t_target, cfg.t_max),
-                            controller=cfg.controller)
+    fast_cfg = replace(cfg, t_max=min(t_target, cfg.t_max))
 
     def probe(p: float, amp: float, horizon_cfg: BlowupConfig) -> SolveOutcome:
         w = _scan_forcing(g, params_base, amp)

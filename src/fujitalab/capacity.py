@@ -10,9 +10,10 @@ essentially to quadrature accuracy and compared with the closed forms.
 The cutoff profiles are piecewise quintic smoothsteps: the supports and
 plateau values are dictated by the construction, while the ramp shape is
 our choice (any C^2 interpolation works; constants, not exponents, depend
-on it).  All quadrature is fixed composite Simpson with the transition
-bands refined 8x and split at sign changes of the integrand core, so runs
-are deterministic.
+on it).  The same ramp profiles build the test function of the mild
+solver's weak-form residual (mild.weak_residual).  All quadrature is fixed
+composite Simpson with the transition bands refined 8x and split at sign
+changes of the integrand core, so runs are deterministic.
 
 A warning on the logarithmic cutoff used at the critical power: its
 capacity is a slowly varying function of log R, and the leading power of
@@ -35,11 +36,12 @@ import numpy as np
 from .errors import ConditionViolation, PoorFit, QuadratureFailure
 from .exponents import ProblemParams, require_valid
 from .radial import sphere_area
+from .semigroup import SlopeFit
 
 __all__ = [
     "RampProfile", "CutoffPair", "default_cutoffs",
     "CapacityParts", "capacity_integrals",
-    "PowerFit", "CapacityFitReport", "capacity_exponent_fit",
+    "CapacityFitReport", "capacity_exponent_fit",
     "LogCapacityReport", "log_capacity_fit",
     "FIT_CSV_COLUMNS",
 ]
@@ -103,27 +105,20 @@ class RampProfile:
         return out
 
     def d1(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        for lo, hi, vl, vr in self.intervals:
-            if vl == vr:
-                continue
-            sel = (x >= lo) & (x < hi)
-            out = np.where(sel, (vr - vl) / (hi - lo) * _ds5((x - lo) / (hi - lo)), out)
-        return out
+        return self._derivative(x, _ds5, 1)
 
     def d2(self, x) -> np.ndarray:
+        return self._derivative(x, _d2s5, 2)
+
+    def _derivative(self, x, shape: Callable, order: int) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         out = np.zeros_like(x)
         for lo, hi, vl, vr in self.intervals:
             if vl == vr:
                 continue
             sel = (x >= lo) & (x < hi)
-            out = np.where(sel, (vr - vl) / (hi - lo) ** 2 * _d2s5((x - lo) / (hi - lo)), out)
+            out = np.where(sel, (vr - vl) / (hi - lo) ** order * shape((x - lo) / (hi - lo)), out)
         return out
-
-    def pieces(self) -> Tuple[Tuple[float, float, float, float], ...]:
-        return self.intervals
 
     def ramps(self) -> Tuple[Tuple[float, float], ...]:
         return tuple((lo, hi) for lo, hi, vl, vr in self.intervals if vl != vr)
@@ -235,7 +230,7 @@ def _profile_power_integral(profile: RampProfile, power: float,
             "the %s integrand is not integrable at the origin "
             "(radial exponent %.6g <= 0)" % (what, exponent))
     total = 0.0
-    for lo, hi, vl, vr in profile.pieces():
+    for lo, hi, vl, vr in profile.intervals:
         if vl == vr:
             if vl != 0.0:
                 total += vl ** power * (hi ** exponent - lo ** exponent) / exponent
@@ -265,7 +260,7 @@ def _time_profile_constant(psi: RampProfile, kappa: float) -> float:
 def _psi_power_constant(psi: RampProfile, kappa: float) -> float:
     # integral of psi^kappa over [0, inf)
     total = 0.0
-    for lo, hi, vl, vr in psi.pieces():
+    for lo, hi, vl, vr in psi.intervals:
         if vl == vr:
             total += vl ** kappa * (hi - lo)
         else:
@@ -279,7 +274,7 @@ def _forcing_time_constant(psi: RampProfile, kappa: float, rho: float) -> float:
     # integral of tau^rho psi^kappa over [0, inf); psi vanishes near 0 so
     # the rho > -1 singularity never meets the support
     total = 0.0
-    for lo, hi, vl, vr in psi.pieces():
+    for lo, hi, vl, vr in psi.intervals:
         if vl == vr:
             if vl != 0.0:
                 total += vl ** kappa * (hi ** (rho + 1.0) - lo ** (rho + 1.0)) / (rho + 1.0)
@@ -324,9 +319,9 @@ def capacity_integrals(params: ProblemParams, R: float, T: float,
     the documented tolerance.
     """
     require_valid(params)
-    if R <= 1.0 or T <= 1.0:
-        raise ConditionViolation("capacity cutoffs need R > 1 and T > 1, "
-                                 "got R=%g T=%g" % (R, T))
+    if not (1.0 < R < math.inf and 1.0 < T < math.inf):
+        raise ConditionViolation("capacity cutoffs need finite R > 1 and "
+                                 "T > 1, got R=%g T=%g" % (R, T))
     cut = cutoffs if cutoffs is not None else default_cutoffs()
     p = params.p
     kappa = p / (p - 1.0)
@@ -357,31 +352,6 @@ def capacity_integrals(params: ProblemParams, R: float, T: float,
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class PowerFit:
-    """Least-squares line through (x, log value) with its theory slope."""
-    fitted: float
-    theory: float
-    r_squared: float
-    xs: np.ndarray
-    ys: np.ndarray
-
-    @property
-    def relative_error(self) -> float:
-        if self.theory == 0.0:
-            return abs(self.fitted)
-        return abs(self.fitted - self.theory) / abs(self.theory)
-
-
-def _fit_line(xs: np.ndarray, ys: np.ndarray, theory: float) -> PowerFit:
-    coeffs = np.polyfit(xs, ys, 1)
-    resid = ys - np.polyval(coeffs, xs)
-    total = float(np.sum((ys - np.mean(ys)) ** 2))
-    r2 = 1.0 - float(np.sum(resid ** 2)) / total if total > 0.0 else 1.0
-    return PowerFit(fitted=float(coeffs[0]), theory=theory, r_squared=r2,
-                    xs=xs, ys=ys)
-
-
-@dataclass(frozen=True)
 class CapacityFitReport:
     """Slopes of the normalized capacity integrals against the cutoff radius.
 
@@ -396,9 +366,9 @@ class CapacityFitReport:
     space_raw: np.ndarray
     time_norm: np.ndarray
     space_norm: np.ndarray
-    time_fit: PowerFit
-    space_fit: PowerFit
-    combined_fit: PowerFit
+    time_fit: SlopeFit
+    space_fit: SlopeFit
+    combined_fit: SlopeFit
     nonexistence_predicted: bool
     slopes_negative: bool
 
@@ -456,11 +426,10 @@ def capacity_exponent_fit(params: ProblemParams, radii: Sequence[float],
     time_norm = np.asarray(time_norm)
     space_norm = np.asarray(space_norm)
 
-    xs = np.log(rr)
-    time_fit = _fit_line(xs, np.log(time_norm), theory_time)
-    space_fit = _fit_line(xs, np.log(space_norm), theory_space)
-    combined_fit = _fit_line(xs, np.log(time_norm + space_norm),
-                             max(theory_time, theory_space))
+    time_fit = SlopeFit.from_loglog(rr, time_norm, theory_time)
+    space_fit = SlopeFit.from_loglog(rr, space_norm, theory_space)
+    combined_fit = SlopeFit.from_loglog(rr, time_norm + space_norm,
+                                        max(theory_time, theory_space))
 
     report = CapacityFitReport(
         radii=rr, t_exponent=m,
@@ -485,7 +454,7 @@ def capacity_exponent_fit(params: ProblemParams, radii: Sequence[float],
 class LogCapacityReport:
     radii: np.ndarray
     values: np.ndarray
-    fit: PowerFit
+    fit: SlopeFit
 
 
 def log_space_capacity(params: ProblemParams, R: float,
@@ -566,9 +535,8 @@ def log_capacity_fit(params: ProblemParams, radii: Sequence[float],
         raise ConditionViolation("need at least 3 radii for a slope fit")
 
     values = np.asarray([log_space_capacity(params, R, cutoffs) for R in rr])
-    xs = np.log(np.log(rr))
     theory = (2.0 - float(params.N)) / (2.0 + params.sigma2)
-    fit = _fit_line(xs, np.log(values), theory)
+    fit = SlopeFit.from_loglog(np.log(rr), values, theory)
     report = LogCapacityReport(radii=rr, values=values, fit=fit)
     if fit.r_squared < r2_floor:
         raise PoorFit(

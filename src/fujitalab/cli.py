@@ -20,6 +20,7 @@ import argparse
 import csv
 import os
 import sys
+from contextlib import contextmanager
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -60,6 +61,16 @@ def _write_csv(path: str, columns: Sequence[str], rows: Sequence[Sequence],
         writer.writerows(rows)
 
 
+@contextmanager
+def _building():
+    """Report a ValueError or ZeroDivisionError raised while building the
+    grid, fields, solver settings or time lists as a config error."""
+    try:
+        yield
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ConfigError("%s: %s" % (type(exc).__name__, exc)) from exc
+
+
 def _grid_for(cfg: ExperimentConfig) -> RadialGrid:
     r_min = cfg.options["grid_r_min"]
     return RadialGrid.log_spaced(
@@ -96,15 +107,16 @@ def _run_transform_check(cfg: ExperimentConfig, out_dir: str) -> None:
     require_valid(cfg.params)
     tp = transform_params(cfg.params)
     from .blowup import integrate_nonlinear       # local import: heavy module
-    grid = _grid_for(cfg)
-    u0 = _field(cfg, "u0", grid)
-    w = _field(cfg, "w", grid)
-    w_profile = cfg.options["w"].build()
-    t_end = cfg.options["t_end"]
-    n_snap = cfg.options["n_snapshots"]
-    samples = list(np.linspace(t_end / n_snap, t_end, n_snap))
-    run_cfg = BlowupConfig(dt_init=cfg.options["dt_init"],
-                           t_max=1.05 * t_end)
+    with _building():
+        grid = _grid_for(cfg)
+        u0 = _field(cfg, "u0", grid)
+        w = _field(cfg, "w", grid)
+        w_profile = cfg.options["w"].build()
+        t_end = cfg.options["t_end"]
+        n_snap = cfg.options["n_snapshots"]
+        samples = list(np.linspace(t_end / n_snap, t_end, n_snap))
+        run_cfg = BlowupConfig(dt_init=cfg.options["dt_init"],
+                               t_max=1.05 * t_end)
     out = integrate_nonlinear(u0, w, cfg.params, run_cfg,
                               sample_times=samples)
     times = [t for t, _ in out.snapshots]
@@ -123,21 +135,24 @@ def _run_transform_check(cfg: ExperimentConfig, out_dir: str) -> None:
 def _run_semigroup_check(cfg: ExperimentConfig, out_dir: str) -> None:
     require_valid(cfg.params)
     from .radial import powerlaw_profile
-    grid = _grid_for(cfg)
-    op = SemigroupOp(grid, cfg.params)
     a, b = cfg.options["lq_a"], cfg.options["lq_b"]
     gamma = cfg.options["gamma"]
-    times = np.geomspace(cfg.options["t_lo"], cfg.options["t_hi"],
-                         cfg.options["n_times"])
-    source = field_from_callable(grid, powerlaw_profile(cfg.params.N / a),
-                                 float(cfg.params.N))
+    opts = cfg.options
+    if not (0.0 < opts["t_lo"] < opts["t_hi"] and opts["n_times"] >= 3):
+        raise ConfigError("a slope fit needs 0 < t_lo < t_hi, n_times >= 3")
+    with _building():
+        grid = _grid_for(cfg)
+        times = np.geomspace(opts["t_lo"], opts["t_hi"], opts["n_times"])
+        source = field_from_callable(
+            grid, powerlaw_profile(cfg.params.N / a), float(cfg.params.N))
+    op = SemigroupOp(grid, cfg.params)
     if gamma == 0.0:
         fit = smoothing_slope(op, a, b, source, times)
         label = "L^%g -> L^%g smoothing" % (a, b)
     else:
         fit = weighted_smoothing_check(op, a, b, gamma, source, times)
         label = "weighted (gamma=%g) L^%g -> L^%g smoothing" % (gamma, a, b)
-    rows = [[float(t), float(n)] for t, n in zip(fit.times, fit.norms)]
+    rows = [[float(t), float(n)] for t, n in zip(fit.x, fit.y)]
     path = _out_path(out_dir, "semigroup_check.csv")
     _write_csv(path, ["t", "norm"], rows,
                ["params: " + cfg.describe(),
@@ -154,14 +169,15 @@ def _run_mild_solve(cfg: ExperimentConfig, out_dir: str) -> None:
     r_opt = cfg.options["r"]
     r = default_r(cfg.params) if r_opt == 0.0 else r_opt
     derived_weights(cfg.params, r)       # hypothesis gate before any compute
-    grid = _grid_for(cfg)
-    u0 = _field(cfg, "u0", grid)
-    w = _field(cfg, "w", grid)
-    mcfg = MildConfig(r=r, t_max=cfg.options["t_max"],
-                      n_times=cfg.options["n_times"],
-                      picard_tol=cfg.options["picard_tol"],
-                      max_picard=cfg.options["max_picard"],
-                      duhamel_substeps=cfg.options["duhamel_substeps"])
+    with _building():
+        grid = _grid_for(cfg)
+        u0 = _field(cfg, "u0", grid)
+        w = _field(cfg, "w", grid)
+        mcfg = MildConfig(r=r, t_max=cfg.options["t_max"],
+                          n_times=cfg.options["n_times"],
+                          picard_tol=cfg.options["picard_tol"],
+                          max_picard=cfg.options["max_picard"],
+                          duhamel_substeps=cfg.options["duhamel_substeps"])
     sol = solve_global_small(u0, w, cfg.params, mcfg)
     comments = ["params: " + cfg.describe(),
                 "metric: r=%.10g mu=%.10g" % (sol.r, sol.mu),
@@ -187,11 +203,12 @@ def _run_blowup_scan(cfg: ExperimentConfig, out_dir: str) -> None:
     if amp < 0.0:
         raise ConfigError("amplitude must be nonnegative (0 = calibrate); "
                           "the scan needs positive forcing mass")
-    grid = _grid_for(cfg)
-    bcfg = BlowupConfig(dt_init=cfg.options["dt_init"],
-                        dt_min=cfg.options["dt_min"],
-                        blowup_norm_cap=cfg.options["norm_cap"],
-                        t_max=cfg.options["t_max"])
+    with _building():
+        grid = _grid_for(cfg)
+        bcfg = BlowupConfig(dt_init=cfg.options["dt_init"],
+                            dt_min=cfg.options["dt_min"],
+                            blowup_norm_cap=cfg.options["norm_cap"],
+                            t_max=cfg.options["t_max"])
     calibrated = amp == 0.0
     if calibrated:
         amp = calibrate_amplitude(cfg.params, bcfg, grid=grid)
@@ -288,12 +305,13 @@ def _run_local_solve(cfg: ExperimentConfig, out_dir: str) -> None:
     require_valid(cfg.params)
     q = cfg.options["q"]
     require_admissible_q(cfg.params, q)   # hypothesis gate before compute
-    grid = _grid_for(cfg)
-    u0 = _field(cfg, "u0", grid)
-    w = _field(cfg, "w", grid)
-    mcfg = MildConfig(picard_tol=cfg.options["picard_tol"],
-                      max_picard=cfg.options["max_picard"],
-                      n_times=cfg.options["n_times"])
+    with _building():
+        grid = _grid_for(cfg)
+        u0 = _field(cfg, "u0", grid)
+        w = _field(cfg, "w", grid)
+        mcfg = MildConfig(picard_tol=cfg.options["picard_tol"],
+                          max_picard=cfg.options["max_picard"],
+                          n_times=cfg.options["n_times"])
     sol = solve_local_Lq(u0, w, cfg.params, q, cfg.options["horizon"], mcfg)
     path = _out_path(out_dir, "local_trajectory.csv")
     _write_csv(path, TRAJECTORY_CSV_COLUMNS,

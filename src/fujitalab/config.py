@@ -18,6 +18,7 @@ the command given on the command line.  All value parsing is locale
 independent (``.`` decimal point) and deterministic.
 """
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
@@ -171,12 +172,18 @@ def parse_profile(text: str) -> ProfileSpec:
     return ProfileSpec(name=name, args=args)
 
 
+def _finite(value: float) -> float:
+    if not math.isfinite(value):
+        raise ValueError(value)
+    return value
+
+
 def _coerce(key: str, raw: str, spec: KeySpec):
     try:
         if spec.kind == "int":
             return int(raw)
         if spec.kind == "float":
-            return float(raw)
+            return _finite(float(raw))
         if spec.kind == "str":
             return raw
         if spec.kind == "bool":
@@ -187,7 +194,7 @@ def _coerce(key: str, raw: str, spec: KeySpec):
                 return False
             raise ValueError(raw)
         if spec.kind == "floats":
-            vals = tuple(float(x) for x in raw.split(","))
+            vals = tuple(_finite(float(x)) for x in raw.split(","))
             if not vals:
                 raise ValueError(raw)
             return vals

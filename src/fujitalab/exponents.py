@@ -19,7 +19,7 @@ scaling of the operator |x|^(-s1) Lap is x -> c x, t -> c^A t.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Optional, Tuple
 
@@ -78,23 +78,20 @@ class ProblemParams:
         """A = 2 + sigma1, the parabolic scaling exponent of |x|^(-s1) Lap."""
         return 2.0 + self.sigma1
 
-    def astuple(self) -> Tuple[float, float, float, float, float]:
-        return (self.N, self.sigma1, self.sigma2, self.rho, self.p)
-
-    def label(self) -> str:
-        """Compact parameter stamp used in CSV comment lines."""
-        return ("N=%g sigma1=%.12g sigma2=%.12g rho=%.12g p=%.12g"
-                % (self.N, self.sigma1, self.sigma2, self.rho, self.p))
-
 
 def validate(params: ProblemParams) -> list:
     """Return the list of violated structural hypotheses (empty if valid).
 
     Checks N >= 2 and integer, sigma1 > -2, sigma2 > -2, rho > -1, p > 1.
     The function is total: it never raises, so callers can report every
-    violation at once.
+    violation at once.  Non-finite entries are reported alone, because the
+    other checks cannot be evaluated on them.
     """
-    bad = []
+    entries = [(f.name, getattr(params, f.name)) for f in fields(params)]
+    bad = ["%s must be finite, got %r" % (name, value)
+           for name, value in entries if not math.isfinite(value)]
+    if bad:
+        return bad
     if int(params.N) != params.N or params.N < 2:
         bad.append("N must be an integer >= 2, got %r" % (params.N,))
     if not params.sigma1 > -2.0:
@@ -292,11 +289,14 @@ def derived_weights(params: ProblemParams, r: Optional[float] = None) -> Weights
     delta = (params.N * (params.p - 1.0) / (params.diffusion_depth * r)
              + (params.sigma1 - params.sigma2) / params.diffusion_depth)
 
-    # Window membership makes these bounds theorems, not checks; a failure
-    # here means the window arithmetic itself is broken.
-    assert 0.0 < mu < 1.0 / params.p, (mu, params)
-    assert 0.0 < beta < 1.0, (beta, params)
-    assert 0.0 < delta < 1.0, (delta, params)
+    # Window membership makes these bounds theorems; in floating point they
+    # can fail only by rounding, at extreme parameter values (sigma1 = 1e300
+    # rounds delta up to 1).
+    if not (0.0 < mu < 1.0 / params.p and 0.0 < beta < 1.0
+            and 0.0 < delta < 1.0):
+        raise WindowViolation(
+            "1/r=%g is inside the window only before rounding: mu=%g "
+            "beta=%g delta=%g" % (inv_r, mu, beta, delta))
     return Weights(mu=mu, beta=beta, delta=delta)
 
 

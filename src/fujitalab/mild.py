@@ -7,9 +7,9 @@ The forced problem is recast as the fixed-point equation
     H(t)    = int_0^t S(t-s) ( s^rho  r^(-s1)  w ) ds,
 
 where S is the semigroup of the weighted linear part.  Two constructions
-share one quadrature engine: a global small-data solver contracting in the
-time-weighted norm sup_t t^mu ||u(t)||_{L^r}, and a local-in-time solver
-working in plain C([0,T]; L^q).
+share one quadrature engine and one Picard driver: a global small-data
+solver contracting in the time-weighted norm sup_t t^mu ||u(t)||_{L^r},
+and a local-in-time solver working in plain C([0,T]; L^q) (mu = 0, r = q).
 
 Every time integral marches a running accumulator forward across a
 log-spaced grid of stored times.  Each stored interval is cut into midpoint
@@ -19,16 +19,18 @@ radial powers in particular) ring under trapezoidal stepping.  The cell
 touching t = 0 is special for both integrals: the forcing factor s^rho is
 integrated analytically there against a propagator frozen at the substep
 midpoint, and the nonlinear source uses a frozen power-law-in-time model
-anchored at the first stored time.
+anchored at the first stored time.  The weak-form residual's test function
+is made of the capacity module's quintic ramp profiles.
 """
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.integrate import quad
 
+from .capacity import RampProfile
 from .errors import (HypothesisViolation, NotContracting, NoValidT,
                      NumericalFailure, Overflow)
 from .exponents import (ProblemParams, default_r, derived_weights,
@@ -109,8 +111,14 @@ class Trajectory:
     def max_values(self) -> np.ndarray:
         return np.array([float(np.max(np.abs(f.values))) for f in self.fields])
 
-    def weighted_sup(self, mu: float, q: float) -> float:
-        return float(np.max(self.times ** mu * self.norms(q)))
+
+@np.errstate(over="ignore")
+def _norm(fld: RadialField, q: float) -> float:
+    """lq_norm, raising Overflow where it would return inf."""
+    value = lq_norm(fld, q)
+    if not math.isfinite(value):
+        raise Overflow("an L^%g norm overflowed" % q)
+    return value
 
 
 def x_distance(a: Trajectory, b: Trajectory, mu: float, r: float) -> float:
@@ -119,7 +127,7 @@ def x_distance(a: Trajectory, b: Trajectory, mu: float, r: float) -> float:
         raise ValueError("trajectories live on different time grids")
     best = 0.0
     for t, fa, fb in zip(a.times, a.fields, b.fields):
-        d = lq_norm(fa.with_values(fa.values - fb.values), r)
+        d = _norm(fa.with_values(fa.values - fb.values), r)
         best = max(best, t ** mu * d)
     return best
 
@@ -193,8 +201,12 @@ def _nonlinear_values(op: SemigroupOp, u_vals: Sequence[np.ndarray],
     wgt = r ** (params.sigma2 - params.sigma1)
     p = params.p
 
+    @np.errstate(over="ignore")
     def g_of(vals: np.ndarray) -> np.ndarray:
-        return wgt * np.abs(vals) ** p
+        g = wgt * np.abs(vals) ** p
+        if not np.isfinite(g).all():
+            raise Overflow("the source r^(s2-s1) |u|^p overflowed")
+        return g
 
     out = []
     acc = np.zeros_like(u_vals[0])
@@ -255,7 +267,7 @@ def _wrap(u0: RadialField, times: np.ndarray, vals: List[np.ndarray],
     fields = [u0.with_values(v) for v in vals]
     xn = 0.0
     for t, f in zip(times, fields):
-        xn = max(xn, t ** mu * lq_norm(f, r))
+        xn = max(xn, t ** mu * _norm(f, r))
     return Trajectory(times=times, fields=fields, x_norm=xn)
 
 
@@ -271,12 +283,9 @@ def duhamel_forcing(w: RadialField, params: ProblemParams,
     cfg = cfg if cfg is not None else MildConfig()
     times = np.asarray(t_grid, dtype=float)
     mu, r = _metric_for(params, cfg)
-    if not np.any(w.values != 0.0):
-        zeros = [np.zeros_like(w.values) for _ in times]
-        return _wrap(w, times, zeros, mu, r)
-    op = SemigroupOp(w.grid, params)
-    src = w.grid.nodes ** (-params.sigma1) * w.values
-    vals = _forcing_values(op, src, params.rho, times, cfg.duhamel_substeps)
+    zero = w.with_values(np.zeros_like(w.values))
+    vals = _linear_values(SemigroupOp(w.grid, params), zero, w, params, times,
+                          cfg.duhamel_substeps)
     return _wrap(w, times, vals, mu, r)
 
 
@@ -312,6 +321,38 @@ def picard_step(u_n: Trajectory, u0: RadialField, w: Optional[RadialField],
     return _wrap(u0, times, out, mu, r)
 
 
+def _iterate(linear: Trajectory, u0: RadialField, w: Optional[RadialField],
+             params: ProblemParams, cfg: MildConfig, head_theta: float,
+             metric: Tuple[float, float]
+             ) -> Tuple[Trajectory, List[float], List[float], bool]:
+    """Picard iteration from the linear part G(0) in the metric (mu, r).
+
+    Returns the last iterate, the distances of consecutive iterates, their
+    ratios and whether the last distance fell below picard_tol.
+    """
+    mu, r = metric
+    u_prev = linear
+    diffs = [linear.x_norm]          # iterate 1 against the zero iterate 0
+    ratios: List[float] = []
+    if diffs[0] < cfg.picard_tol:
+        return u_prev, diffs, ratios, True
+    for _ in range(1, cfg.max_picard):
+        u_next = picard_step(u_prev, u0, w, params, cfg, linear=linear,
+                             head_theta=head_theta, metric=metric)
+        d = x_distance(u_next, u_prev, mu, r)
+        ratios.append(d / diffs[-1])
+        diffs.append(d)
+        u_prev = u_next
+        if len(ratios) >= 3 and all(q >= 1.0 for q in ratios[-3:]):
+            raise NotContracting(
+                "difference ratios %s show no contraction; the data is "
+                "likely too large for the fixed-point construction"
+                % ["%.3g" % q for q in ratios[-3:]])
+        if d < cfg.picard_tol:
+            return u_prev, diffs, ratios, True
+    return u_prev, diffs, ratios, False
+
+
 @dataclass
 class GlobalSolution:
     """Fixed point of the weighted-metric construction plus its certificate."""
@@ -341,34 +382,11 @@ def solve_global_small(u0: RadialField, w: Optional[RadialField],
     mu = cfg.mu if cfg.mu is not None else derived_weights(params, r).mu
     times = _time_grid(cfg.t_max, cfg.n_times)
     op = SemigroupOp(u0.grid, params)
-    nsub = cfg.duhamel_substeps
-
-    lin_vals = _linear_values(op, u0, w, params, times, nsub)
+    lin_vals = _linear_values(op, u0, w, params, times, cfg.duhamel_substeps)
     linear = _wrap(u0, times, lin_vals, mu, r)
-
-    u_prev = linear
-    diffs = [linear.x_norm]          # iterate 1 against the zero iterate 0
-    ratios: List[float] = []
-    if diffs[0] < cfg.picard_tol:
-        return GlobalSolution(u_prev, diffs, ratios, True, r, mu)
-
-    converged = False
-    for _ in range(1, cfg.max_picard):
-        u_next = picard_step(u_prev, u0, w, params, cfg, linear=linear,
-                             head_theta=-params.p * mu, metric=(mu, r))
-        d = x_distance(u_next, u_prev, mu, r)
-        ratios.append(d / diffs[-1])
-        diffs.append(d)
-        u_prev = u_next
-        if len(ratios) >= 3 and all(q >= 1.0 for q in ratios[-3:]):
-            raise NotContracting(
-                "difference ratios %s show no contraction; the data is "
-                "likely outside the small-data regime"
-                % ["%.3g" % q for q in ratios[-3:]])
-        if d < cfg.picard_tol:
-            converged = True
-            break
-    return GlobalSolution(u_prev, diffs, ratios, converged, r, mu)
+    u, diffs, ratios, converged = _iterate(linear, u0, w, params, cfg,
+                                           -params.p * mu, (mu, r))
+    return GlobalSolution(u, diffs, ratios, converged, r, mu)
 
 
 @dataclass
@@ -413,7 +431,7 @@ def solve_local_Lq(u0: RadialField, w: Optional[RadialField],
 
     probe_times = _time_grid(horizon_guess, cfg.n_times)
     lin_probe = _linear_values(op, u0, w, params, probe_times, nsub)
-    lin_norms = np.array([lq_norm(u0.with_values(v), q) for v in lin_probe])
+    lin_norms = np.array([_norm(u0.with_values(v), q) for v in lin_probe])
     m0 = float(np.max(lin_norms))
     if m0 == 0.0:
         zeros = [np.zeros_like(u0.values) for _ in probe_times]
@@ -423,16 +441,16 @@ def solve_local_Lq(u0: RadialField, w: Optional[RadialField],
     radius = 2.0 * m0
 
     f_probe = _nonlinear_values(op, lin_probe, params, probe_times, nsub, 0.0)
-    c1 = max(lq_norm(u0.with_values(v), q)
+    c1 = max(_norm(u0.with_values(v), q)
              / (t ** (1.0 - alpha) * m0 ** params.p)
              for t, v in zip(probe_times, f_probe))
     f_norm = 0.0
     c2 = 0.0
     if w is not None and np.any(w.values != 0.0):
         src = u0.grid.nodes ** (-params.sigma1) * w.values
-        f_norm = lq_norm(u0.with_values(src), q)
+        f_norm = _norm(u0.with_values(src), q)
         h_probe = _forcing_values(op, src, params.rho, probe_times, nsub)
-        c2 = max(lq_norm(u0.with_values(v), q)
+        c2 = max(_norm(u0.with_values(v), q)
                  / (f_norm * t ** (params.rho + 1.0))
                  for t, v in zip(probe_times, h_probe))
 
@@ -459,27 +477,10 @@ def solve_local_Lq(u0: RadialField, w: Optional[RadialField],
     times = _time_grid(t_end, cfg.n_times)
     lin_vals = _linear_values(op, u0, w, params, times, nsub)
     linear = _wrap(u0, times, lin_vals, 0.0, q)
-    u_prev = linear
-    diffs = [linear.x_norm]
-    ratios: List[float] = []
-    converged = diffs[0] < cfg.picard_tol
-    if not converged:
-        for _ in range(1, cfg.max_picard):
-            u_next = picard_step(u_prev, u0, w, params, cfg, linear=linear,
-                                 head_theta=0.0, metric=(0.0, q))
-            d = x_distance(u_next, u_prev, 0.0, q)
-            ratios.append(d / diffs[-1])
-            diffs.append(d)
-            u_prev = u_next
-            if len(ratios) >= 3 and all(s >= 1.0 for s in ratios[-3:]):
-                raise NotContracting(
-                    "local iteration not contracting, ratios %s"
-                    % ["%.3g" % s for s in ratios[-3:]])
-            if d < cfg.picard_tol:
-                converged = True
-                break
+    u, diffs, ratios, converged = _iterate(linear, u0, w, params, cfg, 0.0,
+                                           (0.0, q))
 
-    trace = u_prev.norms(q)
+    trace = u.norms(q)
     lin_trace = linear.norms(q)
     jump = float(np.max(np.abs(np.diff(trace))))
     scheme_tol = max(float(np.max(np.abs(np.diff(lin_trace)))),
@@ -488,7 +489,7 @@ def solve_local_Lq(u0: RadialField, w: Optional[RadialField],
         raise NumericalFailure(
             "L^q trace jumps by %g, beyond 5x the scheme modulus %g"
             % (jump, scheme_tol))
-    return LocalSolution(u_prev, t_end, q, radius, c1, c2, jump,
+    return LocalSolution(u, t_end, q, radius, c1, c2, jump,
                          scheme_tol, diffs, ratios, converged)
 
 
@@ -496,87 +497,36 @@ def solve_local_Lq(u0: RadialField, w: Optional[RadialField],
 # weak-form residual
 # ---------------------------------------------------------------------------
 
-def _s5(x: np.ndarray) -> np.ndarray:
-    return x * x * x * (10.0 + x * (-15.0 + 6.0 * x))
-
-
-def _ds5(x: np.ndarray) -> np.ndarray:
-    return 30.0 * x * x * (1.0 - x) * (1.0 - x)
-
-
-def _d2s5(x: np.ndarray) -> np.ndarray:
-    return 60.0 * x * (1.0 - 3.0 * x + 2.0 * x * x)
-
-
 @dataclass(frozen=True)
 class SpaceTimeTest:
     """Separable C^2 test function eta(t) chi(r), compactly supported.
 
-    eta equals 1 on [0, t_flat] and ramps to 0 at t_end; chi ramps up on
-    [r_lo, r_a], holds 1, and ramps down to 0 at r_hi.  The factors and
-    the radial derivatives chi', chi'' are quintic-smoothstep polynomials,
-    so the weak-form pairing needs no numerical differentiation.
+    Both factors are quintic-smoothstep ramp profiles, so the weak-form
+    pairing takes their derivatives in closed form.
     """
 
-    t_flat: float
-    t_end: float
-    r_lo: float
-    r_a: float
-    r_b: float
-    r_hi: float
-
-    def eta(self, t) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        x = np.clip((self.t_end - t) / (self.t_end - self.t_flat), 0.0, 1.0)
-        return _s5(x)
-
-    def eta_d1(self, t) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        width = self.t_end - self.t_flat
-        x = (self.t_end - t) / width
-        inside = (x > 0.0) & (x < 1.0)
-        return np.where(inside, -_ds5(np.clip(x, 0.0, 1.0)) / width, 0.0)
-
-    def _chi_pieces(self, r):
-        r = np.asarray(r, dtype=float)
-        up_w = self.r_a - self.r_lo
-        dn_w = self.r_hi - self.r_b
-        xu = np.clip((r - self.r_lo) / up_w, 0.0, 1.0)
-        xd = np.clip((self.r_hi - r) / dn_w, 0.0, 1.0)
-        return r, xu, xd, up_w, dn_w
-
-    def chi(self, r) -> np.ndarray:
-        _, xu, xd, _, _ = self._chi_pieces(r)
-        return _s5(xu) * _s5(xd)
-
-    def chi_d1(self, r) -> np.ndarray:
-        r, xu, xd, up_w, dn_w = self._chi_pieces(r)
-        on_up = (r > self.r_lo) & (r < self.r_a)
-        on_dn = (r > self.r_b) & (r < self.r_hi)
-        out = np.zeros_like(r)
-        out = np.where(on_up, _ds5(xu) / up_w, out)
-        out = np.where(on_dn, -_ds5(xd) / dn_w, out)
-        return out
-
-    def chi_d2(self, r) -> np.ndarray:
-        r, xu, xd, up_w, dn_w = self._chi_pieces(r)
-        on_up = (r > self.r_lo) & (r < self.r_a)
-        on_dn = (r > self.r_b) & (r < self.r_hi)
-        out = np.zeros_like(r)
-        out = np.where(on_up, _d2s5(xu) / up_w ** 2, out)
-        out = np.where(on_dn, _d2s5(xd) / dn_w ** 2, out)
-        return out
+    eta: RampProfile
+    chi: RampProfile
 
 
 def bump_test_function(t_end: float, r_lo: float, r_hi: float,
                        t_flat_frac: float = 0.5) -> SpaceTimeTest:
-    """Standard plateau test function on [0, t_end] x [r_lo, r_hi]."""
+    """Standard plateau test function on [0, t_end] x [r_lo, r_hi].
+
+    eta equals 1 on [0, t_flat_frac t_end] and ramps to 0 at t_end; chi
+    ramps up over the first quarter of [r_lo, r_hi], holds 1, and ramps
+    down over the last quarter.
+    """
     if not (0.0 <= r_lo < r_hi and t_end > 0.0):
         raise ValueError("need 0 <= r_lo < r_hi and t_end > 0")
     span = r_hi - r_lo
-    return SpaceTimeTest(t_flat=t_flat_frac * t_end, t_end=t_end,
-                         r_lo=r_lo, r_a=r_lo + 0.25 * span,
-                         r_b=r_hi - 0.25 * span, r_hi=r_hi)
+    r_a, r_b = r_lo + 0.25 * span, r_hi - 0.25 * span
+    eta = RampProfile(intervals=((t_flat_frac * t_end, t_end, 1.0, 0.0),),
+                      left=1.0, right=0.0)
+    chi = RampProfile(intervals=((r_lo, r_a, 0.0, 1.0), (r_a, r_b, 1.0, 1.0),
+                                 (r_b, r_hi, 1.0, 0.0)),
+                      left=0.0, right=0.0)
+    return SpaceTimeTest(eta=eta, chi=chi)
 
 
 def weak_residual(traj: Trajectory, u0: RadialField,
@@ -596,19 +546,20 @@ def weak_residual(traj: Trajectory, u0: RadialField,
     the radial grid, otherwise the truncated quadrature is meaningless.
     """
     require_valid(params)
-    if test.t_end > traj.times[-1]:
+    t_end, r_hi = test.eta.intervals[-1][1], test.chi.intervals[-1][1]
+    if t_end > traj.times[-1]:
         raise ValueError("test support [0, %g] exceeds the trajectory "
-                         "horizon %g" % (test.t_end, traj.times[-1]))
+                         "horizon %g" % (t_end, traj.times[-1]))
     grid = u0.grid
-    if test.r_hi > grid.nodes[-1]:
+    if r_hi > grid.nodes[-1]:
         raise ValueError("test support reaches r=%g beyond the grid edge %g"
-                         % (test.r_hi, grid.nodes[-1]))
+                         % (r_hi, grid.nodes[-1]))
     r = grid.nodes
     cw = grid.cell_widths()
     area = sphere_area(float(params.N))
     meas = area * r ** (params.N - 1.0) * cw
     chi = test.chi(r)
-    lap_chi = test.chi_d2(r) + (params.N - 1.0) / r * test.chi_d1(r)
+    lap_chi = test.chi.d2(r) + (params.N - 1.0) / r * test.chi.d1(r)
     w_s1 = r ** params.sigma1
     w_s2 = r ** params.sigma2
 
@@ -617,7 +568,7 @@ def weak_residual(traj: Trajectory, u0: RadialField,
     evo = np.empty(times.size)
     src = np.empty(times.size)
     for i, (t, v) in enumerate(zip(times, vals)):
-        eta, eta_d = float(test.eta(t)), float(test.eta_d1(t))
+        eta, eta_d = float(test.eta(t)), float(test.eta.d1(t))
         evo[i] = float(np.sum(v * (w_s1 * eta_d * chi + eta * lap_chi)
                               * meas))
         src[i] = float(np.sum(w_s2 * np.abs(v) ** params.p * eta * chi
@@ -629,7 +580,7 @@ def weak_residual(traj: Trajectory, u0: RadialField,
     if w is not None and np.any(w.values != 0.0):
         space = float(np.sum(w.values * chi * meas))
         tfac, _ = quad(lambda s: s ** params.rho * float(test.eta(s)),
-                       0.0, test.t_end, limit=200)
+                       0.0, t_end, limit=200)
         term_force = space * tfac
     term_init = float(np.sum(w_s1 * u0.values * chi * meas))
 

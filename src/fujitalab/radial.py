@@ -169,9 +169,6 @@ class RadialField:
     def with_values(self, values) -> "RadialField":
         return replace(self, values=np.asarray(values, dtype=float))
 
-    def lq_norm(self, q: float, weight: float = 0.0) -> float:
-        return lq_norm(self, q, weight)
-
 
 def lq_norm(fld: RadialField, q: float, weight: float = 0.0) -> float:
     """Weighted L^q norm of a radial field by trapezoid quadrature.

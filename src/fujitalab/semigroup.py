@@ -55,26 +55,22 @@ __all__ = [
 SCHEME_IE = "implicit-euler"
 SCHEME_CN = "crank-nicolson"
 
+_SUBSTEPS = 32      # equal steps of a march that does not name its count
+
 
 @dataclass
 class SemigroupOp:
     """Evolution operator S(t) = exp(t |x|^(-s1) Lap) on a radial grid.
 
-    scheme selects the default stepper; substeps is the default number of
-    equal implicit steps used per apply() call.  The operator matrix is
-    assembled once at construction; the LU factors of I - dt L are kept for
-    the last dt solved with.
+    The operator matrix is assembled once at construction; the LU factors
+    of I - dt L are kept for the last dt solved with.
     """
 
     grid: RadialGrid
     params: ProblemParams
-    scheme: str = SCHEME_CN
-    substeps: int = 32
 
     def __post_init__(self):
         require_valid(self.params)
-        if self.scheme not in (SCHEME_IE, SCHEME_CN):
-            raise ValueError("unknown scheme %r" % (self.scheme,))
         r = self.grid.nodes
         n, s1 = float(self.params.N), self.params.sigma1
         h = np.diff(r)
@@ -141,18 +137,20 @@ class SemigroupOp:
             raise StepFailure("implicit solve produced non-finite values")
         return x
 
-    def _march(self, values: np.ndarray, t: float, substeps: int,
-               scheme: str) -> np.ndarray:
-        if t == 0.0 or substeps == 0:
+    def _march(self, values: np.ndarray, t: float, substeps: Optional[int],
+               scheme: Optional[str]) -> np.ndarray:
+        # substeps equal steps, Crank-Nicolson unless scheme is SCHEME_IE
+        n = _SUBSTEPS if substeps is None else int(substeps)
+        if t == 0.0 or n == 0:
             return values.copy()
-        dt = t / substeps
+        dt = t / n
         u = values.copy()
         if scheme == SCHEME_IE:
-            for _ in range(substeps):
+            for _ in range(n):
                 u = self.implicit_solve(u, dt)
         else:
             half = 0.5 * dt
-            for _ in range(substeps):
+            for _ in range(n):
                 rhs = u + half * self.apply_operator(u)
                 u = self.implicit_solve(rhs, half)
         return u
@@ -161,19 +159,16 @@ class SemigroupOp:
 
     def apply(self, fld: RadialField, t: float, substeps: Optional[int] = None,
               scheme: Optional[str] = None) -> RadialField:
-        """Evolve a field by time t >= 0 with the configured stepper."""
+        """Evolve a field by time t >= 0 (Crank-Nicolson by default)."""
         if t < 0.0:
             raise ValueError("cannot evolve backwards, t=%g" % t)
-        n = self.substeps if substeps is None else int(substeps)
-        u = self._march(fld.values, t, n, scheme or self.scheme)
-        return fld.with_values(u)
+        return fld.with_values(self._march(fld.values, t, substeps, scheme))
 
     def evolve_values(self, values: np.ndarray, t: float,
                       substeps: Optional[int] = None,
                       scheme: Optional[str] = None) -> np.ndarray:
         """Array-level apply(), used by the solvers to avoid field wrapping."""
-        n = self.substeps if substeps is None else int(substeps)
-        return self._march(values, t, n, scheme or self.scheme)
+        return self._march(values, t, substeps, scheme)
 
     def evolve_through(self, source: RadialField, t_list: Sequence[float],
                        substeps: Optional[int] = None) -> List[RadialField]:
@@ -182,7 +177,7 @@ class SemigroupOp:
         The first interval from t = 0 always uses implicit Euler substeps:
         rough data (the borderline power-law sources in particular) excite
         high modes that Crank-Nicolson barely damps, and the first-order
-        startup removes them before the configured scheme takes over.
+        startup removes them before Crank-Nicolson takes over.
         """
         ts = list(t_list)
         if any(b <= a for a, b in zip(ts, ts[1:])) or ts[0] <= 0.0:
@@ -190,10 +185,9 @@ class SemigroupOp:
         out = []
         u = source.values.copy()
         t_prev = 0.0
-        n = self.substeps if substeps is None else int(substeps)
         for k, t in enumerate(ts):
-            scheme = SCHEME_IE if k == 0 else self.scheme
-            u = self._march(u, t - t_prev, n, scheme)
+            scheme = SCHEME_IE if k == 0 else SCHEME_CN
+            u = self._march(u, t - t_prev, substeps, scheme)
             out.append(source.with_values(u))
             t_prev = t
         return out
@@ -210,8 +204,16 @@ class SlopeFit:
     fitted: float
     theory: float
     r_squared: float
-    times: np.ndarray
-    norms: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+
+    @classmethod
+    def from_loglog(cls, x: Sequence[float], y: Sequence[float],
+                    theory: float) -> "SlopeFit":
+        """Fit log y against log x (see fit_loglog) and keep the data."""
+        fitted, r2 = fit_loglog(x, y)
+        return cls(fitted=fitted, theory=theory, r_squared=r2,
+                   x=np.asarray(x, dtype=float), y=np.asarray(y, dtype=float))
 
     @property
     def relative_error(self) -> float:
@@ -259,9 +261,7 @@ def smoothing_slope(op: SemigroupOp, a: float, b: float, source: RadialField,
     theory = -(op.params.N / op.params.diffusion_depth) * (1.0 / a - 1.0 / b)
     fields = op.evolve_through(source, t_list)
     norms = np.array([lq_norm(f, b) for f in fields])
-    fitted, r2 = fit_loglog(t_list, norms)
-    return SlopeFit(fitted=fitted, theory=theory, r_squared=r2,
-                    times=np.asarray(t_list, dtype=float), norms=norms)
+    return SlopeFit.from_loglog(t_list, norms, theory)
 
 
 def weighted_smoothing_check(op: SemigroupOp, q1: float, q2: float,
@@ -292,9 +292,7 @@ def weighted_smoothing_check(op: SemigroupOp, q1: float, q2: float,
         source.values * op.grid.nodes ** (-gamma))
     fields = op.evolve_through(weighted, t_list)
     norms = np.array([lq_norm(f, q2) for f in fields])
-    fitted, r2 = fit_loglog(t_list, norms)
-    return SlopeFit(fitted=fitted, theory=theory, r_squared=r2,
-                    times=np.asarray(t_list, dtype=float), norms=norms)
+    return SlopeFit.from_loglog(t_list, norms, theory)
 
 
 # ---------------------------------------------------------------------------

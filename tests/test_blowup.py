@@ -108,8 +108,6 @@ def test_config_validation():
         blowup.BlowupConfig(dt_init=1e-12, dt_min=1e-10)
     with pytest.raises(ValueError):
         blowup.BlowupConfig(t_max=-1.0)
-    with pytest.raises(ValueError):
-        blowup.BlowupConfig(controller="pid")
 
 
 # ---------------------------------------------------------------------------

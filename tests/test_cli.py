@@ -182,6 +182,36 @@ def test_config_errors_exit_2(tmp_path):
                      "--out", str(tmp_path)]) == cli.EXIT_CONFIG
 
 
+@pytest.mark.parametrize("command, text", [
+    ("capacity-fit", "N = 3\nsigma1 = inf\np = 1.5\nradii = 10, 100, 1000\n"),
+    ("exponents", "N = 3\nsigma1 = inf\np = 1.5\n"),
+    ("capacity-fit", "N = 3\np = 1.5\nradii = 10, 100, 1e400\n"),
+], ids=["capacity-fit-sigma1", "exponents-sigma1", "capacity-fit-radii"])
+def test_non_finite_values_exit_2(tmp_path, command, text):
+    cfg = _write(tmp_path, "inf.cfg", text)
+    assert cli.main([command, "--config", cfg,
+                     "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+    assert not (tmp_path / (command.replace("-", "_") + ".csv")).exists()
+
+
+MILD_TUPLE = "N = 3\nsigma2 = -0.1\nrho = -0.5\np = 3\n"
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("mild-solve", "grid_m = 8\n"),
+    ("mild-solve", "grid_r_max = -1\n"),
+    ("mild-solve", "u0 = gaussian(0, 0, 1)\n"),
+    ("mild-solve", "n_times = 4\n"),
+    ("semigroup-check", "t_lo = 0\n"),
+], ids=["grid_m", "grid_r_max", "u0", "n_times", "t_lo"])
+def test_invalid_inputs_to_builders_exit_2(tmp_path, command, extra):
+    # values the schema types admit but the grid, profile, solver settings
+    # or time list reject are configuration errors, not tracebacks
+    cfg = _write(tmp_path, "bad.cfg", MILD_TUPLE + extra)
+    assert cli.main([command, "--config", cfg,
+                     "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+
+
 def test_hypothesis_violations_exit_3(tmp_path):
     # subcritical p has an empty admissible window: the gate must fire
     # before any numerics run
@@ -207,8 +237,9 @@ def test_numerical_failures_exit_4_but_write_artifacts(tmp_path):
 
 
 def test_overflowing_nonlinearity_exits_4_without_traceback(tmp_path):
-    # |u0|^3 overflows on the first Picard step: the non-finite right-hand
-    # side must end as a numerical failure, not as an uncaught error
+    # the norms of a datum of size 1e120 overflow, and so does |u0|^3: the
+    # solver must stop there with a numerical failure, neither with an
+    # uncaught error nor after a numpy overflow warning
     cfg = _write(tmp_path, "ovf.cfg", (
         "N = 3\nsigma1 = 0\nsigma2 = -0.1\nrho = -0.5\np = 3\n"
         "u0 = gaussian(0, 1, 1e120)\nw = zero\n"
@@ -223,6 +254,7 @@ def test_overflowing_nonlinearity_exits_4_without_traceback(tmp_path):
     assert run.returncode == cli.EXIT_NUMERICAL, run.stderr
     assert "numerical failure:" in run.stderr
     assert "Traceback" not in run.stderr
+    assert "RuntimeWarning" not in run.stderr
 
 
 def test_cli_rejects_missing_command():

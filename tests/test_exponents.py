@@ -28,6 +28,9 @@ def test_valid_tuple_passes():
     dict(rho=-1.0),
     dict(p=1.0),
     dict(p=0.5),
+    dict(sigma1=math.inf),
+    dict(p=math.inf),
+    dict(N=math.inf),
 ])
 def test_invalid_tuples_raise(kwargs):
     base = dict(N=3, sigma1=0.0, sigma2=0.0, rho=0.0, p=2.0)

@@ -13,9 +13,9 @@ def _params(s1, n=3):
     return ProblemParams(N=n, sigma1=s1, sigma2=0.0, rho=0.0, p=2.0)
 
 
-def _op(s1, r_max=40.0, m=512, scheme=semigroup.SCHEME_CN):
+def _op(s1, r_max=40.0, m=512):
     g = radial.RadialGrid.log_spaced(r_max, m, sigma1=s1)
-    return semigroup.SemigroupOp(g, _params(s1), scheme=scheme)
+    return semigroup.SemigroupOp(g, _params(s1))
 
 
 # ---------------------------------------------------------------------------
@@ -40,9 +40,9 @@ def test_no_spurious_flux_at_the_axis():
 
 
 def test_implicit_euler_preserves_positivity():
-    op = _op(-0.5, scheme=semigroup.SCHEME_IE)
+    op = _op(-0.5)
     fld = radial.field_from_callable(op.grid, radial.bump_profile(1.0, 1.0), 3.0)
-    out = op.apply(fld, 0.5)
+    out = op.apply(fld, 0.5, scheme=semigroup.SCHEME_IE)
     assert np.all(out.values >= -1e-15)
     assert float(np.max(out.values)) < 1.0     # maximum principle
 
