@@ -57,6 +57,14 @@ class BlowupConfig:
         if self.blowup_norm_cap <= 0.0 or self.t_max <= 0.0:
             raise ValueError("blowup_norm_cap and t_max must be positive")
 
+    def start_norm(self, u0: RadialField) -> float:
+        """sup |u0|, which must lie below the blow-up cap (ValueError)."""
+        sup0 = float(np.max(np.abs(u0.values)))
+        if self.blowup_norm_cap <= sup0:
+            raise ValueError("blow-up cap %g does not exceed the initial norm %g"
+                             % (self.blowup_norm_cap, sup0))
+        return sup0
+
 
 @dataclass
 class SolveOutcome:
@@ -95,11 +103,8 @@ def integrate_nonlinear(u0: RadialField, w: Optional[RadialField],
     grid = u0.grid
     op = SemigroupOp(grid, params)
     r = grid.nodes
+    sup0 = cfg.start_norm(u0)
     u = u0.values.astype(float).copy()
-    sup0 = float(np.max(np.abs(u)))
-    if cfg.blowup_norm_cap <= sup0:
-        raise ValueError("blow-up cap %g does not exceed the initial norm %g"
-                         % (cfg.blowup_norm_cap, sup0))
 
     w_weighted = None
     if w is not None:

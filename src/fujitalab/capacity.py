@@ -6,14 +6,16 @@ time derivative, the capacity of the Laplacian, and the forcing response.
 Each factors exactly into a 1-D profile integral times powers of the
 spatial radius R and the horizon T, so slopes in log R can be measured
 essentially to quadrature accuracy and compared with the closed forms.
+The profile constants depend on (N, s1, s2, rho, p) alone, so a fit
+computes them once and then only scales them by R and T per radius.
 
 The cutoff profiles are piecewise quintic smoothsteps: the supports and
 plateau values are dictated by the construction, while the ramp shape is
 our choice (any C^2 interpolation works; constants, not exponents, depend
 on it).  The same ramp profiles build the test function of the mild
 solver's weak-form residual (mild.weak_residual).  All quadrature is fixed
-composite Simpson with the transition bands refined 8x and split at sign
-changes of the integrand core, so runs are deterministic.
+composite Simpson on the ramp bands (512 pairs each, checked against 1024),
+split at sign changes of the integrand core, so runs are deterministic.
 
 A warning on the logarithmic cutoff used at the critical power: its
 capacity is a slowly varying function of log R, and the leading power of
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -46,9 +48,9 @@ __all__ = [
     "FIT_CSV_COLUMNS",
 ]
 
-_BASE_PANELS = 64        # Simpson pairs on a plateau piece
-_RAMP_FACTOR = 8         # extra refinement on transition bands
+_RAMP_PAIRS = 512        # Simpson pairs on each ramp span
 _QUAD_RTOL = 1e-6
+_R2_FLOOR = 0.99         # fits below this R^2 raise PoorFit
 
 
 # --------------------------------------------------------------------------
@@ -196,19 +198,28 @@ def _sign_split(core: Callable[[np.ndarray], np.ndarray],
     return tuple(edges)
 
 
+def _ramp_spans(profile: RampProfile,
+                core: Optional[Callable] = None) -> List[Tuple[float, float]]:
+    """The ramp bands of ``profile``, split at sign changes of ``core``."""
+    spans = []
+    for lo, hi in profile.ramps():
+        edges = _sign_split(core, lo, hi) if core is not None else (lo, hi)
+        spans += zip(edges, edges[1:])
+    return spans
+
+
 def _integrate(fn: Callable[[np.ndarray], np.ndarray],
-               spans: Sequence[Tuple[float, float, int]],
-               what: str, rtol: float = _QUAD_RTOL) -> float:
-    """Composite Simpson over the given (lo, hi, pairs) spans.
+               spans: Sequence[Tuple[float, float]], what: str) -> float:
+    """Composite Simpson over the given (lo, hi) ramp spans.
 
     Evaluated at the stated resolution and once more at double resolution;
-    disagreement beyond ``rtol`` raises QuadratureFailure rather than
+    disagreement beyond the tolerance raises QuadratureFailure rather than
     returning a silently wrong number.
     """
-    coarse = sum(_simpson(fn, lo, hi, n) for lo, hi, n in spans)
-    fine = sum(_simpson(fn, lo, hi, 2 * n) for lo, hi, n in spans)
+    coarse = sum(_simpson(fn, lo, hi, _RAMP_PAIRS) for lo, hi in spans)
+    fine = sum(_simpson(fn, lo, hi, 2 * _RAMP_PAIRS) for lo, hi in spans)
     scale = max(abs(fine), 1e-300)
-    if abs(fine - coarse) > rtol * scale + 1e-300:
+    if abs(fine - coarse) > _QUAD_RTOL * scale + 1e-300:
         raise QuadratureFailure(
             "quadrature for the %s did not settle: %.3e vs %.3e"
             % (what, coarse, fine))
@@ -220,11 +231,10 @@ def _profile_power_integral(profile: RampProfile, power: float,
     """integral of profile(y)^power * y^(exponent - 1) dy over [0, inf).
 
     Plateau pieces integrate in closed form (their y-power is exact), ramp
-    pieces numerically.  The profile must vanish beyond its last piece and
-    ``exponent`` must be positive for integrability at the origin.
+    pieces numerically.  The profile must vanish beyond its last piece (psi
+    and phi do) and ``exponent`` must be positive for integrability at the
+    origin.
     """
-    if profile.right != 0.0:
-        raise QuadratureFailure("the %s profile must vanish at infinity" % what)
     if exponent <= 0.0:
         raise QuadratureFailure(
             "the %s integrand is not integrable at the origin "
@@ -235,8 +245,8 @@ def _profile_power_integral(profile: RampProfile, power: float,
             if vl != 0.0:
                 total += vl ** power * (hi ** exponent - lo ** exponent) / exponent
         else:
-            fn = lambda y, _lo=lo: profile(y) ** power * y ** (exponent - 1.0)
-            total += _integrate(fn, [(lo, hi, _BASE_PANELS * _RAMP_FACTOR)], what)
+            fn = lambda y: profile(y) ** power * y ** (exponent - 1.0)
+            total += _integrate(fn, [(lo, hi)], what)
     return total
 
 
@@ -250,39 +260,13 @@ class CapacityParts(NamedTuple):
     forcing: float
 
 
-def _time_profile_constant(psi: RampProfile, kappa: float) -> float:
-    # integral of kappa^kappa |psi'|^kappa over the ramp bands
-    spans = [(lo, hi, _BASE_PANELS * _RAMP_FACTOR) for lo, hi in psi.ramps()]
-    fn = lambda s: np.abs(psi.d1(s)) ** kappa
-    return kappa ** kappa * _integrate(fn, spans, "time cutoff derivative")
-
-
-def _psi_power_constant(psi: RampProfile, kappa: float) -> float:
-    # integral of psi^kappa over [0, inf)
-    total = 0.0
-    for lo, hi, vl, vr in psi.intervals:
-        if vl == vr:
-            total += vl ** kappa * (hi - lo)
-        else:
-            total += _integrate(lambda s: psi(s) ** kappa,
-                                [(lo, hi, _BASE_PANELS * _RAMP_FACTOR)],
-                                "time cutoff plateau")
-    return total
-
-
-def _forcing_time_constant(psi: RampProfile, kappa: float, rho: float) -> float:
-    # integral of tau^rho psi^kappa over [0, inf); psi vanishes near 0 so
-    # the rho > -1 singularity never meets the support
-    total = 0.0
-    for lo, hi, vl, vr in psi.intervals:
-        if vl == vr:
-            if vl != 0.0:
-                total += vl ** kappa * (hi ** (rho + 1.0) - lo ** (rho + 1.0)) / (rho + 1.0)
-        elif not (vl == 0.0 and vr == 0.0):
-            fn = lambda s: np.where(s > 0.0, s, 1.0) ** rho * psi(s) ** kappa
-            total += _integrate(fn, [(lo, hi, _BASE_PANELS * _RAMP_FACTOR)],
-                                "forcing time factor")
-    return total
+def _exponents(params: ProblemParams) -> Tuple[float, float, float]:
+    """kappa = p/(p-1) and the R-powers a_time, a_space of the capacities."""
+    p = params.p
+    n_dim = float(params.N)
+    return (p / (p - 1.0),
+            n_dim + (params.sigma1 * p - params.sigma2) / (p - 1.0),
+            n_dim - (2.0 * p + params.sigma2) / (p - 1.0))
 
 
 def _space_core(phi: RampProfile, dim: float, kappa: float) -> Callable:
@@ -294,19 +278,56 @@ def _space_core(phi: RampProfile, dim: float, kappa: float) -> Callable:
     return core
 
 
-def _space_constant(phi: RampProfile, dim: float, kappa: float,
-                    weight_exp: float) -> float:
-    core = _space_core(phi, dim, kappa)
-    spans = []
-    for lo, hi in phi.ramps():
-        edges = _sign_split(core, lo, hi)
-        spans += [(a, b, _BASE_PANELS * _RAMP_FACTOR) for a, b in zip(edges, edges[1:])]
-    fn = lambda y: (2.0 * kappa) ** kappa * np.abs(core(y)) ** kappa * y ** weight_exp
-    return _integrate(fn, spans, "Laplacian capacity")
+class _Model(NamedTuple):
+    """The capacity integrals of one tuple up to their R and T powers."""
+    kappa: float
+    a_time: float
+    a_space: float
+    rho: float
+    time: float         # omega * kappa^kappa int|psi'|^kappa * int phi^2k y^(a_t-1)
+    space: float        # omega * int psi^kappa * int (2k)^k |core|^k y^w
+    forcing: float      # int tau^rho psi^kappa
 
 
-def capacity_integrals(params: ProblemParams, R: float, T: float,
-                       cutoffs: Optional[CutoffPair] = None) -> CapacityParts:
+def _model(params: ProblemParams) -> _Model:
+    """The profile constants, which depend on (N, s1, s2, rho, p) only."""
+    cut = default_cutoffs()
+    psi, phi = cut.psi, cut.phi
+    kappa, a_time, a_space = _exponents(params)
+    n_dim = float(params.N)
+    omega = sphere_area(params.N)
+
+    c_dpsi = kappa ** kappa * _integrate(lambda s: np.abs(psi.d1(s)) ** kappa,
+                                         _ramp_spans(psi), "time cutoff derivative")
+    time = omega * c_dpsi * _profile_power_integral(phi, 2.0 * kappa, a_time,
+                                                    "time capacity")
+    c_psi = _profile_power_integral(psi, kappa, 1.0, "time cutoff plateau")
+    core = _space_core(phi, n_dim, kappa)
+    weight_exp = n_dim - 1.0 - params.sigma2 / (params.p - 1.0)
+    c_space = _integrate(lambda y: (2.0 * kappa) ** kappa * np.abs(core(y)) ** kappa
+                         * y ** weight_exp,
+                         _ramp_spans(phi, core), "Laplacian capacity")
+    # psi vanishes near 0, so the rho > -1 singularity never meets the support
+    forcing = _profile_power_integral(psi, kappa, params.rho + 1.0,
+                                      "forcing time factor")
+    return _Model(kappa, a_time, a_space, params.rho, time,
+                  omega * c_psi * c_space, forcing)
+
+
+def _check_cutoff(R: float, T: float) -> None:
+    if not (1.0 < R < math.inf and 1.0 < T < math.inf):
+        raise ConditionViolation("capacity cutoffs need finite R > 1 and "
+                                 "T > 1, got R=%g T=%g" % (R, T))
+
+
+def _scaled(model: _Model, R: float, T: float) -> CapacityParts:
+    return CapacityParts(
+        time=model.time * T ** (1.0 - model.kappa) * R ** model.a_time,
+        space=model.space * T * R ** model.a_space,
+        forcing=model.forcing * T ** (model.rho + 1.0))
+
+
+def capacity_integrals(params: ProblemParams, R: float, T: float) -> CapacityParts:
     """The three separable capacity integrals at cutoff radius R, horizon T.
 
     time:    integral of |d/dt Q|^kappa |x|^((s1 p - s2)/(p-1)) Q^(-1/(p-1))
@@ -319,32 +340,8 @@ def capacity_integrals(params: ProblemParams, R: float, T: float,
     the documented tolerance.
     """
     require_valid(params)
-    if not (1.0 < R < math.inf and 1.0 < T < math.inf):
-        raise ConditionViolation("capacity cutoffs need finite R > 1 and "
-                                 "T > 1, got R=%g T=%g" % (R, T))
-    cut = cutoffs if cutoffs is not None else default_cutoffs()
-    p = params.p
-    kappa = p / (p - 1.0)
-    n_dim = float(params.N)
-    omega = sphere_area(params.N)
-
-    a_time = n_dim + (params.sigma1 * p - params.sigma2) / (p - 1.0)
-    a_space = n_dim - (2.0 * p + params.sigma2) / (p - 1.0)
-
-    c_dpsi = _time_profile_constant(cut.psi, kappa)
-    c_phi_t = _profile_power_integral(cut.phi, 2.0 * kappa, a_time,
-                                      "time capacity")
-    i_time = omega * c_dpsi * c_phi_t * T ** (1.0 - kappa) * R ** a_time
-
-    c_psi = _psi_power_constant(cut.psi, kappa)
-    c_space = _space_constant(cut.phi, n_dim, kappa,
-                              n_dim - 1.0 - params.sigma2 / (p - 1.0))
-    i_space = omega * c_psi * c_space * T * R ** a_space
-
-    c_forcing = _forcing_time_constant(cut.psi, kappa, params.rho)
-    i_forcing = c_forcing * T ** (params.rho + 1.0)
-
-    return CapacityParts(time=i_time, space=i_space, forcing=i_forcing)
+    _check_cutoff(R, T)
+    return _scaled(_model(params), R, T)
 
 
 # --------------------------------------------------------------------------
@@ -377,9 +374,7 @@ FIT_CSV_COLUMNS = ["R", "T", "I_time", "I_space", "fitted_slope", "theory_slope"
 
 
 def capacity_exponent_fit(params: ProblemParams, radii: Sequence[float],
-                          t_exponent: Optional[float] = None,
-                          cutoffs: Optional[CutoffPair] = None,
-                          r2_floor: float = 0.99) -> CapacityFitReport:
+                          t_exponent: Optional[float] = None) -> CapacityFitReport:
     """Fit the R-slopes of the capacity integrals under a coupling T = R^m.
 
     Defaults to the balanced coupling m = sigma1 + 2, under which the time
@@ -388,10 +383,12 @@ def capacity_exponent_fit(params: ProblemParams, radii: Sequence[float],
     T^(rho+1); a general m gives the two slopes
     a_t - m (rho + kappa) and a_s - m rho with
     a_t = N + (sigma1 p - sigma2)/(p-1), a_s = N - (2p + sigma2)/(p-1).
+    The profile constants are computed once; only the powers of R and T
+    change from radius to radius.
 
     Raises PoorFit (carrying the report) when either component regression
-    has R^2 below ``r2_floor``; raises ConditionViolation when the radii
-    span less than 1.5 decades.
+    has R^2 below 0.99 or undefined; raises ConditionViolation when the
+    radii span less than 1.5 decades or some T = R^m is not in (1, inf).
     """
     require_valid(params)
     rr = np.asarray(sorted(float(R) for R in radii), dtype=float)
@@ -404,27 +401,20 @@ def capacity_exponent_fit(params: ProblemParams, radii: Sequence[float],
             "radii span %.2f decades; at least 1.5 needed for a stable fit"
             % math.log10(rr[-1] / rr[0]))
     m = float(t_exponent) if t_exponent is not None else params.sigma1 + 2.0
+    horizons = [R ** m for R in rr]
+    for R, T in zip(rr, horizons):
+        _check_cutoff(R, T)
 
-    p = params.p
-    kappa = p / (p - 1.0)
-    a_time = float(params.N) + (params.sigma1 * p - params.sigma2) / (p - 1.0)
-    a_space = float(params.N) - (2.0 * p + params.sigma2) / (p - 1.0)
-    theory_time = a_time - m * (params.rho + kappa)
-    theory_space = a_space - m * params.rho
+    model = _model(params)
+    theory_time = model.a_time - m * (params.rho + model.kappa)
+    theory_space = model.a_space - m * params.rho
 
-    time_raw, space_raw, time_norm, space_norm = [], [], [], []
-    for R in rr:
-        T = R ** m
-        parts = capacity_integrals(params, R, T, cutoffs)
-        scale = T ** (params.rho + 1.0)
-        time_raw.append(parts.time)
-        space_raw.append(parts.space)
-        time_norm.append(parts.time / scale)
-        space_norm.append(parts.space / scale)
-    time_raw = np.asarray(time_raw)
-    space_raw = np.asarray(space_raw)
-    time_norm = np.asarray(time_norm)
-    space_norm = np.asarray(space_norm)
+    # scalar powers per radius: numpy's array ** may differ in the last bit
+    parts = [_scaled(model, R, T) for R, T in zip(rr, horizons)]
+    time_raw = np.array([c.time for c in parts])
+    space_raw = np.array([c.space for c in parts])
+    scale = np.array([T ** (params.rho + 1.0) for T in horizons])
+    time_norm, space_norm = time_raw / scale, space_raw / scale
 
     time_fit = SlopeFit.from_loglog(rr, time_norm, theory_time)
     space_fit = SlopeFit.from_loglog(rr, space_norm, theory_space)
@@ -438,10 +428,10 @@ def capacity_exponent_fit(params: ProblemParams, radii: Sequence[float],
         time_fit=time_fit, space_fit=space_fit, combined_fit=combined_fit,
         nonexistence_predicted=max(theory_time, theory_space) < 0.0,
         slopes_negative=max(time_fit.fitted, space_fit.fitted) < 0.0)
-    if min(time_fit.r_squared, space_fit.r_squared) < r2_floor:
+    if not (time_fit.r_squared >= _R2_FLOOR and space_fit.r_squared >= _R2_FLOOR):
         raise PoorFit("capacity exponent regression fell below R^2 = %g "
                       "(time %.6f, space %.6f)"
-                      % (r2_floor, time_fit.r_squared, space_fit.r_squared),
+                      % (_R2_FLOOR, time_fit.r_squared, space_fit.r_squared),
                       report=report)
     return report
 
@@ -457,8 +447,7 @@ class LogCapacityReport:
     fit: SlopeFit
 
 
-def log_space_capacity(params: ProblemParams, R: float,
-                       cutoffs: Optional[CutoffPair] = None) -> float:
+def log_space_capacity(params: ProblemParams, R: float) -> float:
     """Laplacian capacity of the log-coordinate cutoff, per time factor.
 
     The spatial profile is log_phi(log(|x| / sqrt(R)) / log(sqrt(R))),
@@ -469,13 +458,10 @@ def log_space_capacity(params: ProblemParams, R: float,
     if R <= math.e ** 2:
         raise ConditionViolation("log cutoff needs R large enough that "
                                  "log(sqrt(R)) > 1; got R=%g" % R)
-    cut = cutoffs if cutoffs is not None else default_cutoffs()
-    prof = cut.log_phi
-    p = params.p
-    kappa = p / (p - 1.0)
+    prof = default_cutoffs().log_phi
+    kappa, _, a_space = _exponents(params)
     n_dim = float(params.N)
     big_l = math.log(math.sqrt(R))
-    a_space = n_dim - (2.0 * p + params.sigma2) / (p - 1.0)
 
     def core(s: np.ndarray) -> np.ndarray:
         P, dP, d2P = prof(s), prof.d1(s), prof.d2(s)
@@ -483,19 +469,14 @@ def log_space_capacity(params: ProblemParams, R: float,
                 + P * d2P / big_l ** 2
                 + (n_dim - 2.0) * P * dP / big_l)
 
-    spans = []
-    for lo, hi in prof.ramps():
-        edges = _sign_split(core, lo, hi)
-        spans += [(a, b, _BASE_PANELS * _RAMP_FACTOR) for a, b in zip(edges, edges[1:])]
     fn = lambda s: ((2.0 * kappa) ** kappa * np.abs(core(s)) ** kappa
                     * np.exp(a_space * big_l * s))
-    integral = _integrate(fn, spans, "log-cutoff capacity")
+    integral = _integrate(fn, _ramp_spans(prof, core), "log-cutoff capacity")
     return sphere_area(params.N) * R ** (a_space / 2.0) * big_l * integral
 
 
-def log_capacity_fit(params: ProblemParams, radii: Sequence[float],
-                     cutoffs: Optional[CutoffPair] = None,
-                     r2_floor: float = 0.99) -> LogCapacityReport:
+def log_capacity_fit(params: ProblemParams,
+                     radii: Sequence[float]) -> LogCapacityReport:
     """Fit the log(log R)-slope of the critical-power capacity.
 
     Requires rho = 0, N >= 3 and p equal to (N + sigma2)/(N - 2), where
@@ -534,14 +515,14 @@ def log_capacity_fit(params: ProblemParams, radii: Sequence[float],
     if rr.size < 3:
         raise ConditionViolation("need at least 3 radii for a slope fit")
 
-    values = np.asarray([log_space_capacity(params, R, cutoffs) for R in rr])
+    values = np.asarray([log_space_capacity(params, R) for R in rr])
     theory = (2.0 - float(params.N)) / (2.0 + params.sigma2)
     fit = SlopeFit.from_loglog(np.log(rr), values, theory)
     report = LogCapacityReport(radii=rr, values=values, fit=fit)
-    if fit.r_squared < r2_floor:
+    if not fit.r_squared >= _R2_FLOOR:
         raise PoorFit(
             "log-cutoff capacity is still pre-asymptotic on this range: "
             "R^2 = %.4f < %g (fitted slope %.3f vs theory %.3f)"
-            % (fit.r_squared, r2_floor, fit.fitted, theory),
+            % (fit.r_squared, _R2_FLOOR, fit.fitted, theory),
             report=report)
     return report

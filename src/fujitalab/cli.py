@@ -117,6 +117,7 @@ def _run_transform_check(cfg: ExperimentConfig, out_dir: str) -> None:
         samples = list(np.linspace(t_end / n_snap, t_end, n_snap))
         run_cfg = BlowupConfig(dt_init=cfg.options["dt_init"],
                                t_max=1.05 * t_end)
+        run_cfg.start_norm(u0)     # a datum at or above the cap: config error
     out = integrate_nonlinear(u0, w, cfg.params, run_cfg,
                               sample_times=samples)
     times = [t for t, _ in out.snapshots]
@@ -234,31 +235,24 @@ def _run_capacity_fit(cfg: ExperimentConfig, out_dir: str) -> None:
     require_valid(cfg.params)
     radii = list(cfg.options["radii"])
     path = _out_path(out_dir, "capacity_fit.csv")
-    base_comments = ["params: " + cfg.describe()]
-    if cfg.options["log_case"]:
-        try:
-            report = log_capacity_fit(cfg.params, radii)
-        except PoorFit as exc:
-            if exc.report is not None:
-                _write_report_log(path, exc.report, base_comments,
-                                  poor=str(exc))
-            raise
-        _write_report_log(path, report, base_comments)
-        print("wrote %s (log slope %.6g vs theory %.6g)"
-              % (path, report.fit.fitted, report.fit.theory))
-        return
+    comments = ["params: " + cfg.describe()]
+    log_case = cfg.options["log_case"]
+    write = _write_report_log if log_case else _write_report_fit
     m = cfg.options["t_exponent"]
     try:
-        report = capacity_exponent_fit(cfg.params, radii,
-                                       t_exponent=(None if m == 0.0 else m))
+        if log_case:
+            report = log_capacity_fit(cfg.params, radii)
+        else:
+            report = capacity_exponent_fit(
+                cfg.params, radii, t_exponent=(None if m == 0.0 else m))
     except PoorFit as exc:
-        if exc.report is not None:
-            _write_report_fit(path, exc.report, base_comments,
-                              poor=str(exc))
+        write(path, exc.report, comments, poor=str(exc))
         raise
-    _write_report_fit(path, report, base_comments)
-    print("wrote %s (time slope %.6g vs theory %.6g)"
-          % (path, report.time_fit.fitted, report.time_fit.theory))
+    write(path, report, comments)
+    what, fit = (("log slope", report.fit) if log_case
+                 else ("time slope", report.time_fit))
+    print("wrote %s (%s %.6g vs theory %.6g)"
+          % (path, what, fit.fitted, fit.theory))
 
 
 def _write_report_fit(path: str, report, comments: List[str],

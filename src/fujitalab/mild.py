@@ -48,21 +48,18 @@ _SLICE_SUBSTEPS = 2
 class MildConfig:
     """Knobs shared by the global and local fixed-point solvers.
 
-    r and mu define the contraction metric of the global solver; both
-    default to the admissible-window midpoint values when left None.
-    q_local is the Lebesgue index of the local theory.  t_max is the
-    horizon surrogate of the global construction; stored times are
-    log-spaced on [1e-3 t_max, t_max] with n_times points, since the
-    t^mu weight cannot be evaluated at t = 0.
+    r is the Lebesgue index of the global solver's contraction metric; it
+    defaults to the admissible-window midpoint when left None, and the
+    time weight mu follows from it.  t_max is the horizon surrogate of the
+    global construction; stored times are log-spaced on [1e-3 t_max, t_max]
+    with n_times points, since the t^mu weight cannot be evaluated at t = 0.
     """
 
     r: Optional[float] = None
-    mu: Optional[float] = None
     max_picard: int = 20
     picard_tol: float = 1e-10
     duhamel_substeps: int = 4
     t_max: float = 10.0
-    q_local: float = 4.0
     n_times: int = 64
 
     def __post_init__(self):
@@ -143,12 +140,9 @@ def _metric_for(params: ProblemParams, cfg: MildConfig) -> Tuple[float, float]:
     X-norm into a plain sup of L^2 norms, which keeps the forcing and
     trajectory reports meaningful for diagnostics.
     """
-    if cfg.r is not None and cfg.mu is not None:
-        return cfg.mu, cfg.r
     try:
         r = cfg.r if cfg.r is not None else default_r(params)
-        mu = cfg.mu if cfg.mu is not None else derived_weights(params, r).mu
-        return mu, r
+        return derived_weights(params, r).mu, r
     except HypothesisViolation:
         return 0.0, 2.0
 
@@ -379,7 +373,7 @@ def solve_global_small(u0: RadialField, w: Optional[RadialField],
     require_valid(params)
     cfg = cfg if cfg is not None else MildConfig()
     r = cfg.r if cfg.r is not None else default_r(params)
-    mu = cfg.mu if cfg.mu is not None else derived_weights(params, r).mu
+    mu = derived_weights(params, r).mu
     times = _time_grid(cfg.t_max, cfg.n_times)
     op = SemigroupOp(u0.grid, params)
     lin_vals = _linear_values(op, u0, w, params, times, cfg.duhamel_substeps)

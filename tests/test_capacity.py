@@ -181,6 +181,18 @@ def test_slope_sign_flips_across_threshold():
     assert not above.nonexistence_predicted
 
 
+def test_fit_scales_the_same_constants_as_capacity_integrals():
+    # the fit computes the profile constants once; every radius must still
+    # reproduce capacity_integrals at (R, R^m) to the last bit
+    params = _params(p=2.0, rho=0.5, s1=-0.3, s2=0.2)
+    radii = [10.0, 30.0, 100.0, 300.0, 1000.0]
+    rep = capacity.capacity_exponent_fit(params, radii, t_exponent=1.5)
+    for k, R in enumerate(rep.radii):
+        parts = capacity.capacity_integrals(params, R, R ** 1.5)
+        assert rep.time_raw[k] == parts.time
+        assert rep.space_raw[k] == parts.space
+
+
 def test_fit_guards():
     params = _params()
     with pytest.raises(ConditionViolation):
@@ -189,6 +201,9 @@ def test_fit_guards():
         capacity.capacity_exponent_fit(params, [10.0, 20.0, 40.0])  # < 1.5 decades
     with pytest.raises(ConditionViolation):
         capacity.capacity_exponent_fit(params, [0.5, 10.0, 1000.0])
+    with pytest.raises(ConditionViolation):    # T = R^-1 < 1
+        capacity.capacity_exponent_fit(params, [10.0, 100.0, 1000.0],
+                                       t_exponent=-1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -236,6 +236,34 @@ def test_numerical_failures_exit_4_but_write_artifacts(tmp_path):
     assert len(data) == 6
 
 
+def test_undefined_r_squared_fails_the_capacity_gate(tmp_path):
+    # T = R^50 makes T^(rho+1) overflow, so the normalised capacities reach
+    # 0 and both R^2 are nan: the gate must fail rather than wave nan past
+    cfg = _write(tmp_path, "nan.cfg", (
+        "N = 3\nrho = 0.9\np = 1.5\nradii = 10, 100, 1000, 10000\n"
+        "t_exponent = 50\n"))
+    with pytest.warns(RuntimeWarning):
+        rc = cli.main(["capacity-fit", "--config", cfg,
+                       "--out", str(tmp_path)])
+    assert rc == cli.EXIT_NUMERICAL
+    comments, data = _read_csv(tmp_path / "capacity_fit.csv")
+    assert any("QUALITY GATE FAILED" in c for c in comments)
+    assert any("r_squared=nan" in c for c in comments)
+    assert len(data) == 5
+
+
+def test_datum_above_the_blowup_cap_exits_2(tmp_path):
+    # the direct run behind transform-check stops at a sup norm of 1e8, so
+    # a datum that starts above it is a configuration error
+    cfg = _write(tmp_path, "cap.cfg", (
+        "N = 3\nsigma1 = -0.7\nsigma2 = -0.5\nrho = -0.5\np = 3\n"
+        "u0 = gaussian(0, 1, 1e9)\n"))
+    rc = cli.main(["transform-check", "--config", cfg,
+                   "--out", str(tmp_path)])
+    assert rc == cli.EXIT_CONFIG
+    assert not (tmp_path / "transform_check.csv").exists()
+
+
 def test_overflowing_nonlinearity_exits_4_without_traceback(tmp_path):
     # the norms of a datum of size 1e120 overflow, and so does |u0|^3: the
     # solver must stop there with a numerical failure, neither with an

@@ -1,6 +1,6 @@
 """The exit-code contract as a property of every config, not only the demos.
 
-Configs for four commands are drawn key by key from the schema types.  Each
+Configs for five commands are drawn key by key from the schema types.  Each
 key has a strategy for values in range and one for odd values: zero,
 negative, huge, non-finite or malformed.  A drawn config either keeps every
 value in range or spoils exactly one key (an odd value, or the key left
@@ -89,6 +89,17 @@ SCHEMAS = {
         "t_lo": _float(1e-3, 1.0),
         "t_hi": _float(1.0, 10.0),
         "n_times": _int(8, 12, odd=(0, 1, 4)),
+    },
+    "transform-check": {
+        **GRID,
+        "u0": _profile(),
+        "w": _profile(),
+        # a short horizon; 1e300 is not drawn, since at the integrator's
+        # capped step size a horizon that long runs without bound
+        "t_end": (st.floats(0.01, 0.2).map(repr),
+                  ODD.filter(lambda x: x != 1e300).map(repr)),
+        "n_snapshots": _int(2, 5),
+        "dt_init": _float(1e-3, 1e-2),
     },
     "mild-solve": {
         "rho": _float(-0.9, -0.1),      # where the small-data window is
