@@ -24,7 +24,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import NoBracket, StepFailure
+from .errors import HypothesisViolation, NoBracket, StepFailure
 from .exponents import ProblemParams, critical_forced, require_valid
 from .radial import (RadialField, RadialGrid, bump_profile,
                      field_from_callable, sphere_area)
@@ -246,8 +246,8 @@ def scan_threshold(params_base: ProblemParams, p_range: Tuple[float, float],
     """
     require_valid(params_base)
     p_lo, p_hi = (float(p_range[0]), float(p_range[1]))
-    if not (1.0 < p_lo < p_hi):
-        raise ValueError("need 1 < p_lo < p_hi in the scan range")
+    if not (1.0 < p_lo < p_hi and bracket_width > 0.0):
+        raise ValueError("need 1 < p_lo < p_hi and bracket_width > 0")
     g = grid if grid is not None else _default_scan_grid(params_base)
     w = _scan_forcing(g, params_base, forcing_amp)
 
@@ -300,19 +300,21 @@ def calibrate_amplitude(params_base: ProblemParams, cfg: BlowupConfig,
     That amplitude is then halved until the probe at ``p_above`` (default:
     critical power plus one half) survives the full horizon, re-checking
     each time that ``p_below`` still blows up by the horizon.  NoBracket is
-    raised when the two requirements cannot be met together.
+    raised when the two requirements cannot be met together, and
+    HypothesisViolation, before any probe, when the probe powers are not
+    1 < p_below < p_above or the critical power they default to is infinite.
     """
     require_valid(params_base)
     p_star = critical_forced(params_base)
     if p_below is None or p_above is None:
         if not math.isfinite(p_star):
-            raise ValueError("calibration needs a finite critical power "
-                             "or explicit probe powers")
+            raise HypothesisViolation("calibration needs a finite critical "
+                                      "power or explicit probe powers")
         p_below = p_star - 0.5 if p_below is None else p_below
         p_above = p_star + 0.5 if p_above is None else p_above
     if not (1.0 < p_below < p_above):
-        raise ValueError("need 1 < p_below < p_above, got %g and %g"
-                         % (p_below, p_above))
+        raise HypothesisViolation("calibration needs 1 < p_below < p_above, "
+                                  "got %g and %g" % (p_below, p_above))
     g = grid if grid is not None else _default_scan_grid(params_base)
     fast_cfg = replace(cfg, t_max=min(t_target, cfg.t_max))
 

@@ -230,16 +230,17 @@ def _profile_power_integral(profile: RampProfile, power: float,
                             exponent: float, what: str) -> float:
     """integral of profile(y)^power * y^(exponent - 1) dy over [0, inf).
 
-    Plateau pieces integrate in closed form (their y-power is exact), ramp
-    pieces numerically.  The profile must vanish beyond its last piece (psi
-    and phi do) and ``exponent`` must be positive for integrability at the
-    origin.
+    Plateau pieces, and ``left`` before the first piece, integrate in
+    closed form (their y-power is exact), ramp pieces numerically.  The
+    profile must vanish beyond its last piece (psi and phi do) and
+    ``exponent`` must be positive for integrability at the origin.
     """
     if exponent <= 0.0:
         raise QuadratureFailure(
             "the %s integrand is not integrable at the origin "
             "(radial exponent %.6g <= 0)" % (what, exponent))
-    total = 0.0
+    lo0 = profile.intervals[0][0]
+    total = profile.left ** power * lo0 ** exponent / exponent
     for lo, hi, vl, vr in profile.intervals:
         if vl == vr:
             if vl != 0.0:

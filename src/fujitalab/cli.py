@@ -18,6 +18,7 @@ Identical configs produce byte-identical outputs.
 
 import argparse
 import csv
+import math
 import os
 import sys
 from contextlib import contextmanager
@@ -26,7 +27,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from .blowup import (SCAN_CSV_COLUMNS, BlowupConfig, calibrate_amplitude,
-                     scan_threshold)
+                     integrate_nonlinear, scan_threshold)
 from .capacity import (FIT_CSV_COLUMNS, capacity_exponent_fit,
                        log_capacity_fit)
 from .config import COMMANDS, ExperimentConfig, load_config, schema_help
@@ -46,6 +47,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_HYPOTHESIS = 3
 EXIT_NUMERICAL = 4
+
+_LOG10_MAX = math.log10(sys.float_info.max)
 
 
 def _write_csv(path: str, columns: Sequence[str], rows: Sequence[Sequence],
@@ -72,9 +75,12 @@ def _building():
 
 
 def _grid_for(cfg: ExperimentConfig) -> RadialGrid:
-    r_min = cfg.options["grid_r_min"]
+    r_min, r_max = cfg.options["grid_r_min"], cfg.options["grid_r_max"]
+    # cell measures r^(N-1) dr and the weight r^(-s1), s1 > -2, stay finite
+    if (cfg.params.N + 2) * math.log10(max(r_max, 1.0)) > _LOG10_MAX:
+        raise ValueError("grid_r_max %g overflows r^(N+2)" % r_max)
     return RadialGrid.log_spaced(
-        cfg.options["grid_r_max"], m=cfg.options["grid_m"],
+        r_max, m=cfg.options["grid_m"],
         r_min=(None if r_min == 0.0 else r_min),
         sigma1=cfg.params.sigma1)
 
@@ -106,7 +112,6 @@ def _run_exponents(cfg: ExperimentConfig, out_dir: str) -> None:
 def _run_transform_check(cfg: ExperimentConfig, out_dir: str) -> None:
     require_valid(cfg.params)
     tp = transform_params(cfg.params)
-    from .blowup import integrate_nonlinear       # local import: heavy module
     with _building():
         grid = _grid_for(cfg)
         u0 = _field(cfg, "u0", grid)
@@ -197,9 +202,10 @@ def _run_mild_solve(cfg: ExperimentConfig, out_dir: str) -> None:
 def _run_blowup_scan(cfg: ExperimentConfig, out_dir: str) -> None:
     require_valid(cfg.params)
     p_lo, p_hi = cfg.options["p_lo"], cfg.options["p_hi"]
-    if not 1.0 < p_lo < p_hi:
-        raise ConfigError("need 1 < p_lo < p_hi, got %g and %g"
-                          % (p_lo, p_hi))
+    if not (1.0 < p_lo < p_hi and cfg.options["bracket_width"] > 0.0):
+        raise ConfigError("need 1 < p_lo < p_hi and bracket_width > 0, got "
+                          "%g, %g and %g"
+                          % (p_lo, p_hi, cfg.options["bracket_width"]))
     amp = cfg.options["amplitude"]
     if amp < 0.0:
         raise ConfigError("amplitude must be nonnegative (0 = calibrate); "

@@ -28,9 +28,8 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.integrate import quad
 
-from .capacity import RampProfile
+from .capacity import RampProfile, _profile_power_integral
 from .errors import (HypothesisViolation, NotContracting, NoValidT,
                      NumericalFailure, Overflow)
 from .exponents import (ProblemParams, default_r, derived_weights,
@@ -42,6 +41,8 @@ OVERFLOW_GUARD = 1e30
 
 # substeps used for each slice-sized semigroup march
 _SLICE_SUBSTEPS = 2
+
+_LOG_MAX = math.log(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -441,6 +442,9 @@ def solve_local_Lq(u0: RadialField, w: Optional[RadialField],
     f_norm = 0.0
     c2 = 0.0
     if w is not None and np.any(w.values != 0.0):
+        if (params.rho + 1.0) * math.log(horizon_guess) > _LOG_MAX:
+            raise Overflow("the forcing factor T^(rho+1) overflows at the "
+                           "horizon guess %g" % horizon_guess)
         src = u0.grid.nodes ** (-params.sigma1) * w.values
         f_norm = _norm(u0.with_values(src), q)
         h_probe = _forcing_values(op, src, params.rho, probe_times, nsub)
@@ -449,8 +453,10 @@ def solve_local_Lq(u0: RadialField, w: Optional[RadialField],
                  for t, v in zip(probe_times, h_probe))
 
     def closure(t_end: float) -> float:
-        return (c1 * t_end ** (1.0 - alpha) * radius ** params.p
-                + c2 * f_norm * t_end ** (params.rho + 1.0))
+        value = c1 * t_end ** (1.0 - alpha) * radius ** params.p
+        if c2 > 0.0:    # then T^(rho+1) is finite up to the guess
+            value += c2 * f_norm * t_end ** (params.rho + 1.0)
+        return value
 
     t_floor = 1e-6 * horizon_guess
     if closure(t_floor) > 0.5 * radius:
@@ -507,12 +513,12 @@ def bump_test_function(t_end: float, r_lo: float, r_hi: float,
                        t_flat_frac: float = 0.5) -> SpaceTimeTest:
     """Standard plateau test function on [0, t_end] x [r_lo, r_hi].
 
-    eta equals 1 on [0, t_flat_frac t_end] and ramps to 0 at t_end; chi
-    ramps up over the first quarter of [r_lo, r_hi], holds 1, and ramps
-    down over the last quarter.
+    eta equals 1 on [0, t_flat_frac t_end], 0 < t_flat_frac < 1, and ramps
+    to 0 at t_end; chi ramps up over the first quarter of [r_lo, r_hi],
+    holds 1, and ramps down over the last quarter.
     """
-    if not (0.0 <= r_lo < r_hi and t_end > 0.0):
-        raise ValueError("need 0 <= r_lo < r_hi and t_end > 0")
+    if not (0.0 <= r_lo < r_hi and t_end > 0.0 and 0.0 < t_flat_frac < 1.0):
+        raise ValueError("need 0 <= r_lo < r_hi, t_end > 0, 0 < t_flat_frac < 1")
     span = r_hi - r_lo
     r_a, r_b = r_lo + 0.25 * span, r_hi - 0.25 * span
     eta = RampProfile(intervals=((t_flat_frac * t_end, t_end, 1.0, 0.0),),
@@ -534,7 +540,7 @@ def weak_residual(traj: Trajectory, u0: RadialField,
     int r^s1 u0 Q(0) vanishes for exact solutions.  Returns |sum| divided
     by the largest term magnitude; time quadrature is trapezoidal over
     the stored grid with u(0) = u0 prepended, except the t^rho factor of
-    the forcing, which separates and is integrated adaptively.
+    the forcing, which separates: exact on eta's plateau, Simpson on its ramp.
 
     The test support must end inside the trajectory horizon and inside
     the radial grid, otherwise the truncated quadrature is meaningless.
@@ -573,9 +579,8 @@ def weak_residual(traj: Trajectory, u0: RadialField,
     term_force = 0.0
     if w is not None and np.any(w.values != 0.0):
         space = float(np.sum(w.values * chi * meas))
-        tfac, _ = quad(lambda s: s ** params.rho * float(test.eta(s)),
-                       0.0, t_end, limit=200)
-        term_force = space * tfac
+        term_force = space * _profile_power_integral(
+            test.eta, 1.0, params.rho + 1.0, "forcing time factor")
     term_init = float(np.sum(w_s1 * u0.values * chi * meas))
 
     total = term_evo + term_src + term_force + term_init

@@ -84,6 +84,9 @@ class RadialGrid:
         """Log-uniform grid on [r_min, r_max]; r_min defaults to 1e-4 * r_max."""
         if r_min is None:
             r_min = 1e-4 * r_max
+        if not 0.0 < r_min < r_max:
+            raise ValueError("need 0 < r_min < r_max, got %g and %g"
+                             % (r_min, r_max))
         nodes = np.geomspace(r_min, r_max, m)
         nodes[-1] = r_max
         return RadialGrid(nodes, SPACING_LOG, sigma1)
@@ -202,8 +205,9 @@ def weighted_integral(fld: RadialField, weight: float = 0.0) -> float:
 def gaussian_profile(center: float, width: float,
                      amplitude: float) -> Callable[[np.ndarray], np.ndarray]:
     """amplitude * exp(-(r-center)^2 / (2 width^2))."""
-    if width <= 0.0:
-        raise ValueError("gaussian width must be positive")
+    if not (width > 0.0 and 2.0 * width * width > 0.0):
+        raise ValueError("gaussian width %g must be positive, and 2 width^2 "
+                         "must not underflow to 0" % width)
 
     def f(r):
         r = np.asarray(r, dtype=float)

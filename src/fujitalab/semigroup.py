@@ -14,8 +14,8 @@ Time stepping is implicit Euler (first order, inverse-positive: the step
 matrix is an M-matrix, so nonnegative data stay nonnegative) or
 Crank-Nicolson (second order, A-stable).  Both reduce to one tridiagonal
 solve with I - dt L per step.  Each step size is factored once (LAPACK
-gttrf); the factors are kept and reused (gttrs) for every following step
-of that size.
+gttrf) and its factors are reused (gttrs) for every later step of that
+size; both are bound at the first factorisation, not at import time.
 
 The module also carries the three certification studies used by the
 acceptance experiments:
@@ -32,11 +32,10 @@ acceptance experiments:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .errors import ConditionViolation, StepFailure
 from .exponents import ProblemParams, require_valid
@@ -56,6 +55,7 @@ SCHEME_IE = "implicit-euler"
 SCHEME_CN = "crank-nicolson"
 
 _SUBSTEPS = 32      # equal steps of a march that does not name its count
+dgttrf = dgttrs = None      # scipy.linalg.lapack, bound at first factorisation
 
 
 @dataclass
@@ -125,7 +125,10 @@ class SemigroupOp:
         replace the kept ones.  rhs is not modified.  Raises StepFailure on
         a singular matrix or non-finite output.
         """
+        global dgttrf, dgttrs
         if dt != self._lu_dt:
+            if dgttrf is None:
+                from scipy.linalg.lapack import dgttrf, dgttrs
             ab = self.step_matrix_banded(dt)
             *lu, info = dgttrf(ab[2, :-1], ab[1], ab[0, 1:])
             if info != 0:

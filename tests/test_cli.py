@@ -203,10 +203,17 @@ MILD_TUPLE = "N = 3\nsigma2 = -0.1\nrho = -0.5\np = 3\n"
     ("mild-solve", "u0 = gaussian(0, 0, 1)\n"),
     ("mild-solve", "n_times = 4\n"),
     ("semigroup-check", "t_lo = 0\n"),
-], ids=["grid_m", "grid_r_max", "u0", "n_times", "t_lo"])
+    ("mild-solve", "grid_r_min = 0.5\ngrid_r_max = -1\n"),
+    ("mild-solve", "grid_r_max = 1e300\n"),
+    ("mild-solve", "u0 = gaussian(0, 1e-200, 1)\n"),
+    ("blowup-scan", "bracket_width = 0\n"),
+], ids=["grid_m", "grid_r_max", "u0", "n_times", "t_lo", "grid_r_min",
+        "grid_r_max_huge", "u0_width_underflow", "bracket_width"])
+@pytest.mark.filterwarnings("error")
 def test_invalid_inputs_to_builders_exit_2(tmp_path, command, extra):
     # values the schema types admit but the grid, profile, solver settings
-    # or time list reject are configuration errors, not tracebacks
+    # or time list reject are configuration errors, not tracebacks, and are
+    # rejected before numpy meets them (no warning)
     cfg = _write(tmp_path, "bad.cfg", MILD_TUPLE + extra)
     assert cli.main([command, "--config", cfg,
                      "--out", str(tmp_path)]) == cli.EXIT_CONFIG
@@ -220,6 +227,22 @@ def test_hypothesis_violations_exit_3(tmp_path):
         "u0 = zero\nw = bump(1, 1e-3)\ngrid_m = 256\n"))
     assert cli.main(["mild-solve", "--config", cfg,
                      "--out", str(tmp_path)]) == cli.EXIT_HYPOTHESIS
+
+
+@pytest.mark.parametrize("tuple_", [
+    "sigma2 = 0\nrho = 0.5\n",        # critical power +inf
+    "sigma2 = -1.5\nrho = -0.5\n",    # p* = 1.25, so p* - 1/2 < 1
+], ids=["infinite_p_star", "p_star_below_1.5"])
+def test_calibration_preconditions_exit_3(tmp_path, tuple_):
+    # amplitude = 0 calibrates at p* -/+ 1/2, which must exist and exceed
+    # 1; when it does not, the run stops before any numerics
+    cfg = _write(tmp_path, "cal.cfg", (
+        "N = 3\nsigma1 = 0\n" + tuple_ + "p_lo = 1.25\np_hi = 3\n"
+        "amplitude = 0\ngrid_m = 384\ngrid_r_max = 30\ngrid_r_min = 0.03\n"
+        "dt_init = 5e-3\nt_max = 50\n"))
+    rc = cli.main(["blowup-scan", "--config", cfg, "--out", str(tmp_path)])
+    assert rc == cli.EXIT_HYPOTHESIS
+    assert not (tmp_path / "blowup_scan.csv").exists()
 
 
 def test_numerical_failures_exit_4_but_write_artifacts(tmp_path):
@@ -283,6 +306,60 @@ def test_overflowing_nonlinearity_exits_4_without_traceback(tmp_path):
     assert "numerical failure:" in run.stderr
     assert "Traceback" not in run.stderr
     assert "RuntimeWarning" not in run.stderr
+
+
+@pytest.mark.filterwarnings("error")
+def test_unforced_closure_ignores_an_overflowing_forcing_power(tmp_path):
+    # with w = zero the forcing term of the closure inequality is absent:
+    # T^(rho + 1) at T = 1e10, rho = 50 overflows a float, and must not
+    # decide the horizon nor escape as an OverflowError
+    cfg = _write(tmp_path, "unforced.cfg", (
+        "N = 2\nsigma1 = 0\nsigma2 = 0\nrho = 50\np = 1.1\nq = 1.5\n"
+        "u0 = gaussian(0, 1, 0.5)\nw = zero\ngrid_m = 24\n"
+        "grid_r_min = 0.03\ngrid_r_max = 10\nhorizon = 1e10\nn_times = 8\n"))
+    rc = cli.main(["local-solve", "--config", cfg, "--out", str(tmp_path)])
+    assert rc == cli.EXIT_OK
+    comments, _ = _read_csv(str(tmp_path / "local_trajectory.csv"))
+    assert "# existence horizon: T=1e+10 of guess 1e+10" in comments
+
+
+@pytest.mark.filterwarnings("error")
+def test_forced_horizon_whose_time_factor_overflows_exits_4(tmp_path):
+    # T^(rho + 1) at the guess 1.4e154, rho = 1, is beyond the float range,
+    # so the forcing constant C2 cannot be probed
+    cfg = _write(tmp_path, "forced.cfg", (
+        "N = 2\nsigma1 = 0\nsigma2 = 0\nrho = 1\np = 1.1\nq = 1.5\n"
+        "u0 = gaussian(0, 1, 0.5)\nw = bump(1, 0.5)\ngrid_m = 24\n"
+        "grid_r_min = 0.03\ngrid_r_max = 10\nhorizon = 1.4e154\n"
+        "n_times = 8\n"))
+    rc = cli.main(["local-solve", "--config", cfg, "--out", str(tmp_path)])
+    assert rc == cli.EXIT_NUMERICAL
+
+
+def test_import_and_closed_form_commands_load_no_scipy(tmp_path):
+    # scipy.linalg is bound at the first factorisation, and nothing else in
+    # the package needs scipy: importing the CLI and running the two
+    # commands that never solve must leave it unloaded
+    demos = os.path.join(os.path.dirname(__file__), os.pardir, "demos",
+                         "configs")
+    script = (
+        "import sys\n"
+        "def loaded(): return sorted(m for m in sys.modules "
+        "if m.startswith('scipy'))\n"
+        "from fujitalab import cli\n"
+        "print('scipy after import', loaded())\n"
+        "for cmd in ('exponents', 'capacity-fit'):\n"
+        "    cfg = '%s/' + cmd.replace('-', '_') + '.cfg'\n"
+        "    assert cli.main([cmd, '--config', cfg, '--out', '%s']) == 0\n"
+        "    print('scipy after', cmd, loaded())\n" % (demos, tmp_path))
+    src = os.path.dirname(os.path.dirname(fujitalab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    lines = [l for l in run.stdout.splitlines() if l.startswith("scipy")]
+    assert lines == ["scipy after import []", "scipy after exponents []",
+                     "scipy after capacity-fit []"], run.stdout
 
 
 def test_cli_rejects_missing_command():

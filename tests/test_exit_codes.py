@@ -1,13 +1,16 @@
 """The exit-code contract as a property of every config, not only the demos.
 
-Configs for five commands are drawn key by key from the schema types.  Each
-key has a strategy for values in range and one for odd values: zero,
+Configs for all seven commands are drawn key by key from the schema types.
+Each key has a strategy for values in range and one for odd values: zero,
 negative, huge, non-finite or malformed.  A drawn config either keeps every
 value in range or spoils exactly one key (an odd value, or the key left
 out), so each odd value meets otherwise runnable inputs.  Whatever the
 draw, ``cli.main`` must return 0, 2, 3 or 4 and let no exception escape.
-Grids and time lists stay small (16 to 48 nodes, 8 to 12 stored times) so
-the whole property costs a few seconds.
+Grids and time lists stay small (16 to 48 nodes, 8 to 12 stored times) and
+horizons short so the whole property costs a few seconds.  The time-stepping
+horizons (transform-check t_end, blowup-scan t_max) are never 1e300, since at
+the integrator's capped step size they run without bound; local-solve works
+on a fixed time grid and draws every odd horizon.
 """
 
 import math
@@ -25,6 +28,12 @@ ODD = st.sampled_from([0.0, -1.0, 1e300, math.inf, -math.inf, math.nan])
 
 def _float(lo, hi):
     return st.floats(lo, hi).map(repr), ODD.map(repr)
+
+
+def _short(lo, hi):
+    # a float in range, or an odd value other than an endless 1e300
+    return (st.floats(lo, hi).map(repr),
+            ODD.filter(lambda x: x != 1e300).map(repr))
 
 
 def _int(lo, hi, odd=(-1, 0)):
@@ -94,10 +103,7 @@ SCHEMAS = {
         **GRID,
         "u0": _profile(),
         "w": _profile(),
-        # a short horizon; 1e300 is not drawn, since at the integrator's
-        # capped step size a horizon that long runs without bound
-        "t_end": (st.floats(0.01, 0.2).map(repr),
-                  ODD.filter(lambda x: x != 1e300).map(repr)),
+        "t_end": _short(0.01, 0.2),
         "n_snapshots": _int(2, 5),
         "dt_init": _float(1e-3, 1e-2),
     },
@@ -113,6 +119,29 @@ SCHEMAS = {
         "picard_tol": _float(1e-12, 1e-2),
         "max_picard": _int(2, 6),
         "duhamel_substeps": _int(1, 3),
+    },
+    "local-solve": {
+        **GRID,
+        "u0": _profile(),
+        "w": _profile(),
+        "q": _float(1.5, 8.0),
+        "horizon": _float(0.01, 1.0),
+        "n_times": _int(8, 12, odd=(4,)),
+        "picard_tol": _float(1e-12, 1e-2),
+        "max_picard": _int(2, 6),
+    },
+    "blowup-scan": {
+        **GRID,
+        "p_lo": _float(1.05, 2.5),
+        "p_hi": _float(2.5, 6.0),
+        # 0 asks for the calibration, which needs a finite critical power
+        "amplitude": (st.one_of(st.just("0"), st.floats(0.01, 10.0).map(repr)),
+                      ODD.map(repr)),
+        "bracket_width": _float(0.1, 1.0),
+        "dt_init": _float(1e-2, 0.1),
+        "dt_min": _float(1e-10, 1e-4),
+        "t_max": _short(0.1, 5.0),
+        "norm_cap": _float(1e3, 1e10),
     },
 }
 

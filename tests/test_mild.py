@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 from scipy.linalg import solve_banded
 
-from fujitalab import mild, radial, semigroup
+from fujitalab import capacity, mild, radial, semigroup
 from fujitalab.errors import Inadmissible, Overflow
 from fujitalab.exponents import ProblemParams, derived_weights
 
@@ -223,6 +224,40 @@ def test_weak_residual_rejects_oversized_test_support():
     with pytest.raises(ValueError):
         mild.weak_residual(sol.trajectory, u0, w, params,
                            mild.bump_test_function(1.0, 0.0, 60.0))
+
+
+@pytest.mark.parametrize("rho", [-0.9, -0.5, -0.1, 0.0, 0.5, 2.0])
+def test_forcing_time_factor_matches_adaptive_quadrature(rho):
+    # weak_residual integrates int_0^T s^rho eta(s) ds with the capacity
+    # module's ramp quadrature: plateau in closed form, ramp by checked
+    # Simpson; an independent adaptive quadrature must agree
+    for t_end in (0.5, 1.5, 2.0):
+        for frac in (0.25, 0.5, 0.9):
+            eta = mild.bump_test_function(t_end, 0.0, 1.0, frac).eta
+            got = capacity._profile_power_integral(eta, 1.0, rho + 1.0,
+                                                   "forcing time factor")
+            ref, _ = integrate.quad(lambda s: s ** rho * float(eta(s)), 0.0,
+                                    t_end, points=[frac * t_end], limit=200)
+            assert got == pytest.approx(ref, rel=1e-8), (t_end, frac)
+
+
+def test_forcing_time_factor_counts_the_left_value():
+    # eta holds its plateau in its left value; written as an explicit
+    # plateau piece, it has the same time factor
+    eta = mild.bump_test_function(1.5, 0.0, 1.0, 0.5).eta
+    flat = (0.0, eta.intervals[0][0], 1.0, 1.0)
+    explicit = capacity.RampProfile((flat,) + eta.intervals, left=1.0,
+                                    right=0.0)
+    for rho in (-0.5, 0.0, 2.0):
+        assert (capacity._profile_power_integral(eta, 1.0, rho + 1.0, "t")
+                == pytest.approx(capacity._profile_power_integral(
+                    explicit, 1.0, rho + 1.0, "t"), rel=1e-14))
+
+
+@pytest.mark.parametrize("frac", [0.0, 1.0, -0.1])
+def test_test_function_rejects_plateau_outside_the_horizon(frac):
+    with pytest.raises(ValueError, match="t_flat_frac"):
+        mild.bump_test_function(1.0, 0.0, 8.0, t_flat_frac=frac)
 
 
 def test_test_function_shape():
