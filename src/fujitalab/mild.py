@@ -13,19 +13,20 @@ and a local-in-time solver working in plain C([0,T]; L^q) (mu = 0, r = q).
 
 Every time integral marches a running accumulator forward across a
 log-spaced grid of stored times.  Each stored interval is cut into midpoint
-slices; the slice source is pre-smoothed by a half-slice of implicit Euler
-before joining the Crank-Nicolson march, because rough sources (negative
-radial powers in particular) ring under trapezoidal stepping.  The cell
-touching t = 0 is special for both integrals: the forcing factor s^rho is
-integrated analytically there against a propagator frozen at the substep
-midpoint, and the nonlinear source uses a frozen power-law-in-time model
-anchored at the first stored time.  The weak-form residual's test function
-is made of the capacity module's quintic ramp profiles.
+slices, each one SemigroupOp.duhamel_slice: the accumulator takes a
+Crank-Nicolson march, and the slice source joins it after a half-slice of
+implicit Euler, because rough sources (negative radial powers in
+particular) ring under trapezoidal stepping.  The cell touching t = 0 is
+special for both integrals: the forcing factor s^rho is integrated
+analytically there against a propagator frozen at the substep midpoint, and
+the nonlinear source uses a frozen power-law-in-time model anchored at the
+first stored time.  The weak-form residual's test function is made of the
+capacity module's quintic ramp profiles.
 """
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,12 +36,9 @@ from .errors import (HypothesisViolation, NotContracting, NoValidT,
 from .exponents import (ProblemParams, default_r, derived_weights,
                         local_alpha, require_admissible_q, require_valid)
 from .radial import RadialField, lq_norm, sphere_area
-from .semigroup import SCHEME_IE, SemigroupOp
+from .semigroup import SemigroupOp
 
 OVERFLOW_GUARD = 1e30
-
-# substeps used for each slice-sized semigroup march
-_SLICE_SUBSTEPS = 2
 
 _LOG_MAX = math.log(np.finfo(float).max)
 
@@ -110,23 +108,35 @@ class Trajectory:
         return np.array([float(np.max(np.abs(f.values))) for f in self.fields])
 
 
-@np.errstate(over="ignore")
-def _norm(fld: RadialField, q: float) -> float:
-    """lq_norm, raising Overflow where it would return inf."""
-    value = lq_norm(fld, q)
-    if not math.isfinite(value):
-        raise Overflow("an L^%g norm overflowed" % q)
-    return value
+def _lq(like: RadialField, q: float) -> Callable[[np.ndarray], float]:
+    """L^q norm of value arrays on like's grid and dimension, one measure.
+
+    Each norm repeats lq_norm's arithmetic bit for bit, and raises Overflow
+    where lq_norm would return inf.
+    """
+    if math.isinf(q):
+        return lambda values: float(np.abs(values).max(initial=0.0))
+    rpow = like.grid.nodes ** (like.dimension - 1.0)
+    cells = like.grid.cell_widths()
+    area = sphere_area(like.dimension)
+
+    @np.errstate(over="ignore")
+    def norm(values: np.ndarray) -> float:
+        value = (area * float(np.abs(values) ** q * rpow @ cells)) ** (1.0 / q)
+        if not math.isfinite(value):
+            raise Overflow("an L^%g norm overflowed" % q)
+        return value
+    return norm
 
 
 def x_distance(a: Trajectory, b: Trajectory, mu: float, r: float) -> float:
     """sup_j t_j^mu ||a_j - b_j||_{L^r} over the common time grid."""
     if a.times.size != b.times.size or np.any(a.times != b.times):
         raise ValueError("trajectories live on different time grids")
+    norm = _lq(a.fields[0], r)
     best = 0.0
     for t, fa, fb in zip(a.times, a.fields, b.fields):
-        d = _norm(fa.with_values(fa.values - fb.values), r)
-        best = max(best, t ** mu * d)
+        best = max(best, t ** mu * norm(fa.values - fb.values))
     return best
 
 
@@ -153,28 +163,26 @@ def _metric_for(params: ProblemParams, cfg: MildConfig) -> Tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 def _forcing_values(op: SemigroupOp, src: np.ndarray, rho: float,
-                    times: np.ndarray, nsub: int) -> List[np.ndarray]:
+                    times: np.ndarray, nsub: int,
+                    t_scale: float = 1.0) -> List[np.ndarray]:
     """March the forcing integral H across the stored times.
 
-    src is the spatial part r^(-s1) w; the time factor s^rho is exact on
-    the substep touching s = 0 and midpoint-sampled elsewhere.
+    src is the spatial part r^(-s1) w; the time factor (s/t_scale)^rho is
+    exact on the substep touching s = 0 and midpoint-sampled elsewhere.
     """
     out = []
     acc = np.zeros_like(src)
     t_prev = 0.0
     for t in times:
         h = (t - t_prev) / nsub
-        src_half = op.evolve_values(src, 0.5 * h, substeps=_SLICE_SUBSTEPS,
-                                    scheme=SCHEME_IE)
         for m in range(nsub):
             if t_prev == 0.0 and m == 0:
-                c = h ** (1.0 + rho) / (1.0 + rho)
+                c = h ** (1.0 + rho) / ((1.0 + rho) * t_scale ** rho)
             else:
                 s_mid = t_prev + (m + 0.5) * h
-                c = h * s_mid ** rho
-            acc = op.evolve_values(acc, h, substeps=_SLICE_SUBSTEPS)
-            acc += c * src_half
-        out.append(acc.copy())
+                c = h * (s_mid / t_scale) ** rho
+            acc = op.duhamel_slice(acc, src, h, c)
+        out.append(acc)
         t_prev = t
     return out
 
@@ -187,13 +195,16 @@ def _nonlinear_values(op: SemigroupOp, u_vals: Sequence[np.ndarray],
     On the head cell (0, times[0]] the source is modelled as
     (s/t_1)^head_theta g(t_1), the self-similar profile of the weighted
     construction (head_theta = -p mu) or a frozen constant (0) for the
-    local theory; head_theta > -1 keeps the cell integrable.  Interior
-    slices interpolate u log-linearly in time between stored snapshots.
+    local theory; head_theta > -1 keeps the cell integrable.  That cell is
+    a forcing integral.  Interior slices interpolate u log-linearly in time
+    between stored snapshots.
     """
     if head_theta <= -1.0:
         raise ValueError("head cell diverges for exponent %g" % head_theta)
-    r = op.grid.nodes
-    wgt = r ** (params.sigma2 - params.sigma1)
+    with np.errstate(over="ignore"):
+        wgt = op.grid.nodes ** (params.sigma2 - params.sigma1)
+    if not np.isfinite(wgt).all():
+        raise Overflow("the weight r^(s2-s1) overflowed")
     p = params.p
 
     @np.errstate(over="ignore")
@@ -203,48 +214,28 @@ def _nonlinear_values(op: SemigroupOp, u_vals: Sequence[np.ndarray],
             raise Overflow("the source r^(s2-s1) |u|^p overflowed")
         return g
 
-    out = []
-    acc = np.zeros_like(u_vals[0])
-    t1 = times[0]
-    t_prev = 0.0
-    for j, t in enumerate(times):
+    out = _forcing_values(op, g_of(u_vals[0]), head_theta, times[:1], nsub,
+                          times[0])
+    acc = out[0]
+    for j in range(1, len(times)):
+        t_prev, t = times[j - 1], times[j]
         h = (t - t_prev) / nsub
-        if j == 0:
-            src_half = op.evolve_values(g_of(u_vals[0]), 0.5 * h,
-                                        substeps=_SLICE_SUBSTEPS,
-                                        scheme=SCHEME_IE)
-            for m in range(nsub):
-                if m == 0:
-                    c = h ** (1.0 + head_theta) / ((1.0 + head_theta)
-                                                   * t1 ** head_theta)
-                else:
-                    s_mid = (m + 0.5) * h
-                    c = h * (s_mid / t1) ** head_theta
-                acc = op.evolve_values(acc, h, substeps=_SLICE_SUBSTEPS)
-                acc += c * src_half
-        else:
-            lo, hi = u_vals[j - 1], u_vals[j]
-            log_ratio = math.log(t / t_prev)
-            for m in range(nsub):
-                s_mid = t_prev + (m + 0.5) * h
-                frac = math.log(s_mid / t_prev) / log_ratio
-                src = g_of((1.0 - frac) * lo + frac * hi)
-                src_half = op.evolve_values(src, 0.5 * h,
-                                            substeps=_SLICE_SUBSTEPS,
-                                            scheme=SCHEME_IE)
-                acc = op.evolve_values(acc, h, substeps=_SLICE_SUBSTEPS)
-                acc += h * src_half
-        if not np.all(np.isfinite(acc)):
-            raise Overflow("nonlinear integral lost finiteness at t=%g" % t)
-        out.append(acc.copy())
-        t_prev = t
+        lo, hi = u_vals[j - 1], u_vals[j]
+        log_ratio = math.log(t / t_prev)
+        for m in range(nsub):
+            s_mid = t_prev + (m + 0.5) * h
+            frac = math.log(s_mid / t_prev) / log_ratio
+            acc = op.duhamel_slice(acc, g_of((1.0 - frac) * lo + frac * hi),
+                                   h, h)
+        out.append(acc)
     return out
 
 
 def _linear_values(op: SemigroupOp, u0: RadialField,
                    w: Optional[RadialField], params: ProblemParams,
-                   times: np.ndarray, nsub: int) -> List[np.ndarray]:
-    """S(t) u0 + H(t) at the stored times, as raw value arrays."""
+                   times: np.ndarray, nsub: int
+                   ) -> Tuple[List[np.ndarray], Optional[List[np.ndarray]]]:
+    """S(t) u0 + H(t) at the stored times, and H(t) alone (None for w = 0)."""
     if np.any(u0.values != 0.0):
         s_parts = [f.values for f in
                    op.evolve_through(u0, list(times), substeps=nsub)]
@@ -253,16 +244,17 @@ def _linear_values(op: SemigroupOp, u0: RadialField,
     if w is not None and np.any(w.values != 0.0):
         src = op.grid.nodes ** (-params.sigma1) * w.values
         h_parts = _forcing_values(op, src, params.rho, times, nsub)
-        return [s + h for s, h in zip(s_parts, h_parts)]
-    return s_parts
+        return [s + h for s, h in zip(s_parts, h_parts)], h_parts
+    return s_parts, None
 
 
 def _wrap(u0: RadialField, times: np.ndarray, vals: List[np.ndarray],
           mu: float, r: float) -> Trajectory:
     fields = [u0.with_values(v) for v in vals]
+    norm = _lq(u0, r)
     xn = 0.0
-    for t, f in zip(times, fields):
-        xn = max(xn, t ** mu * _norm(f, r))
+    for t, v in zip(times, vals):
+        xn = max(xn, t ** mu * norm(v))
     return Trajectory(times=times, fields=fields, x_norm=xn)
 
 
@@ -279,8 +271,8 @@ def duhamel_forcing(w: RadialField, params: ProblemParams,
     times = np.asarray(t_grid, dtype=float)
     mu, r = _metric_for(params, cfg)
     zero = w.with_values(np.zeros_like(w.values))
-    vals = _linear_values(SemigroupOp(w.grid, params), zero, w, params, times,
-                          cfg.duhamel_substeps)
+    vals, _ = _linear_values(SemigroupOp(w.grid, params), zero, w, params,
+                             times, cfg.duhamel_substeps)
     return _wrap(w, times, vals, mu, r)
 
 
@@ -302,8 +294,8 @@ def picard_step(u_n: Trajectory, u0: RadialField, w: Optional[RadialField],
     mu, r = metric if metric is not None else _metric_for(params, cfg)
     theta = head_theta if head_theta is not None else -params.p * mu
     if linear is None:
-        lin_vals = _linear_values(op, u0, w, params, times,
-                                  cfg.duhamel_substeps)
+        lin_vals, _ = _linear_values(op, u0, w, params, times,
+                                     cfg.duhamel_substeps)
     else:
         lin_vals = [f.values for f in linear.fields]
     f_vals = _nonlinear_values(op, [f.values for f in u_n.fields], params,
@@ -377,7 +369,8 @@ def solve_global_small(u0: RadialField, w: Optional[RadialField],
     mu = derived_weights(params, r).mu
     times = _time_grid(cfg.t_max, cfg.n_times)
     op = SemigroupOp(u0.grid, params)
-    lin_vals = _linear_values(op, u0, w, params, times, cfg.duhamel_substeps)
+    lin_vals, _ = _linear_values(op, u0, w, params, times,
+                                 cfg.duhamel_substeps)
     linear = _wrap(u0, times, lin_vals, mu, r)
     u, diffs, ratios, converged = _iterate(linear, u0, w, params, cfg,
                                            -params.p * mu, (mu, r))
@@ -412,8 +405,9 @@ def solve_local_Lq(u0: RadialField, w: Optional[RadialField],
     theory's constants are non-constructive), M is twice the sup of the
     linear response, and T is the largest admissible time up to the guess.
     Raises NoValidT when even the smallest probe step fails the
-    inequality, and NumericalFailure when the fixed point's L^q trace
-    jumps by more than five times the linear trace's own grid modulus.
+    inequality, and NumericalFailure when the probe norms of nonzero data
+    underflow to 0 or the fixed point's L^q trace jumps by more than five
+    times the linear trace's own grid modulus.
     """
     require_valid(params)
     require_admissible_q(params, q)
@@ -425,10 +419,14 @@ def solve_local_Lq(u0: RadialField, w: Optional[RadialField],
     op = SemigroupOp(u0.grid, params)
 
     probe_times = _time_grid(horizon_guess, cfg.n_times)
-    lin_probe = _linear_values(op, u0, w, params, probe_times, nsub)
-    lin_norms = np.array([_norm(u0.with_values(v), q) for v in lin_probe])
-    m0 = float(np.max(lin_norms))
+    lin_probe, h_probe = _linear_values(op, u0, w, params, probe_times, nsub)
+    norm = _lq(u0, q)
+    m0 = max(norm(v) for v in lin_probe)
     if m0 == 0.0:
+        if np.any(u0.values != 0.0) or h_probe is not None:
+            raise NumericalFailure(
+                "the L^%g norms of the nonzero linear response underflow to "
+                "0 on the probe times up to %g" % (q, horizon_guess))
         zeros = [np.zeros_like(u0.values) for _ in probe_times]
         traj = _wrap(u0, probe_times, zeros, 0.0, q)
         return LocalSolution(traj, horizon_guess, q, 0.0, 0.0, 0.0,
@@ -436,20 +434,16 @@ def solve_local_Lq(u0: RadialField, w: Optional[RadialField],
     radius = 2.0 * m0
 
     f_probe = _nonlinear_values(op, lin_probe, params, probe_times, nsub, 0.0)
-    c1 = max(_norm(u0.with_values(v), q)
-             / (t ** (1.0 - alpha) * m0 ** params.p)
+    c1 = max(norm(v) / (t ** (1.0 - alpha) * m0 ** params.p)
              for t, v in zip(probe_times, f_probe))
     f_norm = 0.0
     c2 = 0.0
-    if w is not None and np.any(w.values != 0.0):
+    if h_probe is not None:
         if (params.rho + 1.0) * math.log(horizon_guess) > _LOG_MAX:
             raise Overflow("the forcing factor T^(rho+1) overflows at the "
                            "horizon guess %g" % horizon_guess)
-        src = u0.grid.nodes ** (-params.sigma1) * w.values
-        f_norm = _norm(u0.with_values(src), q)
-        h_probe = _forcing_values(op, src, params.rho, probe_times, nsub)
-        c2 = max(_norm(u0.with_values(v), q)
-                 / (f_norm * t ** (params.rho + 1.0))
+        f_norm = norm(u0.grid.nodes ** (-params.sigma1) * w.values)
+        c2 = max(norm(v) / (f_norm * t ** (params.rho + 1.0))
                  for t, v in zip(probe_times, h_probe))
 
     def closure(t_end: float) -> float:
@@ -475,7 +469,7 @@ def solve_local_Lq(u0: RadialField, w: Optional[RadialField],
         t_end = lo
 
     times = _time_grid(t_end, cfg.n_times)
-    lin_vals = _linear_values(op, u0, w, params, times, nsub)
+    lin_vals, _ = _linear_values(op, u0, w, params, times, nsub)
     linear = _wrap(u0, times, lin_vals, 0.0, q)
     u, diffs, ratios, converged = _iterate(linear, u0, w, params, cfg, 0.0,
                                            (0.0, q))

@@ -336,6 +336,19 @@ def test_forced_horizon_whose_time_factor_overflows_exits_4(tmp_path):
     assert rc == cli.EXIT_NUMERICAL
 
 
+@pytest.mark.filterwarnings("error")
+def test_nonzero_data_whose_probe_norms_underflow_exits_4(tmp_path):
+    # the demo local-solve config at a horizon of 1e300: the L^4 norms of
+    # the linear response underflow to 0 on the probe times, which must not
+    # pass for zero data with a zero ball radius
+    cfg = _write(tmp_path, "underflow.cfg", (
+        "N = 3\nsigma1 = 0\nsigma2 = 0\nrho = 0\np = 2\nq = 4\n"
+        "u0 = gaussian(0, 1, 0.5)\nw = bump(1, 0.5)\ngrid_m = 32\n"
+        "grid_r_min = 0.03\nhorizon = 1e300\nn_times = 10\n"))
+    rc = cli.main(["local-solve", "--config", cfg, "--out", str(tmp_path)])
+    assert rc == cli.EXIT_NUMERICAL
+
+
 def test_import_and_closed_form_commands_load_no_scipy(tmp_path):
     # scipy.linalg is bound at the first factorisation, and nothing else in
     # the package needs scipy: importing the CLI and running the two

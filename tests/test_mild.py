@@ -161,6 +161,23 @@ def test_trajectory_validation():
         mild.Trajectory(times=np.array([1.0, 0.5]), fields=[f, f], x_norm=0.0)
 
 
+@pytest.mark.parametrize("dimension", [3.0, 2.6])
+def test_cached_measure_norms_are_bitwise_lq_norm(dimension):
+    g = _grid(128)
+    rng = np.random.default_rng(7)
+    like = radial.RadialField(g, np.zeros(g.m), dimension)
+    times = np.geomspace(0.01, 1.0, 6)
+    vals = [rng.standard_normal(g.m) * 10.0 ** k for k in range(-3, 3)]
+    for q in (1.0, 2.0, 4.0, 7.5, math.inf):
+        norm = mild._lq(like, q)
+        want = [radial.lq_norm(like.with_values(v), q) for v in vals]
+        assert [norm(v) for v in vals] == want
+        traj = mild._wrap(like, times, vals, 0.0, q)
+        assert traj.x_norm == max(want)
+        zero = mild._wrap(like, times, [0.0 * v for v in vals], 0.0, q)
+        assert mild.x_distance(traj, zero, 0.0, q) == max(want)
+
+
 def test_x_distance_demands_common_grid():
     g = _grid(128)
     f = radial.RadialField(g, np.zeros(g.m), 3.0)
@@ -293,6 +310,18 @@ def test_local_zero_data_runs_the_full_horizon():
     assert sol.t_end == pytest.approx(0.7)
     assert sol.trajectory.x_norm == 0.0
     assert sol.converged
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_source_weight_is_an_overflow():
+    # r^(s2 - s1) with s2 = 1e300 is beyond the float range for r > 1
+    params = ProblemParams(N=2, sigma1=0.0, sigma2=1e300, rho=0.0, p=2.0)
+    g = radial.RadialGrid.log_spaced(2.0, 16, r_min=0.5)
+    u0 = radial.field_from_callable(g, radial.gaussian_profile(0.0, 1.0, 0.5),
+                                    2.0)
+    w = radial.field_from_callable(g, radial.bump_profile(1.0, 1.0), 2.0)
+    with pytest.raises(Overflow):
+        mild.solve_local_Lq(u0, w, params, q=4.0, horizon_guess=1.0)
 
 
 def test_local_rejects_inadmissible_index():

@@ -5,7 +5,7 @@ import pytest
 from scipy.linalg import solve_banded
 
 from fujitalab import radial, semigroup
-from fujitalab.errors import ConditionViolation
+from fujitalab.errors import ConditionViolation, StepFailure
 from fujitalab.exponents import ProblemParams
 
 
@@ -113,6 +113,50 @@ def test_evolve_through_tracks_apply():
     coarse, fine = worst(16), worst(64)
     assert coarse < 0.02
     assert fine < coarse
+
+
+# ---------------------------------------------------------------------------
+# the fused Crank-Nicolson forms
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("s1", [-0.5, 0.0, 0.5])
+def test_cn_substep_matches_the_trapezoidal_form(s1):
+    # 2 (I - dt/2 L)^-1 u - u is (I - dt/2 L)^-1 (I + dt/2 L) u exactly
+    op = _op(s1)
+    fld = radial.field_from_callable(op.grid, radial.bump_profile(1.0, 1.0), 3.0)
+    half = 0.5 * 0.02
+    ref = op.implicit_solve(fld.values + half * op.apply_operator(fld.values),
+                            half)
+    got = op.apply(fld, 0.02, substeps=1).values
+    assert np.allclose(got, ref, rtol=1e-12, atol=1e-12 * np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("s1", [-0.5, 0.0, 0.5])
+def test_duhamel_slice_matches_the_explicit_composition(s1):
+    # two Crank-Nicolson substeps of h/2 for the accumulator, two implicit
+    # Euler substeps of h/4 for the source
+    op = _op(s1)
+    r = op.grid.nodes
+    acc = np.exp(-r ** 2)
+    src = np.where(r < 1.0, 1.0, 0.0) * r ** (-0.5)
+    h, c = 0.05, 0.3
+    ref = acc
+    for _ in range(2):
+        ref = op.implicit_solve(ref + 0.25 * h * op.apply_operator(ref),
+                                0.25 * h)
+    smooth = op.implicit_solve(op.implicit_solve(src, 0.25 * h), 0.25 * h)
+    ref = ref + c * smooth
+    got = op.duhamel_slice(acc, src, h, c)
+    assert np.allclose(got, ref, rtol=1e-12, atol=1e-12 * np.max(np.abs(ref)))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("acc_scale, c", [(1e308, 1.0), (1.0, 1e307)])
+def test_duhamel_slice_beyond_float_range_is_a_step_failure(acc_scale, c):
+    op = _op(0.0, m=64)
+    ones = np.ones(op.grid.m)
+    with pytest.raises(StepFailure):
+        op.duhamel_slice(acc_scale * ones, 100.0 * ones, 0.01, c)
 
 
 # ---------------------------------------------------------------------------
