@@ -86,8 +86,7 @@ class SolveOutcome:
 
 def integrate_nonlinear(u0: RadialField, w: Optional[RadialField],
                         params: ProblemParams, cfg: BlowupConfig,
-                        sample_times: Optional[Sequence[float]] = None,
-                        op: Optional[SemigroupOp] = None) -> SolveOutcome:
+                        sample_times: Optional[Sequence[float]] = None) -> SolveOutcome:
     """March the full nonlinear problem and classify the outcome.
 
     One step from t_n with size dt solves
@@ -99,16 +98,10 @@ def integrate_nonlinear(u0: RadialField, w: Optional[RadialField],
     norm or go non-finite are retried at half size; accepted steps let dt
     recover by a factor 1.2 up to ten times the initial size.  Snapshots
     are taken exactly at the requested times by clamping the step there.
-    op may carry the operator of u0's grid, N and sigma1 (L does not
-    depend on p, sigma2 or rho), so that runs across powers share it.
     """
     require_valid(params)
     grid = u0.grid
-    if op is None:
-        op = SemigroupOp(grid, params)
-    elif op.grid is not grid or (op.params.N, op.params.sigma1) != (
-            params.N, params.sigma1):
-        raise ValueError("the operator belongs to another grid or generator")
+    op = SemigroupOp(grid, params)
     r = grid.nodes
     sup0 = cfg.start_norm(u0)
     u = u0.values.astype(float).copy()
@@ -230,11 +223,11 @@ def _scan_forcing(grid: RadialGrid, params: ProblemParams,
     return raw.with_values(raw.values * (amplitude / mass))
 
 
-def _run_at_p(params: ProblemParams, p: float, op: SemigroupOp,
+def _run_at_p(params: ProblemParams, p: float, grid: RadialGrid,
               w: RadialField, cfg: BlowupConfig) -> SolveOutcome:
     pp = replace(params, p=p)
-    u0 = RadialField(op.grid, np.zeros(op.grid.m), float(pp.N))
-    return integrate_nonlinear(u0, w, pp, cfg, op=op)
+    u0 = RadialField(grid, np.zeros(grid.m), float(pp.N))
+    return integrate_nonlinear(u0, w, pp, cfg)
 
 
 def scan_threshold(params_base: ProblemParams, p_range: Tuple[float, float],
@@ -257,12 +250,11 @@ def scan_threshold(params_base: ProblemParams, p_range: Tuple[float, float],
         raise ValueError("need 1 < p_lo < p_hi and bracket_width > 0")
     g = grid if grid is not None else _default_scan_grid(params_base)
     w = _scan_forcing(g, params_base, forcing_amp)
-    op = SemigroupOp(g, params_base)
 
     rows: List[ScanRow] = []
 
     def classify(p: float) -> bool:
-        out = _run_at_p(params_base, p, op, w, cfg)
+        out = _run_at_p(params_base, p, g, w, cfg)
         t_rep = out.t_star if out.status == BLOWN_UP else out.t_end
         rows.append(ScanRow(p=p, outcome=out.status,
                             t_star_or_tmax=float(t_rep), max_norm=out.max_norm))
@@ -325,11 +317,10 @@ def calibrate_amplitude(params_base: ProblemParams, cfg: BlowupConfig,
                                   "got %g and %g" % (p_below, p_above))
     g = grid if grid is not None else _default_scan_grid(params_base)
     fast_cfg = replace(cfg, t_max=min(t_target, cfg.t_max))
-    op = SemigroupOp(g, params_base)
 
     def probe(p: float, amp: float, horizon_cfg: BlowupConfig) -> SolveOutcome:
         w = _scan_forcing(g, params_base, amp)
-        return _run_at_p(params_base, p, op, w, horizon_cfg)
+        return _run_at_p(params_base, p, g, w, horizon_cfg)
 
     amp = amp_start
     hot = None

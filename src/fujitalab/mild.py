@@ -26,7 +26,7 @@ capacity module's quintic ramp profiles.
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -108,35 +108,23 @@ class Trajectory:
         return np.array([float(np.max(np.abs(f.values))) for f in self.fields])
 
 
-def _lq(like: RadialField, q: float) -> Callable[[np.ndarray], float]:
-    """L^q norm of value arrays on like's grid and dimension, one measure.
-
-    Each norm repeats lq_norm's arithmetic bit for bit, and raises Overflow
-    where lq_norm would return inf.
-    """
-    if math.isinf(q):
-        return lambda values: float(np.abs(values).max(initial=0.0))
-    rpow = like.grid.nodes ** (like.dimension - 1.0)
-    cells = like.grid.cell_widths()
-    area = sphere_area(like.dimension)
-
-    @np.errstate(over="ignore")
-    def norm(values: np.ndarray) -> float:
-        value = (area * float(np.abs(values) ** q * rpow @ cells)) ** (1.0 / q)
-        if not math.isfinite(value):
-            raise Overflow("an L^%g norm overflowed" % q)
-        return value
-    return norm
+@np.errstate(over="ignore")
+def _norm(fld: RadialField, q: float) -> float:
+    """lq_norm, raising Overflow where it would return inf."""
+    value = lq_norm(fld, q)
+    if not math.isfinite(value):
+        raise Overflow("an L^%g norm overflowed" % q)
+    return value
 
 
 def x_distance(a: Trajectory, b: Trajectory, mu: float, r: float) -> float:
     """sup_j t_j^mu ||a_j - b_j||_{L^r} over the common time grid."""
     if a.times.size != b.times.size or np.any(a.times != b.times):
         raise ValueError("trajectories live on different time grids")
-    norm = _lq(a.fields[0], r)
     best = 0.0
     for t, fa, fb in zip(a.times, a.fields, b.fields):
-        best = max(best, t ** mu * norm(fa.values - fb.values))
+        d = _norm(fa.with_values(fa.values - fb.values), r)
+        best = max(best, t ** mu * d)
     return best
 
 
@@ -233,9 +221,8 @@ def _nonlinear_values(op: SemigroupOp, u_vals: Sequence[np.ndarray],
 
 def _linear_values(op: SemigroupOp, u0: RadialField,
                    w: Optional[RadialField], params: ProblemParams,
-                   times: np.ndarray, nsub: int
-                   ) -> Tuple[List[np.ndarray], Optional[List[np.ndarray]]]:
-    """S(t) u0 + H(t) at the stored times, and H(t) alone (None for w = 0)."""
+                   times: np.ndarray, nsub: int) -> List[np.ndarray]:
+    """S(t) u0 + H(t) at the stored times, as raw value arrays."""
     if np.any(u0.values != 0.0):
         s_parts = [f.values for f in
                    op.evolve_through(u0, list(times), substeps=nsub)]
@@ -244,17 +231,16 @@ def _linear_values(op: SemigroupOp, u0: RadialField,
     if w is not None and np.any(w.values != 0.0):
         src = op.grid.nodes ** (-params.sigma1) * w.values
         h_parts = _forcing_values(op, src, params.rho, times, nsub)
-        return [s + h for s, h in zip(s_parts, h_parts)], h_parts
-    return s_parts, None
+        return [s + h for s, h in zip(s_parts, h_parts)]
+    return s_parts
 
 
 def _wrap(u0: RadialField, times: np.ndarray, vals: List[np.ndarray],
           mu: float, r: float) -> Trajectory:
     fields = [u0.with_values(v) for v in vals]
-    norm = _lq(u0, r)
     xn = 0.0
-    for t, v in zip(times, vals):
-        xn = max(xn, t ** mu * norm(v))
+    for t, f in zip(times, fields):
+        xn = max(xn, t ** mu * _norm(f, r))
     return Trajectory(times=times, fields=fields, x_norm=xn)
 
 
@@ -271,8 +257,8 @@ def duhamel_forcing(w: RadialField, params: ProblemParams,
     times = np.asarray(t_grid, dtype=float)
     mu, r = _metric_for(params, cfg)
     zero = w.with_values(np.zeros_like(w.values))
-    vals, _ = _linear_values(SemigroupOp(w.grid, params), zero, w, params,
-                             times, cfg.duhamel_substeps)
+    vals = _linear_values(SemigroupOp(w.grid, params), zero, w, params, times,
+                          cfg.duhamel_substeps)
     return _wrap(w, times, vals, mu, r)
 
 
@@ -294,8 +280,8 @@ def picard_step(u_n: Trajectory, u0: RadialField, w: Optional[RadialField],
     mu, r = metric if metric is not None else _metric_for(params, cfg)
     theta = head_theta if head_theta is not None else -params.p * mu
     if linear is None:
-        lin_vals, _ = _linear_values(op, u0, w, params, times,
-                                     cfg.duhamel_substeps)
+        lin_vals = _linear_values(op, u0, w, params, times,
+                                  cfg.duhamel_substeps)
     else:
         lin_vals = [f.values for f in linear.fields]
     f_vals = _nonlinear_values(op, [f.values for f in u_n.fields], params,
@@ -369,8 +355,7 @@ def solve_global_small(u0: RadialField, w: Optional[RadialField],
     mu = derived_weights(params, r).mu
     times = _time_grid(cfg.t_max, cfg.n_times)
     op = SemigroupOp(u0.grid, params)
-    lin_vals, _ = _linear_values(op, u0, w, params, times,
-                                 cfg.duhamel_substeps)
+    lin_vals = _linear_values(op, u0, w, params, times, cfg.duhamel_substeps)
     linear = _wrap(u0, times, lin_vals, mu, r)
     u, diffs, ratios, converged = _iterate(linear, u0, w, params, cfg,
                                            -params.p * mu, (mu, r))
@@ -419,9 +404,14 @@ def solve_local_Lq(u0: RadialField, w: Optional[RadialField],
     op = SemigroupOp(u0.grid, params)
 
     probe_times = _time_grid(horizon_guess, cfg.n_times)
-    lin_probe, h_probe = _linear_values(op, u0, w, params, probe_times, nsub)
-    norm = _lq(u0, q)
-    m0 = max(norm(v) for v in lin_probe)
+    lin_probe = _linear_values(op, u0, None, params, probe_times, nsub)
+    h_probe = None
+    if w is not None and np.any(w.values != 0.0):
+        src = u0.grid.nodes ** (-params.sigma1) * w.values
+        h_probe = _forcing_values(op, src, params.rho, probe_times, nsub)
+        lin_probe = [s + h for s, h in zip(lin_probe, h_probe)]
+    lin_norms = np.array([_norm(u0.with_values(v), q) for v in lin_probe])
+    m0 = float(np.max(lin_norms))
     if m0 == 0.0:
         if np.any(u0.values != 0.0) or h_probe is not None:
             raise NumericalFailure(
@@ -434,7 +424,8 @@ def solve_local_Lq(u0: RadialField, w: Optional[RadialField],
     radius = 2.0 * m0
 
     f_probe = _nonlinear_values(op, lin_probe, params, probe_times, nsub, 0.0)
-    c1 = max(norm(v) / (t ** (1.0 - alpha) * m0 ** params.p)
+    c1 = max(_norm(u0.with_values(v), q)
+             / (t ** (1.0 - alpha) * m0 ** params.p)
              for t, v in zip(probe_times, f_probe))
     f_norm = 0.0
     c2 = 0.0
@@ -442,8 +433,9 @@ def solve_local_Lq(u0: RadialField, w: Optional[RadialField],
         if (params.rho + 1.0) * math.log(horizon_guess) > _LOG_MAX:
             raise Overflow("the forcing factor T^(rho+1) overflows at the "
                            "horizon guess %g" % horizon_guess)
-        f_norm = norm(u0.grid.nodes ** (-params.sigma1) * w.values)
-        c2 = max(norm(v) / (f_norm * t ** (params.rho + 1.0))
+        f_norm = _norm(u0.with_values(src), q)
+        c2 = max(_norm(u0.with_values(v), q)
+                 / (f_norm * t ** (params.rho + 1.0))
                  for t, v in zip(probe_times, h_probe))
 
     def closure(t_end: float) -> float:
@@ -469,7 +461,7 @@ def solve_local_Lq(u0: RadialField, w: Optional[RadialField],
         t_end = lo
 
     times = _time_grid(t_end, cfg.n_times)
-    lin_vals, _ = _linear_values(op, u0, w, params, times, nsub)
+    lin_vals = _linear_values(op, u0, w, params, times, nsub)
     linear = _wrap(u0, times, lin_vals, 0.0, q)
     u, diffs, ratios, converged = _iterate(linear, u0, w, params, cfg, 0.0,
                                            (0.0, q))

@@ -137,14 +137,30 @@ class RadialGrid:
         return float(self.nodes[-1])
 
     def cell_widths(self) -> np.ndarray:
-        """Trapezoid weights: half-cells at both ends, midpoint cells inside."""
-        r = self.nodes
-        w = np.empty_like(r)
-        h = np.diff(r)
-        w[0] = 0.5 * h[0]
-        w[-1] = 0.5 * h[-1]
-        w[1:-1] = 0.5 * (h[:-1] + h[1:])
+        """Trapezoid weights: half-cells at both ends, midpoint cells inside.
+
+        Computed once per grid and returned read-only.
+        """
+        w = self.__dict__.get("_cells")
+        if w is None:
+            r = self.nodes
+            w = np.empty_like(r)
+            h = np.diff(r)
+            w[0] = 0.5 * h[0]
+            w[-1] = 0.5 * h[-1]
+            w[1:-1] = 0.5 * (h[:-1] + h[1:])
+            w.flags.writeable = False
+            object.__setattr__(self, "_cells", w)
         return w
+
+    def power(self, a: float) -> np.ndarray:
+        """r^a at the nodes, read-only; the last exponent asked for is kept."""
+        kept = self.__dict__.get("_power")
+        if kept is None or kept[0] != a:
+            kept = (a, self.nodes ** a)
+            kept[1].flags.writeable = False
+            object.__setattr__(self, "_power", kept)
+        return kept[1]
 
 
 @dataclass(frozen=True)
@@ -185,16 +201,14 @@ def lq_norm(fld: RadialField, q: float, weight: float = 0.0) -> float:
     v = np.abs(fld.values)
     if math.isinf(q):
         return float(v.max(initial=0.0))
-    r = fld.grid.nodes
-    dens = v ** q * r ** (fld.dimension - 1.0 + weight)
+    dens = v ** q * fld.grid.power(fld.dimension - 1.0 + weight)
     total = sphere_area(fld.dimension) * float(dens @ fld.grid.cell_widths())
     return total ** (1.0 / q)
 
 
 def weighted_integral(fld: RadialField, weight: float = 0.0) -> float:
     """Signed integral omega_{N-1} int u(r) r^(N-1+weight) dr (no absolute value)."""
-    r = fld.grid.nodes
-    dens = fld.values * r ** (fld.dimension - 1.0 + weight)
+    dens = fld.values * fld.grid.power(fld.dimension - 1.0 + weight)
     return sphere_area(fld.dimension) * float(dens @ fld.grid.cell_widths())
 
 

@@ -188,7 +188,7 @@ class SemigroupOp:
     def evolve_values(self, values: np.ndarray, t: float,
                       substeps: Optional[int] = None,
                       scheme: Optional[str] = None) -> np.ndarray:
-        """Array-level apply(), used by the solvers to avoid field wrapping."""
+        """Array-level apply(); public API with no solver caller in the package."""
         return self._march(values, t, substeps, scheme)
 
     def evolve_through(self, source: RadialField, t_list: Sequence[float],

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fujitalab import blowup, radial, semigroup
+from fujitalab import blowup, radial
 from fujitalab.errors import NoBracket
 from fujitalab.exponents import ProblemParams, critical_forced
 
@@ -155,23 +155,6 @@ def test_scan_straddles_threshold_in_weighted_case():
     rep = blowup.scan_threshold(params, (1.25, 3.5), amp, cfg, grid=grid)
     lo, hi = rep.bracket
     assert lo - 0.3 < 2.0 < hi + 0.3
-
-
-def test_runs_sharing_an_operator_match_fresh_runs():
-    # L does not depend on p, so scans pass one operator to every probe;
-    # its kept factors must not change a single bit of any outcome
-    g = _grid()
-    w = _forcing(g, 4.0)
-    cfg = blowup.BlowupConfig(dt_init=5e-3, t_max=5.0)
-    shared = semigroup.SemigroupOp(g, _params())
-    for p in (1.5, 2.5, 1.5):
-        u0 = radial.RadialField(g, np.zeros(g.m), 3.0)
-        fresh = blowup.integrate_nonlinear(u0, w, _params(p=p), cfg)
-        reused = blowup.integrate_nonlinear(u0, w, _params(p=p), cfg,
-                                            op=shared)
-        assert reused == fresh
-    with pytest.raises(ValueError):
-        blowup.integrate_nonlinear(u0, w, _params(s1=-0.5), cfg, op=shared)
 
 
 def test_calibration_fails_when_nothing_ignites():

@@ -15,8 +15,8 @@ DEMOS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), os.pardir,
                                       "demos", "*.py")))
 
 
-def test_there_are_seven_demos():
-    assert len(DEMOS) == 7
+def test_demos_are_found():
+    assert DEMOS
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=os.path.basename)

@@ -162,16 +162,22 @@ def test_trajectory_validation():
 
 
 @pytest.mark.parametrize("dimension", [3.0, 2.6])
-def test_cached_measure_norms_are_bitwise_lq_norm(dimension):
+def test_norms_on_cached_grid_measures_are_bitwise_the_formula(dimension):
+    # lq_norm takes r^(d-1) and the cell widths from the grid's caches; the
+    # solvers' norms must still be the trapezoid formula bit for bit
     g = _grid(128)
     rng = np.random.default_rng(7)
     like = radial.RadialField(g, np.zeros(g.m), dimension)
     times = np.geomspace(0.01, 1.0, 6)
     vals = [rng.standard_normal(g.m) * 10.0 ** k for k in range(-3, 3)]
-    for q in (1.0, 2.0, 4.0, 7.5, math.inf):
-        norm = mild._lq(like, q)
-        want = [radial.lq_norm(like.with_values(v), q) for v in vals]
-        assert [norm(v) for v in vals] == want
+    cells = g.cell_widths()
+    assert g.cell_widths() is cells and not cells.flags.writeable
+    for q in (1.0, 2.0, 4.0, 7.5):
+        g.power(0.5)    # evict the kept measure
+        want = [(radial.sphere_area(dimension)
+                 * float(np.abs(v) ** q * g.nodes ** (dimension - 1.0)
+                         @ cells)) ** (1.0 / q) for v in vals]
+        assert [radial.lq_norm(like.with_values(v), q) for v in vals] == want
         traj = mild._wrap(like, times, vals, 0.0, q)
         assert traj.x_norm == max(want)
         zero = mild._wrap(like, times, [0.0 * v for v in vals], 0.0, q)
