@@ -32,7 +32,7 @@ print()
 # evolve the weighted problem directly, then check the transported form
 # ---------------------------------------------------------------------------
 
-grid = RadialGrid.log_spaced(30.0, 512, r_min=0.003, sigma1=params.sigma1)
+grid = RadialGrid.log_spaced(30.0, 512, r_min=0.003)
 u0 = field_from_callable(grid, gaussian_profile(0.0, 1.0, 0.5), 3.0)
 w = field_from_callable(grid, bump_profile(1.0, 0.5), 3.0)
 

@@ -28,7 +28,7 @@ print("plain smoothing, N=3, borderline datum, t in [1, 10]")
 print("%6s %10s %12s %12s %8s" % ("s1", "(a, b)", "fitted", "theory", "err"))
 for s1 in (0.0, -0.5, -1.0):
     params = ProblemParams(N=3, sigma1=s1, sigma2=0.0, rho=0.0, p=2.0)
-    grid = RadialGrid.log_spaced(80.0, 1024, sigma1=s1)
+    grid = RadialGrid.log_spaced(80.0, 1024)
     op = SemigroupOp(grid, params)
     for a, b in ((2.0, 4.0), (3.0, 6.0)):
         src = field_from_callable(grid, powerlaw_profile(3.0 / a), 3.0)
@@ -60,8 +60,7 @@ print()
 print("dilation identity, lam=2, t=0.1")
 for s1 in (0.0, -1.0):
     params = ProblemParams(N=3, sigma1=s1, sigma2=0.0, rho=0.0, p=2.0)
-    grid = RadialGrid.log_commensurate(30.0, 2048, lam=2.0, r_min=2e-3,
-                                       sigma1=s1)
+    grid = RadialGrid.log_commensurate(30.0, 2048, lam=2.0, r_min=2e-3)
     op = SemigroupOp(grid, params)
     src = field_from_callable(grid, gaussian_profile(0.0, 1.0, 1.0), 3.0)
     disc = scaling_identity_check(op, 2.0, 0.1, src, substeps=32)

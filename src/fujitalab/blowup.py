@@ -20,11 +20,11 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import HypothesisViolation, NoBracket, StepFailure
+from .errors import HypothesisViolation, NoBracket, Overflow, StepFailure
 from .exponents import ProblemParams, critical_forced, require_valid
 from .radial import (RadialField, RadialGrid, bump_profile,
                      field_from_callable, sphere_area)
@@ -84,6 +84,7 @@ class SolveOutcome:
         return self.status == BLOWN_UP
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def integrate_nonlinear(u0: RadialField, w: Optional[RadialField],
                         params: ProblemParams, cfg: BlowupConfig,
                         sample_times: Optional[Sequence[float]] = None) -> SolveOutcome:
@@ -98,18 +99,18 @@ def integrate_nonlinear(u0: RadialField, w: Optional[RadialField],
     norm or go non-finite are retried at half size; accepted steps let dt
     recover by a factor 1.2 up to ten times the initial size.  Snapshots
     are taken exactly at the requested times by clamping the step there.
+    An overflowing trial is a rejected step, so numpy's overflow warnings
+    are off for the run; an overflowing weight or forcing raises Overflow.
     """
     require_valid(params)
-    grid = u0.grid
-    op = SemigroupOp(grid, params)
-    r = grid.nodes
+    op = SemigroupOp(u0.grid, params)
     sup0 = cfg.start_norm(u0)
     u = u0.values.astype(float).copy()
 
     w_weighted = None
     if w is not None:
-        w_weighted = r ** (-params.sigma1) * w.values
-    power_weight = r ** (params.sigma2 - params.sigma1)
+        w_weighted = op.time_weight * w.values
+    power_weight = op.weight(params.sigma2 - params.sigma1)
     rho1 = params.rho + 1.0
 
     requested = [] if sample_times is None else list(sample_times)
@@ -133,7 +134,11 @@ def integrate_nonlinear(u0: RadialField, w: Optional[RadialField],
         rhs = un + h * power_weight * np.abs(un) ** params.p
         injected = 0.0
         if w_weighted is not None:
-            cn = ((tn + h) ** rho1 - tn ** rho1) / rho1
+            try:
+                cn = ((tn + h) ** rho1 - tn ** rho1) / rho1
+            except OverflowError:
+                raise Overflow("the forcing factor t^(rho+1) overflows at "
+                               "t=%g" % (tn + h)) from None
             rhs = rhs + cn * w_weighted
             injected = cn * w_sup
         try:
@@ -207,9 +212,8 @@ class ScanReport:
 SCAN_CSV_COLUMNS = ["p", "outcome", "t_star_or_Tmax", "max_norm"]
 
 
-def _default_scan_grid(params: ProblemParams, m: int = 384) -> RadialGrid:
-    return RadialGrid.log_spaced(30.0, m, r_min=1e-3 * 30.0,
-                                 sigma1=params.sigma1)
+def _default_scan_grid(m: int = 384) -> RadialGrid:
+    return RadialGrid.log_spaced(30.0, m, r_min=1e-3 * 30.0)
 
 
 def _scan_forcing(grid: RadialGrid, params: ProblemParams,
@@ -248,7 +252,7 @@ def scan_threshold(params_base: ProblemParams, p_range: Tuple[float, float],
     p_lo, p_hi = (float(p_range[0]), float(p_range[1]))
     if not (1.0 < p_lo < p_hi and bracket_width > 0.0):
         raise ValueError("need 1 < p_lo < p_hi and bracket_width > 0")
-    g = grid if grid is not None else _default_scan_grid(params_base)
+    g = grid if grid is not None else _default_scan_grid()
     w = _scan_forcing(g, params_base, forcing_amp)
 
     rows: List[ScanRow] = []
@@ -315,7 +319,7 @@ def calibrate_amplitude(params_base: ProblemParams, cfg: BlowupConfig,
     if not (1.0 < p_below < p_above):
         raise HypothesisViolation("calibration needs 1 < p_below < p_above, "
                                   "got %g and %g" % (p_below, p_above))
-    g = grid if grid is not None else _default_scan_grid(params_base)
+    g = grid if grid is not None else _default_scan_grid()
     fast_cfg = replace(cfg, t_max=min(t_target, cfg.t_max))
 
     def probe(p: float, amp: float, horizon_cfg: BlowupConfig) -> SolveOutcome:

@@ -36,7 +36,7 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ConditionViolation, PoorFit, QuadratureFailure
-from .exponents import ProblemParams, require_valid
+from .exponents import ProblemParams, critical_forced, require_valid
 from .radial import sphere_area
 from .semigroup import SlopeFit
 
@@ -507,7 +507,7 @@ def log_capacity_fit(params: ProblemParams,
                                  "unforced-exponent case rho = 0")
     if params.N < 3:
         raise ConditionViolation("log-cutoff capacity needs N >= 3")
-    p_critical = (params.N + params.sigma2) / (params.N - 2.0)
+    p_critical = critical_forced(params)
     if abs(params.p - p_critical) > 1e-9 * max(1.0, abs(p_critical)):
         raise ConditionViolation(
             "log-cutoff capacity applies at the critical power %.12g, "

@@ -22,7 +22,7 @@ import math
 import os
 import sys
 from contextlib import contextmanager
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -79,10 +79,8 @@ def _grid_for(cfg: ExperimentConfig) -> RadialGrid:
     # cell measures r^(N-1) dr and the weight r^(-s1), s1 > -2, stay finite
     if (cfg.params.N + 2) * math.log10(max(r_max, 1.0)) > _LOG10_MAX:
         raise ValueError("grid_r_max %g overflows r^(N+2)" % r_max)
-    return RadialGrid.log_spaced(
-        r_max, m=cfg.options["grid_m"],
-        r_min=(None if r_min == 0.0 else r_min),
-        sigma1=cfg.params.sigma1)
+    return RadialGrid.log_spaced(r_max, m=cfg.options["grid_m"],
+                                 r_min=(None if r_min == 0.0 else r_min))
 
 
 def _field(cfg: ExperimentConfig, key: str, grid: RadialGrid) -> RadialField:
@@ -312,6 +310,8 @@ def _run_local_solve(cfg: ExperimentConfig, out_dir: str) -> None:
         mcfg = MildConfig(picard_tol=cfg.options["picard_tol"],
                           max_picard=cfg.options["max_picard"],
                           n_times=cfg.options["n_times"])
+        if not cfg.options["horizon"] > 0.0:
+            raise ValueError("horizon must be positive")
     sol = solve_local_Lq(u0, w, cfg.params, q, cfg.options["horizon"], mcfg)
     path = _out_path(out_dir, "local_trajectory.csv")
     _write_csv(path, TRAJECTORY_CSV_COLUMNS,

@@ -388,16 +388,12 @@ def classify_regime(params: ProblemParams, w_mass_sign: int = 1) -> Regime:
     positive = w_mass_sign > 0
     if params.rho > 0.0:
         return Regime.NO_GLOBAL_RHO_POSITIVE if positive else Regime.UNCLASSIFIED
+    p_star = critical_forced(params)
     if params.rho == 0.0:
-        if params.N == 2:
-            threshold = math.inf
-        else:
-            threshold = (params.N + params.sigma2) / (params.N - 2.0)
-        if positive and params.p <= threshold:
+        if positive and params.p <= p_star:
             return Regime.NO_GLOBAL_CRITICAL_RHO_ZERO
         return Regime.UNCLASSIFIED
     # -1 < rho < 0 from here on
-    p_star = critical_forced(params)
     if params.p < p_star and positive:
         return Regime.NO_GLOBAL_SUBCRITICAL
     if params.p > p_star:

@@ -189,10 +189,7 @@ def _nonlinear_values(op: SemigroupOp, u_vals: Sequence[np.ndarray],
     """
     if head_theta <= -1.0:
         raise ValueError("head cell diverges for exponent %g" % head_theta)
-    with np.errstate(over="ignore"):
-        wgt = op.grid.nodes ** (params.sigma2 - params.sigma1)
-    if not np.isfinite(wgt).all():
-        raise Overflow("the weight r^(s2-s1) overflowed")
+    wgt = op.weight(params.sigma2 - params.sigma1)
     p = params.p
 
     @np.errstate(over="ignore")
@@ -229,7 +226,7 @@ def _linear_values(op: SemigroupOp, u0: RadialField,
     else:
         s_parts = [np.zeros_like(u0.values) for _ in times]
     if w is not None and np.any(w.values != 0.0):
-        src = op.grid.nodes ** (-params.sigma1) * w.values
+        src = op.time_weight * w.values
         h_parts = _forcing_values(op, src, params.rho, times, nsub)
         return [s + h for s, h in zip(s_parts, h_parts)]
     return s_parts
@@ -407,7 +404,10 @@ def solve_local_Lq(u0: RadialField, w: Optional[RadialField],
     lin_probe = _linear_values(op, u0, None, params, probe_times, nsub)
     h_probe = None
     if w is not None and np.any(w.values != 0.0):
-        src = u0.grid.nodes ** (-params.sigma1) * w.values
+        if (params.rho + 1.0) * math.log(horizon_guess) > _LOG_MAX:
+            raise Overflow("the forcing factor T^(rho+1) overflows at the "
+                           "horizon guess %g" % horizon_guess)
+        src = op.time_weight * w.values
         h_probe = _forcing_values(op, src, params.rho, probe_times, nsub)
         lin_probe = [s + h for s, h in zip(lin_probe, h_probe)]
     lin_norms = np.array([_norm(u0.with_values(v), q) for v in lin_probe])
@@ -430,13 +430,14 @@ def solve_local_Lq(u0: RadialField, w: Optional[RadialField],
     f_norm = 0.0
     c2 = 0.0
     if h_probe is not None:
-        if (params.rho + 1.0) * math.log(horizon_guess) > _LOG_MAX:
-            raise Overflow("the forcing factor T^(rho+1) overflows at the "
-                           "horizon guess %g" % horizon_guess)
         f_norm = _norm(u0.with_values(src), q)
-        c2 = max(_norm(u0.with_values(v), q)
-                 / (f_norm * t ** (params.rho + 1.0))
-                 for t, v in zip(probe_times, h_probe))
+        with np.errstate(all="ignore"):
+            c2 = float(np.max([_norm(u0.with_values(v), q)
+                               / (f_norm * t ** (params.rho + 1.0))
+                               for t, v in zip(probe_times, h_probe)]))
+        if not math.isfinite(c2):
+            raise Overflow("the forcing constant C2 is not finite on the "
+                           "probe times")
 
     def closure(t_end: float) -> float:
         value = c1 * t_end ** (1.0 - alpha) * radius ** params.p

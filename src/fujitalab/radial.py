@@ -1,10 +1,11 @@
 """Radial grids, radial fields and weighted Lebesgue norms.
 
 Radially symmetric functions on R^N are represented by their nodal values
-on a one-dimensional grid 0 < r_1 < ... < r_M.  The default grid is
-uniform in log r, which resolves both the origin (where the degenerate
-diffusivity |x|^(-s1) lives) and the far field with the same relative
-resolution.  Norms are weighted Lebesgue norms
+on a one-dimensional grid 0 < r_1 < ... < r_M; the equation's radial
+weights belong to the operator (semigroup.SemigroupOp.weight), not to the
+grid.  The default grid is uniform in log r, which resolves both the
+origin (where the degenerate diffusivity |x|^(-s1) lives) and the far
+field with the same relative resolution.  Norms are weighted Lebesgue norms
 
     ||u||_{q,w} = ( omega_{N-1} * int |u(r)|^q r^(N-1+w) dr )^(1/q),
 
@@ -16,7 +17,7 @@ schemes, so discrete mass bookkeeping is exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -34,10 +35,6 @@ __all__ = [
     "field_from_callable",
 ]
 
-SPACING_UNIFORM = "uniform"
-SPACING_LOG = "uniform-in-log"
-SPACING_MAPPED = "mapped"
-
 
 def sphere_area(dimension: float) -> float:
     """Surface measure of the unit sphere in dimension d: 2 pi^(d/2)/Gamma(d/2).
@@ -48,27 +45,11 @@ def sphere_area(dimension: float) -> float:
     return 2.0 * math.pi ** (dimension / 2.0) / math.gamma(dimension / 2.0)
 
 
-def _detect_spacing(nodes: np.ndarray) -> str:
-    d = np.diff(nodes)
-    if np.allclose(d, d[0], rtol=1e-9, atol=0.0):
-        return SPACING_UNIFORM
-    dl = np.diff(np.log(nodes))
-    if np.allclose(dl, dl[0], rtol=1e-9, atol=0.0):
-        return SPACING_LOG
-    return SPACING_MAPPED
-
-
 @dataclass(frozen=True)
 class RadialGrid:
-    """Strictly increasing positive radial nodes with a spacing tag.
-
-    ``sigma1`` records the degeneracy weight the grid was built to resolve;
-    it is bookkeeping only and does not enter any computation here.
-    """
+    """At least 16 increasing positive nodes; caches cell widths and powers."""
 
     nodes: np.ndarray
-    spacing: str = SPACING_MAPPED
-    sigma1: float = 0.0
 
     def __post_init__(self):
         r = np.asarray(self.nodes, dtype=float)
@@ -79,8 +60,8 @@ class RadialGrid:
         object.__setattr__(self, "nodes", r)
 
     @staticmethod
-    def log_spaced(r_max: float, m: int = 1024, r_min: float = None,
-                   sigma1: float = 0.0) -> "RadialGrid":
+    def log_spaced(r_max: float, m: int = 1024,
+                   r_min: float = None) -> "RadialGrid":
         """Log-uniform grid on [r_min, r_max]; r_min defaults to 1e-4 * r_max."""
         if r_min is None:
             r_min = 1e-4 * r_max
@@ -89,11 +70,11 @@ class RadialGrid:
                              % (r_min, r_max))
         nodes = np.geomspace(r_min, r_max, m)
         nodes[-1] = r_max
-        return RadialGrid(nodes, SPACING_LOG, sigma1)
+        return RadialGrid(nodes)
 
     @staticmethod
     def log_commensurate(r_max: float, m: int = 1024, lam: float = 2.0,
-                         r_min: float = None, sigma1: float = 0.0) -> "RadialGrid":
+                         r_min: float = None) -> "RadialGrid":
         """Log-uniform grid whose step divides log(lam) exactly.
 
         On such a grid the dilation r -> lam * r is an integer shift of the
@@ -112,21 +93,7 @@ class RadialGrid:
         mm = int(math.ceil(span / h - 1e-12)) + 1
         nodes = r_max * np.exp(-h * np.arange(mm - 1, -1, -1))
         nodes[-1] = r_max
-        return RadialGrid(nodes, SPACING_LOG, sigma1)
-
-    @staticmethod
-    def uniform(r_max: float, m: int = 1024, r_min: float = None,
-                sigma1: float = 0.0) -> "RadialGrid":
-        """Uniformly spaced grid on [r_min, r_max]."""
-        if r_min is None:
-            r_min = r_max / m
-        nodes = np.linspace(r_min, r_max, m)
-        return RadialGrid(nodes, SPACING_UNIFORM, sigma1)
-
-    @staticmethod
-    def from_nodes(nodes, sigma1: float = 0.0) -> "RadialGrid":
-        nodes = np.asarray(nodes, dtype=float)
-        return RadialGrid(nodes, _detect_spacing(nodes), sigma1)
+        return RadialGrid(nodes)
 
     @property
     def m(self) -> int:
@@ -223,6 +190,7 @@ def gaussian_profile(center: float, width: float,
         raise ValueError("gaussian width %g must be positive, and 2 width^2 "
                          "must not underflow to 0" % width)
 
+    @np.errstate(over="ignore")     # far from the center exp(-inf) = 0
     def f(r):
         r = np.asarray(r, dtype=float)
         return amplitude * np.exp(-((r - center) ** 2) / (2.0 * width * width))
@@ -266,6 +234,7 @@ def powerlaw_profile(decay: float,
     its evolution under the degenerate semigroup realizes the L^a -> L^b
     smoothing rate as an exact power law in t.
     """
+    @np.errstate(over="ignore", invalid="ignore")   # non-finite, no warning
     def f(r):
         r = np.asarray(r, dtype=float)
         return amplitude * r ** (-decay)

@@ -10,13 +10,13 @@ boundary (zero ghost value beyond r_max).  The telescoping flux sum makes
 the weighted mass  int r^(N-1+s1) u dr  exact up to the outer boundary
 flux, so compactly supported data conserve mass to rounding error.
 
-Time stepping is implicit Euler (first order, inverse-positive: the step
-matrix is an M-matrix, so nonnegative data stay nonnegative) or
-Crank-Nicolson (second order, A-stable).  Both reduce to one tridiagonal
-solve per step: Crank-Nicolson (I - dt/2 L)^-1 (I + dt/2 L) u is
-2 (I - dt/2 L)^-1 u - u.  Each step size is factored once (LAPACK gttrf)
-and its factors are reused (gttrs) for every later step of that size;
-both are bound at the first factorisation, not at import time.
+Time stepping is Crank-Nicolson (second order, A-stable), after implicit
+Euler (first order; the step matrix is an M-matrix, so nonnegative data
+stay nonnegative) on the first interval of ``evolve_through``.  Both are
+one tridiagonal solve per step: Crank-Nicolson is 2 (I - dt/2 L)^-1 u - u.
+Each step size is factored once (LAPACK gttrf) and its factors are reused
+(gttrs) for every later step of that size; both are bound at the first
+factorisation, not at import time.
 
 The module also carries the three certification studies used by the
 acceptance experiments:
@@ -38,9 +38,9 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ConditionViolation, StepFailure
+from .errors import ConditionViolation, Overflow, StepFailure
 from .exponents import ProblemParams, require_valid
-from .radial import SPACING_LOG, RadialField, RadialGrid, lq_norm
+from .radial import RadialField, RadialGrid, lq_norm
 
 __all__ = [
     "SemigroupOp",
@@ -52,9 +52,6 @@ __all__ = [
     "sample_log",
 ]
 
-SCHEME_IE = "implicit-euler"
-SCHEME_CN = "crank-nicolson"
-
 _SUBSTEPS = 32      # equal steps of a march that does not name its count
 dgttrf = dgttrs = None      # scipy.linalg.lapack, bound at first factorisation
 
@@ -63,8 +60,9 @@ dgttrf = dgttrs = None      # scipy.linalg.lapack, bound at first factorisation
 class SemigroupOp:
     """Evolution operator S(t) = exp(t |x|^(-s1) Lap) on a radial grid.
 
-    The operator matrix is assembled once at construction; the LU factors
-    of I - dt L are kept for the last dt solved with.
+    The operator owns the radial weights of the equation (``weight``).  Its
+    matrix and ``time_weight`` = r^(-s1) are assembled once at construction;
+    the LU factors of I - dt L are kept for the last dt solved with.
     """
 
     grid: RadialGrid
@@ -73,21 +71,21 @@ class SemigroupOp:
     def __post_init__(self):
         require_valid(self.params)
         r = self.grid.nodes
-        n, s1 = float(self.params.N), self.params.sigma1
+        n = float(self.params.N)
         h = np.diff(r)
         rmid = 0.5 * (r[:-1] + r[1:])
         cond = rmid ** (n - 1.0) / h          # conductance across interior faces
 
-        # ghost node beyond r_max at the last spacing, value pinned to zero
+        # ghost node beyond r_max at the last step width, value pinned to zero
         h_gh = h[-1]
         cond_gh = (r[-1] + 0.5 * h_gh) ** (n - 1.0) / h_gh
 
-        cells = np.empty_like(r)
-        cells[0] = 0.5 * h[0]
-        cells[1:-1] = 0.5 * (h[:-1] + h[1:])
+        # the grid's trapezoid cells, the last one widened to the ghost
+        cells = self.grid.cell_widths().copy()
         cells[-1] = 0.5 * (h[-1] + h_gh)
 
-        scale = r ** (-s1) / (r ** (n - 1.0) * cells)
+        self.time_weight = self.weight(-self.params.sigma1)
+        scale = self.time_weight / (r ** (n - 1.0) * cells)
         lo = np.zeros_like(r)
         up = np.zeros_like(r)
         di = np.zeros_like(r)
@@ -97,9 +95,17 @@ class SemigroupOp:
         di[1:-1] = -scale[1:-1] * (cond[:-1] + cond[1:])
         di[-1] = -scale[-1] * (cond[-1] + cond_gh)
         self._lo, self._di, self._up = lo, di, up
-        self._cells = cells
         self._lu_dt: Optional[float] = None
         self._lu: Tuple[np.ndarray, ...] = ()
+
+    def weight(self, a: float) -> np.ndarray:
+        """r^a at the nodes; raises Overflow, not a numpy warning, where a
+        value leaves the float range."""
+        with np.errstate(over="ignore"):
+            out = self.grid.nodes ** a
+        if not np.isfinite(out).all():
+            raise Overflow("the grid weight r^(%g) overflows" % a)
+        return out
 
     # -- low-level pieces ---------------------------------------------------
 
@@ -142,14 +148,14 @@ class SemigroupOp:
         return x
 
     def _march(self, values: np.ndarray, t: float, substeps: Optional[int],
-               scheme: Optional[str]) -> np.ndarray:
-        # substeps equal steps, Crank-Nicolson unless scheme is SCHEME_IE
+               implicit_euler: bool = False) -> np.ndarray:
+        # substeps equal steps, Crank-Nicolson unless implicit_euler
         n = _SUBSTEPS if substeps is None else int(substeps)
         if t == 0.0 or n == 0:
             return values.copy()
         dt = t / n
         u = values.copy()
-        if scheme == SCHEME_IE:
+        if implicit_euler:
             for _ in range(n):
                 u = self.implicit_solve(u, dt)
         else:
@@ -178,18 +184,17 @@ class SemigroupOp:
 
     # -- public API ----------------------------------------------------------
 
-    def apply(self, fld: RadialField, t: float, substeps: Optional[int] = None,
-              scheme: Optional[str] = None) -> RadialField:
-        """Evolve a field by time t >= 0 (Crank-Nicolson by default)."""
+    def apply(self, fld: RadialField, t: float,
+              substeps: Optional[int] = None) -> RadialField:
+        """Evolve a field by time t >= 0 with Crank-Nicolson substeps."""
         if t < 0.0:
             raise ValueError("cannot evolve backwards, t=%g" % t)
-        return fld.with_values(self._march(fld.values, t, substeps, scheme))
+        return fld.with_values(self._march(fld.values, t, substeps))
 
     def evolve_values(self, values: np.ndarray, t: float,
-                      substeps: Optional[int] = None,
-                      scheme: Optional[str] = None) -> np.ndarray:
+                      substeps: Optional[int] = None) -> np.ndarray:
         """Array-level apply(); public API with no solver caller in the package."""
-        return self._march(values, t, substeps, scheme)
+        return self._march(values, t, substeps)
 
     def evolve_through(self, source: RadialField, t_list: Sequence[float],
                        substeps: Optional[int] = None) -> List[RadialField]:
@@ -207,8 +212,7 @@ class SemigroupOp:
         u = source.values.copy()
         t_prev = 0.0
         for k, t in enumerate(ts):
-            scheme = SCHEME_IE if k == 0 else SCHEME_CN
-            u = self._march(u, t - t_prev, substeps, scheme)
+            u = self._march(u, t - t_prev, substeps, implicit_euler=k == 0)
             out.append(source.with_values(u))
             t_prev = t
         return out
@@ -309,8 +313,7 @@ def weighted_smoothing_check(op: SemigroupOp, q1: float, q2: float,
             "mid=%g edge=%g" % (1.0 / q2, mid, edge))
     a_depth = op.params.diffusion_depth
     theory = -(n / a_depth) * (1.0 / q1 - 1.0 / q2) - gamma / a_depth
-    weighted = source.with_values(
-        source.values * op.grid.nodes ** (-gamma))
+    weighted = source.with_values(source.values * op.weight(-gamma))
     fields = op.evolve_through(weighted, t_list)
     norms = np.array([lq_norm(f, q2) for f in fields])
     return SlopeFit.from_loglog(t_list, norms, theory)
@@ -330,6 +333,14 @@ def sample_log(fld: RadialField, radii: np.ndarray) -> np.ndarray:
     out = np.interp(np.log(radii), np.log(r), fld.values,
                     left=float(fld.values[0]), right=0.0)
     out = np.where(radii > r[-1], 0.0, out)
+    return out
+
+
+def _shift(values: np.ndarray, k: int) -> np.ndarray:
+    """values[i + k] at node i: flat below the first node, zero past the last."""
+    idx = np.arange(values.size) + k
+    out = values[np.clip(idx, 0, values.size - 1)]
+    out[idx >= values.size] = 0.0
     return out
 
 
@@ -360,34 +371,20 @@ def scaling_identity_check(op: SemigroupOp, lam: float, t: float,
         raise ValueError("dilation factor must be positive")
     r = op.grid.nodes
     shift = None
-    if op.grid.spacing == SPACING_LOG and r.size > 1:
+    steps = np.diff(np.log(r))
+    if np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
         h = math.log(r[-1] / r[0]) / (r.size - 1)
         ratio = abs(math.log(lam)) / h
         k = round(ratio)
         if 1 <= k <= r.size - 8 and abs(ratio - k) <= 1e-8 * max(1.0, ratio):
             shift = k if lam > 1.0 else -k
 
-    if shift is not None and shift > 0:
-        vals = source.values
-        dil = np.zeros_like(vals)
-        dil[:-shift] = vals[shift:]
-        evolved = op.apply(source.with_values(dil), t, substeps=substeps)
-        lhs = np.empty_like(vals)
-        lhs[shift:] = evolved.values[:-shift]
-        lhs[:shift] = evolved.values[0]
-    elif shift is not None and shift < 0:
-        k = -shift
-        vals = source.values
-        dil = np.empty_like(vals)
-        dil[k:] = vals[:-k]
-        dil[:k] = vals[0]
-        evolved = op.apply(source.with_values(dil), t, substeps=substeps)
-        lhs = np.zeros_like(vals)
-        lhs[:-k] = evolved.values[k:]
+    if shift is not None:
+        dilated = source.with_values(_shift(source.values, shift))
+        lhs = _shift(op.apply(dilated, t, substeps=substeps).values, -shift)
     else:
         dilated = source.with_values(sample_log(source, lam * r))
-        evolved = op.apply(dilated, t, substeps=substeps)
-        lhs = sample_log(evolved, r / lam)
+        lhs = sample_log(op.apply(dilated, t, substeps=substeps), r / lam)
     t_scaled = lam ** op.params.diffusion_depth * t
     rhs = op.apply(source, t_scaled, substeps=substeps).values
 

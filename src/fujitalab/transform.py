@@ -23,13 +23,12 @@ against the transformed equation with centered differences.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, List, Sequence
 
 import numpy as np
 
-from .errors import DegenerateTransform, InsufficientResolution
+from .errors import DegenerateTransform, InsufficientResolution, Overflow
 from .exponents import ProblemParams, require_valid
 from .radial import RadialField, RadialGrid
 
@@ -88,18 +87,12 @@ def to_transformed(fld: RadialField, params: ProblemParams, t: float = None):
     """Map a radial field (and optionally its time) to transformed variables.
 
     Returns ``field_s`` or ``(field_s, tau)`` when a time is given.  Values
-    are carried pointwise: v(s(r)) = u(r).  The output grid keeps the
-    spacing tag of the input when that tag stays truthful (a log grid maps
-    to a log grid); otherwise it is marked as mapped.  The output field's
+    are carried pointwise: v(s(r)) = u(r), on the nodes s(r_i); s is a
+    power of r, so a log grid maps to a log grid.  The output field's
     dimension is the effective Nbar.
     """
     tp = transform_params(params)
-    s_nodes = _s_of_r(fld.grid.nodes, tp)
-    if fld.grid.spacing == "uniform-in-log" or tp.theta == 1.0:
-        spacing = fld.grid.spacing
-    else:
-        spacing = "mapped"
-    grid_s = RadialGrid(s_nodes, spacing, sigma1=0.0)
+    grid_s = RadialGrid(_s_of_r(fld.grid.nodes, tp))
     out = RadialField(grid_s, fld.values.copy(), tp.nbar)
     if t is None:
         return out
@@ -109,12 +102,7 @@ def to_transformed(fld: RadialField, params: ProblemParams, t: float = None):
 def from_transformed(fld: RadialField, params: ProblemParams, tau: float = None):
     """Inverse of :func:`to_transformed`; round-trips to rounding error."""
     tp = transform_params(params)
-    r_nodes = _r_of_s(fld.grid.nodes, tp)
-    if fld.grid.spacing == "uniform-in-log" or tp.theta == 1.0:
-        spacing = fld.grid.spacing
-    else:
-        spacing = "mapped"
-    grid_r = RadialGrid(r_nodes, spacing, sigma1=params.sigma1)
+    grid_r = RadialGrid(_r_of_s(fld.grid.nodes, tp))
     out = RadialField(grid_r, fld.values.copy(), float(params.N))
     if tau is None:
         return out
@@ -133,7 +121,10 @@ def forcing_W(w: Callable, params: ProblemParams) -> Callable:
     substitution.  For s1 = 0 this is w itself.
     """
     tp = transform_params(params)
-    pre = tp.lam ** (-params.rho - 1.0)
+    try:
+        pre = tp.lam ** (-params.rho - 1.0)
+    except OverflowError:
+        raise Overflow("the factor Lambda^(-rho-1) overflows") from None
 
     def W(s):
         s = np.asarray(s, dtype=float)

@@ -13,8 +13,8 @@ def _params(p=2.0, rho=-0.5, s1=0.0, s2=0.0):
     return ProblemParams(N=3, sigma1=s1, sigma2=s2, rho=rho, p=p)
 
 
-def _grid(s1=0.0, m=384):
-    return radial.RadialGrid.log_spaced(30.0, m, r_min=0.03, sigma1=s1)
+def _grid(m=384):
+    return radial.RadialGrid.log_spaced(30.0, m, r_min=0.03)
 
 
 def _forcing(grid, amp):
@@ -150,7 +150,7 @@ def test_scan_straddles_threshold_in_weighted_case():
     params = ProblemParams(N=3, sigma1=-1.0, sigma2=-0.5, rho=-0.5, p=2.0)
     assert critical_forced(params) == pytest.approx(2.0)
     cfg = blowup.BlowupConfig(dt_init=5e-3, t_max=50.0)
-    grid = _grid(s1=-1.0)
+    grid = _grid()
     amp = blowup.calibrate_amplitude(params, cfg, grid=grid)
     rep = blowup.scan_threshold(params, (1.25, 3.5), amp, cfg, grid=grid)
     lo, hi = rep.bracket

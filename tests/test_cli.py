@@ -349,6 +349,76 @@ def test_nonzero_data_whose_probe_norms_underflow_exits_4(tmp_path):
     assert rc == cli.EXIT_NUMERICAL
 
 
+@pytest.mark.parametrize("horizon", ["0", "-1"])
+@pytest.mark.filterwarnings("error")
+def test_nonpositive_horizon_exits_2(tmp_path, horizon):
+    cfg = _write(tmp_path, "horizon.cfg", (
+        "N = 2\nsigma1 = 0\nsigma2 = 0\nrho = 0\np = 1.5\nq = 2\n"
+        "u0 = zero\nw = zero\ngrid_m = 16\ngrid_r_min = 0.5\n"
+        "grid_r_max = 1\nhorizon = %s\n" % horizon))
+    rc = cli.main(["local-solve", "--config", cfg, "--out", str(tmp_path)])
+    assert rc == cli.EXIT_CONFIG
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_reaction_is_a_rejected_step(tmp_path):
+    # |u|^p overflows on every trial at p = 1e300; each trial is rejected
+    # without a numpy warning, and too few snapshots remain for a residual
+    cfg = _write(tmp_path, "power.cfg", (
+        "N = 3\nsigma1 = -0.7\nsigma2 = -0.5\nrho = -0.5\np = 1e300\n"
+        "u0 = gaussian(0, 1, 2)\ngrid_m = 32\ngrid_r_min = 0.03\n"
+        "t_end = 0.05\n"))
+    rc = cli.main(["transform-check", "--config", cfg,
+                   "--out", str(tmp_path)])
+    assert rc == cli.EXIT_NUMERICAL
+
+
+@pytest.mark.parametrize("command, text", [
+    ("semigroup-check", "N = 2\nsigma1 = 1e300\ngrid_m = 16\n"
+                        "grid_r_min = 0.5\ngrid_r_max = 1\n"),
+    ("transform-check", "N = 3\nsigma1 = -0.7\nsigma2 = 300\n"
+                        "rho = -0.5\np = 3\n"),
+    ("blowup-scan", "N = 3\nsigma2 = 300\nrho = -0.5\np = 2\n"
+                    "amplitude = 1\n"),
+], ids=["time-weight", "reaction-weight", "scan-reaction-weight"])
+@pytest.mark.filterwarnings("error")
+def test_overflowing_grid_weight_exits_4(tmp_path, capsys, command, text):
+    # r^(-s1) and r^(s2-s1) beyond the float range stop the run with a
+    # numerical failure that names the weight, not with a numpy warning
+    cfg = _write(tmp_path, "weight.cfg", text)
+    rc = cli.main([command, "--config", cfg, "--out", str(tmp_path)])
+    assert rc == cli.EXIT_NUMERICAL
+    assert "the grid weight r^(" in capsys.readouterr().err
+
+
+SMALL_GRID = "grid_m = 16\ngrid_r_min = 0.5\ngrid_r_max = 1\n"
+
+
+@pytest.mark.parametrize("command, text, code", [
+    ("blowup-scan", "N = 2\nrho = 1e300\np = 2\namplitude = 1\n"
+                    "t_max = 5\ndt_init = 0.05\np_lo = 1.5\np_hi = 3\n", 4),
+    ("transform-check", "N = 2\nsigma1 = 1\nrho = 1e300\np = 2\n"
+                        "u0 = zero\nw = zero\nt_end = 0.125\n", 4),
+    ("local-solve", "N = 2\nrho = 1e300\np = 1.5\nq = 2\n"
+                    "u0 = gaussian(0, 1, 1)\nw = bump(1, 1)\n", 4),
+    ("local-solve", "N = 2\nrho = 1\np = 1.5\nq = 2\nu0 = zero\n"
+                    "w = gaussian(0, 1, 1)\nhorizon = 1e300\n", 4),
+    ("local-solve", "N = 2\np = 1.5\nq = 2\nw = zero\n"
+                    "u0 = gaussian(1e300, 1, 0)\n", 0),
+    ("mild-solve", "N = 2\nrho = -0.5\np = 3\nw = zero\n"
+                   "u0 = powerlaw(1e300, 1)\n", 2),
+], ids=["scan-forcing-factor", "transport-factor", "probe-forcing-factor",
+        "forced-horizon", "far-gaussian", "powerlaw-overflow"])
+@pytest.mark.filterwarnings("error")
+def test_float_range_edges_keep_the_contract(tmp_path, command, text, code):
+    # t^(rho+1) and Lambda^(-rho-1) at rho = 1e300, and T^(rho+1) at a
+    # horizon of 1e300, leave the float range (exit 4, no OverflowError);
+    # profiles far outside it sample to 0 or to a non-finite datum (exit 2)
+    # without a numpy warning
+    cfg = _write(tmp_path, "edge.cfg", text + SMALL_GRID)
+    assert cli.main([command, "--config", cfg, "--out", str(tmp_path)]) == code
+
+
 def test_import_and_closed_form_commands_load_no_scipy(tmp_path):
     # scipy.linalg is bound at the first factorisation, and nothing else in
     # the package needs scipy: importing the CLI and running the two

@@ -30,12 +30,6 @@ def test_commensurate_grid_step_divides_dilation():
     assert g.nodes[0] <= 2e-3 * (1.0 + 1e-12)
 
 
-def test_uniform_grid_spacing_tag():
-    g = radial.RadialGrid.uniform(10.0, 100)
-    assert g.spacing == radial.SPACING_UNIFORM
-    assert np.allclose(np.diff(g.nodes), g.nodes[1] - g.nodes[0])
-
-
 def test_cell_widths_cover_the_interval():
     g = radial.RadialGrid.log_spaced(20.0, 128, r_min=0.01)
     total = float(np.sum(g.cell_widths()))
@@ -43,12 +37,17 @@ def test_cell_widths_cover_the_interval():
 
 
 def test_grid_rejects_bad_nodes():
-    with pytest.raises(ValueError):
-        radial.RadialGrid.from_nodes(np.array([1.0, 0.5, 2.0]))
-    with pytest.raises(ValueError):
-        radial.RadialGrid.from_nodes(np.array([-1.0, 0.5, 2.0]))
-    with pytest.raises(ValueError):
-        radial.RadialGrid.log_spaced(10.0, 4)   # too few nodes to difference
+    good = np.linspace(0.5, 2.0, 16)
+    unordered = good.copy()
+    unordered[[3, 4]] = unordered[[4, 3]]
+    negative = good - 1.0
+    for nodes in (unordered, negative):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            radial.RadialGrid(nodes)
+    with pytest.raises(ValueError, match="at least 16 nodes"):
+        radial.RadialGrid(good[:15])
+    with pytest.raises(ValueError, match="at least 16 nodes"):
+        radial.RadialGrid.log_spaced(10.0, 4)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ def _params(s1, n=3):
 
 
 def _op(s1, r_max=40.0, m=512):
-    g = radial.RadialGrid.log_spaced(r_max, m, sigma1=s1)
+    g = radial.RadialGrid.log_spaced(r_max, m)
     return semigroup.SemigroupOp(g, _params(s1))
 
 
@@ -42,7 +42,7 @@ def test_no_spurious_flux_at_the_axis():
 def test_implicit_euler_preserves_positivity():
     op = _op(-0.5)
     fld = radial.field_from_callable(op.grid, radial.bump_profile(1.0, 1.0), 3.0)
-    out = op.apply(fld, 0.5, scheme=semigroup.SCHEME_IE)
+    out = op.evolve_through(fld, [0.5])[0]
     assert np.all(out.values >= -1e-15)
     assert float(np.max(out.values)) < 1.0     # maximum principle
 
@@ -229,8 +229,7 @@ def test_fit_loglog_recovers_exact_power():
 
 def test_scaling_identity_on_commensurate_grid():
     s1 = -1.0
-    g = radial.RadialGrid.log_commensurate(30.0, 1024, lam=2.0, r_min=4e-3,
-                                           sigma1=s1)
+    g = radial.RadialGrid.log_commensurate(30.0, 1024, lam=2.0, r_min=4e-3)
     op = semigroup.SemigroupOp(g, _params(s1))
     src = radial.field_from_callable(g, radial.gaussian_profile(0.0, 1.0, 1.0), 3.0)
     disc = semigroup.scaling_identity_check(op, 2.0, 0.1, src, substeps=32)
@@ -241,7 +240,7 @@ def test_scaling_identity_interpolation_fallback_is_worse():
     # a grid incommensurate with lam forces resampling; the measured
     # discrepancy is then interpolation-dominated but still small
     s1 = 0.0
-    g = radial.RadialGrid.log_spaced(30.0, 1024, r_min=4e-3, sigma1=s1)
+    g = radial.RadialGrid.log_spaced(30.0, 1024, r_min=4e-3)
     op = semigroup.SemigroupOp(g, _params(s1))
     src = radial.field_from_callable(g, radial.gaussian_profile(0.0, 1.0, 1.0), 3.0)
     disc = semigroup.scaling_identity_check(op, 1.7, 0.1, src, substeps=32)
