@@ -17,7 +17,7 @@ from .exponents import (ProblemParams, Regime, Weights, build_report,
                         critical_forced, default_r, derived_weights,
                         fujita_first, fujita_second, local_alpha,
                         local_q_admissible, quadratic_f, r_window,
-                        report_text, require_valid, scaling_index)
+                        report_text, scaling_index)
 from .radial import (RadialField, RadialGrid, bump_profile,
                      field_from_callable, gaussian_profile, lq_norm,
                      powerlaw_profile, sphere_area, weighted_integral,

@@ -24,8 +24,9 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import HypothesisViolation, NoBracket, Overflow, StepFailure
-from .exponents import ProblemParams, critical_forced, require_valid
+from .errors import (HypothesisViolation, NoBracket, NumericalFailure,
+                     Overflow, StepFailure)
+from .exponents import ProblemParams, critical_forced
 from .radial import (RadialField, RadialGrid, bump_profile,
                      field_from_callable, sphere_area)
 from .semigroup import SemigroupOp
@@ -40,6 +41,8 @@ __all__ = [
 GLOBAL = "Global"
 BLOWN_UP = "BlownUp"
 INCONCLUSIVE = "Inconclusive"
+
+_STEP_BUDGET = 10 ** 6      # most steps a horizon may need at the step cap
 
 
 @dataclass(frozen=True)
@@ -101,8 +104,14 @@ def integrate_nonlinear(u0: RadialField, w: Optional[RadialField],
     are taken exactly at the requested times by clamping the step there.
     An overflowing trial is a rejected step, so numpy's overflow warnings
     are off for the run; an overflowing weight or forcing raises Overflow.
+    A horizon that takes more than 10^6 steps at the capped step size
+    raises NumericalFailure before the first step.
     """
-    require_valid(params)
+    dt_cap = 10.0 * cfg.dt_init
+    if cfg.t_max / dt_cap > _STEP_BUDGET:
+        raise NumericalFailure("t_max=%g needs more steps of at most %g "
+                               "than the budget of %d"
+                               % (cfg.t_max, dt_cap, _STEP_BUDGET))
     op = SemigroupOp(u0.grid, params)
     sup0 = cfg.start_norm(u0)
     u = u0.values.astype(float).copy()
@@ -121,7 +130,6 @@ def integrate_nonlinear(u0: RadialField, w: Optional[RadialField],
 
     t = 0.0
     dt = cfg.dt_init
-    dt_cap = 10.0 * cfg.dt_init
     steps = 0
     min_dt_seen = dt
     max_norm = sup0
@@ -248,7 +256,6 @@ def scan_threshold(params_base: ProblemParams, p_range: Tuple[float, float],
     runs count as not-global for bisection purposes but keep their honest
     label in the rows.
     """
-    require_valid(params_base)
     p_lo, p_hi = (float(p_range[0]), float(p_range[1]))
     if not (1.0 < p_lo < p_hi and bracket_width > 0.0):
         raise ValueError("need 1 < p_lo < p_hi and bracket_width > 0")
@@ -308,7 +315,6 @@ def calibrate_amplitude(params_base: ProblemParams, cfg: BlowupConfig,
     HypothesisViolation, before any probe, when the probe powers are not
     1 < p_below < p_above or the critical power they default to is infinite.
     """
-    require_valid(params_base)
     p_star = critical_forced(params_base)
     if p_below is None or p_above is None:
         if not math.isfinite(p_star):

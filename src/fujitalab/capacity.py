@@ -30,13 +30,14 @@ for the honest reporting.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ConditionViolation, PoorFit, QuadratureFailure
-from .exponents import ProblemParams, critical_forced, require_valid
+from .errors import ConditionViolation, Overflow, PoorFit, QuadratureFailure
+from .exponents import ProblemParams, critical_forced
 from .radial import sphere_area
 from .semigroup import SlopeFit
 
@@ -51,6 +52,17 @@ __all__ = [
 _RAMP_PAIRS = 512        # Simpson pairs on each ramp span
 _QUAD_RTOL = 1e-6
 _R2_FLOOR = 0.99         # fits below this R^2 raise PoorFit
+_LOG_MAX = math.log(np.finfo(float).max)
+
+
+@contextmanager
+def _overflow(what: str):
+    """Overflow naming ``what``, not a numpy warning or an OverflowError."""
+    try:
+        with np.errstate(over="raise"):
+            yield
+    except (OverflowError, FloatingPointError):
+        raise Overflow("%s leaves the float range" % what) from None
 
 
 # --------------------------------------------------------------------------
@@ -290,6 +302,7 @@ class _Model(NamedTuple):
     forcing: float      # int tau^rho psi^kappa
 
 
+@_overflow("a capacity profile constant")
 def _model(params: ProblemParams) -> _Model:
     """The profile constants, which depend on (N, s1, s2, rho, p) only."""
     cut = default_cutoffs()
@@ -315,12 +328,16 @@ def _model(params: ProblemParams) -> _Model:
                   omega * c_psi * c_space, forcing)
 
 
-def _check_cutoff(R: float, T: float) -> None:
+def _check_cutoff(params: ProblemParams, R: float, T: float) -> None:
     if not (1.0 < R < math.inf and 1.0 < T < math.inf):
         raise ConditionViolation("capacity cutoffs need finite R > 1 and "
                                  "T > 1, got R=%g T=%g" % (R, T))
+    if (params.rho + 1.0) * math.log(T) > _LOG_MAX:
+        raise Overflow("the forcing time factor T^(rho+1) overflows at "
+                       "T=%g" % T)
 
 
+@_overflow("a capacity integral scaled by powers of R and T")
 def _scaled(model: _Model, R: float, T: float) -> CapacityParts:
     return CapacityParts(
         time=model.time * T ** (1.0 - model.kappa) * R ** model.a_time,
@@ -340,8 +357,7 @@ def capacity_integrals(params: ProblemParams, R: float, T: float) -> CapacityPar
     times R and T powers; the profile constants are quadrature-exact up to
     the documented tolerance.
     """
-    require_valid(params)
-    _check_cutoff(R, T)
+    _check_cutoff(params, R, T)
     return _scaled(_model(params), R, T)
 
 
@@ -389,9 +405,10 @@ def capacity_exponent_fit(params: ProblemParams, radii: Sequence[float],
 
     Raises PoorFit (carrying the report) when either component regression
     has R^2 below 0.99 or undefined; raises ConditionViolation when the
-    radii span less than 1.5 decades or some T = R^m is not in (1, inf).
+    radii span less than 1.5 decades or some T = R^m is not in (1, inf),
+    and Overflow when some T^(rho+1) (before any quadrature) or capacity
+    leaves the float range.
     """
-    require_valid(params)
     rr = np.asarray(sorted(float(R) for R in radii), dtype=float)
     if rr.size < 3:
         raise ConditionViolation("need at least 3 radii for a slope fit")
@@ -402,9 +419,13 @@ def capacity_exponent_fit(params: ProblemParams, radii: Sequence[float],
             "radii span %.2f decades; at least 1.5 needed for a stable fit"
             % math.log10(rr[-1] / rr[0]))
     m = float(t_exponent) if t_exponent is not None else params.sigma1 + 2.0
-    horizons = [R ** m for R in rr]
-    for R, T in zip(rr, horizons):
-        _check_cutoff(R, T)
+    horizons = []
+    for R in rr:
+        if not 0.0 < m * math.log(R) < _LOG_MAX:    # T = R^m before the power
+            raise ConditionViolation("capacity cutoffs need T = R^m in "
+                                     "(1, inf), got R=%g m=%g" % (R, m))
+        horizons.append(R ** m)
+        _check_cutoff(params, R, horizons[-1])
 
     model = _model(params)
     theory_time = model.a_time - m * (params.rho + model.kappa)
@@ -448,6 +469,7 @@ class LogCapacityReport:
     fit: SlopeFit
 
 
+@_overflow("the log-cutoff capacity")
 def log_space_capacity(params: ProblemParams, R: float) -> float:
     """Laplacian capacity of the log-coordinate cutoff, per time factor.
 
@@ -455,7 +477,6 @@ def log_space_capacity(params: ProblemParams, R: float) -> float:
     supported on sqrt(R) < |x| < R.  Returned without the psi time factor,
     which multiplies it as a plain constant times T.
     """
-    require_valid(params)
     if R <= math.e ** 2:
         raise ConditionViolation("log cutoff needs R large enough that "
                                  "log(sqrt(R)) > 1; got R=%g" % R)
@@ -501,7 +522,6 @@ def log_capacity_fit(params: ProblemParams,
     so the theory slope is met to within a few percent only on the far
     end of the range a float R can hold (R < 1.8e308, log sqrt(R) < 355).
     """
-    require_valid(params)
     if params.rho != 0.0:
         raise ConditionViolation("log-cutoff capacity applies to the "
                                  "unforced-exponent case rho = 0")

@@ -33,9 +33,8 @@ from .capacity import (FIT_CSV_COLUMNS, capacity_exponent_fit,
 from .config import COMMANDS, ExperimentConfig, load_config, schema_help
 from .errors import (ConfigError, HypothesisViolation, NumericalFailure,
                      PoorFit)
-from .exponents import (REPORT_CSV_COLUMNS, build_report, default_r,
-                        derived_weights, report_csv_row, report_text,
-                        require_admissible_q, require_valid)
+from .exponents import (REPORT_CSV_COLUMNS, build_report, derived_weights,
+                        report_csv_row, report_text, require_admissible_q)
 from .mild import (CONVERGENCE_CSV_COLUMNS, TRAJECTORY_CSV_COLUMNS,
                    MildConfig, convergence_csv_rows, solve_global_small,
                    solve_local_Lq, trajectory_csv_rows)
@@ -97,7 +96,6 @@ def _out_path(out_dir: str, name: str) -> str:
 # ---------------------------------------------------------------------------
 
 def _run_exponents(cfg: ExperimentConfig, out_dir: str) -> None:
-    require_valid(cfg.params)
     r = cfg.options["r"]
     report = build_report(cfg.params, None if r == 0.0 else r)
     path = _out_path(out_dir, "exponents.csv")
@@ -108,7 +106,6 @@ def _run_exponents(cfg: ExperimentConfig, out_dir: str) -> None:
 
 
 def _run_transform_check(cfg: ExperimentConfig, out_dir: str) -> None:
-    require_valid(cfg.params)
     tp = transform_params(cfg.params)
     with _building():
         grid = _grid_for(cfg)
@@ -137,7 +134,6 @@ def _run_transform_check(cfg: ExperimentConfig, out_dir: str) -> None:
 
 
 def _run_semigroup_check(cfg: ExperimentConfig, out_dir: str) -> None:
-    require_valid(cfg.params)
     from .radial import powerlaw_profile
     a, b = cfg.options["lq_a"], cfg.options["lq_b"]
     gamma = cfg.options["gamma"]
@@ -169,15 +165,14 @@ def _run_semigroup_check(cfg: ExperimentConfig, out_dir: str) -> None:
 
 
 def _run_mild_solve(cfg: ExperimentConfig, out_dir: str) -> None:
-    require_valid(cfg.params)
-    r_opt = cfg.options["r"]
-    r = default_r(cfg.params) if r_opt == 0.0 else r_opt
-    derived_weights(cfg.params, r)       # hypothesis gate before any compute
+    r = cfg.options["r"]
+    # hypothesis gate before any compute
+    weights = derived_weights(cfg.params, None if r == 0.0 else r)
     with _building():
         grid = _grid_for(cfg)
         u0 = _field(cfg, "u0", grid)
         w = _field(cfg, "w", grid)
-        mcfg = MildConfig(r=r, t_max=cfg.options["t_max"],
+        mcfg = MildConfig(r=weights.r, t_max=cfg.options["t_max"],
                           n_times=cfg.options["n_times"],
                           picard_tol=cfg.options["picard_tol"],
                           max_picard=cfg.options["max_picard"],
@@ -198,7 +193,6 @@ def _run_mild_solve(cfg: ExperimentConfig, out_dir: str) -> None:
 
 
 def _run_blowup_scan(cfg: ExperimentConfig, out_dir: str) -> None:
-    require_valid(cfg.params)
     p_lo, p_hi = cfg.options["p_lo"], cfg.options["p_hi"]
     if not (1.0 < p_lo < p_hi and cfg.options["bracket_width"] > 0.0):
         raise ConfigError("need 1 < p_lo < p_hi and bracket_width > 0, got "
@@ -236,7 +230,6 @@ def _run_blowup_scan(cfg: ExperimentConfig, out_dir: str) -> None:
 
 
 def _run_capacity_fit(cfg: ExperimentConfig, out_dir: str) -> None:
-    require_valid(cfg.params)
     radii = list(cfg.options["radii"])
     path = _out_path(out_dir, "capacity_fit.csv")
     comments = ["params: " + cfg.describe()]
@@ -300,7 +293,6 @@ def _write_report_log(path: str, report, comments: List[str],
 
 
 def _run_local_solve(cfg: ExperimentConfig, out_dir: str) -> None:
-    require_valid(cfg.params)
     q = cfg.options["q"]
     require_admissible_q(cfg.params, q)   # hypothesis gate before compute
     with _building():

@@ -279,11 +279,12 @@ def build_config(raw: Dict[str, str],
         else:
             typed[key] = spec.default
 
+    # every key is coerced, so a config error outranks a hypothesis failure
     try:
         params = ProblemParams(N=typed.pop("N"), sigma1=typed.pop("sigma1"),
                                sigma2=typed.pop("sigma2"),
                                rho=typed.pop("rho"), p=typed.pop("p"))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError("bad problem parameters: %s" % exc)
     typed.pop("command", None)
     out_dir = typed.pop("out_dir")

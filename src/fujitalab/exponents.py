@@ -19,16 +19,14 @@ scaling of the operator |x|^(-s1) Lap is x -> c x, t -> c^A t.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .errors import EmptyWindow, HypothesisViolation, Inadmissible, WindowViolation
 
 __all__ = [
     "ProblemParams",
-    "validate",
-    "require_valid",
     "fujita_first",
     "fujita_second",
     "scaling_index",
@@ -65,6 +63,11 @@ class ProblemParams:
     weights are locally integrable against the parabolic scaling.  rho > -1
     keeps the forcing time-integrable near t = 0, and p > 1 makes the
     nonlinearity superlinear.
+
+    Every tuple is checked at construction, ``dataclasses.replace``
+    included: HypothesisViolation lists every failed hypothesis at once.
+    Non-finite entries are reported alone, because the other checks cannot
+    be evaluated on them.
     """
 
     N: int
@@ -73,43 +76,25 @@ class ProblemParams:
     rho: float = 0.0
     p: float = 2.0
 
+    def __post_init__(self):
+        bad = ["%s must be finite, got %r" % kv for kv in vars(self).items()
+               if not math.isfinite(kv[1])]
+        if not bad:
+            checks = [("N", int(self.N) == self.N and self.N >= 2,
+                       "be an integer >= 2"),
+                      ("sigma1", self.sigma1 > -2.0, "exceed -2"),
+                      ("sigma2", self.sigma2 > -2.0, "exceed -2"),
+                      ("rho", self.rho > -1.0, "exceed -1"),
+                      ("p", self.p > 1.0, "exceed 1")]
+            bad = ["%s must %s, got %r" % (name, rule, getattr(self, name))
+                   for name, ok, rule in checks if not ok]
+        if bad:
+            raise HypothesisViolation("; ".join(bad))
+
     @property
     def diffusion_depth(self) -> float:
         """A = 2 + sigma1, the parabolic scaling exponent of |x|^(-s1) Lap."""
         return 2.0 + self.sigma1
-
-
-def validate(params: ProblemParams) -> list:
-    """Return the list of violated structural hypotheses (empty if valid).
-
-    Checks N >= 2 and integer, sigma1 > -2, sigma2 > -2, rho > -1, p > 1.
-    The function is total: it never raises, so callers can report every
-    violation at once.  Non-finite entries are reported alone, because the
-    other checks cannot be evaluated on them.
-    """
-    entries = [(f.name, getattr(params, f.name)) for f in fields(params)]
-    bad = ["%s must be finite, got %r" % (name, value)
-           for name, value in entries if not math.isfinite(value)]
-    if bad:
-        return bad
-    if int(params.N) != params.N or params.N < 2:
-        bad.append("N must be an integer >= 2, got %r" % (params.N,))
-    if not params.sigma1 > -2.0:
-        bad.append("sigma1 must exceed -2, got %r" % (params.sigma1,))
-    if not params.sigma2 > -2.0:
-        bad.append("sigma2 must exceed -2, got %r" % (params.sigma2,))
-    if not params.rho > -1.0:
-        bad.append("rho must exceed -1, got %r" % (params.rho,))
-    if not params.p > 1.0:
-        bad.append("p must exceed 1, got %r" % (params.p,))
-    return bad
-
-
-def require_valid(params: ProblemParams) -> None:
-    """Raise HypothesisViolation listing every failed structural check."""
-    bad = validate(params)
-    if bad:
-        raise HypothesisViolation("; ".join(bad))
 
 
 # ---------------------------------------------------------------------------
@@ -220,9 +205,8 @@ def r_window(params: ProblemParams) -> Tuple[float, float]:
     :func:`derived_weights` sit strictly inside (0, 1) bounds.  The window
     is guaranteed nonempty when -2 < s2 < s1 <= 0, -1 < rho < 0 and p
     exceeds the forced critical power.  Raises EmptyWindow when lo >= hi,
-    which signals a subcritical p or a hypothesis failure.
+    which signals a subcritical p or weights outside that guarantee.
     """
-    require_valid(params)
     n, p = params.N, params.p
     a_over_n = params.diffusion_depth / n
     inv_pc = 1.0 / scaling_index(params)
@@ -236,16 +220,8 @@ def r_window(params: ProblemParams) -> Tuple[float, float]:
 
 
 def default_r(params: ProblemParams) -> float:
-    """Midpoint of the admissible window in 1/r coordinates, as an r value.
-
-    The window may protrude below 1/r = 0 for large p (the formulas place
-    no floor), but a usable exponent needs r in (1, inf); the midpoint is
-    therefore taken over the window clipped to (0, 1).
-    """
-    lo, hi = r_window(params)
-    lo = max(lo, 0.0)
-    hi = min(hi, 1.0)
-    return 2.0 / (lo + hi)
+    """The exponent :func:`derived_weights` picks when r is omitted."""
+    return derived_weights(params).r
 
 
 @dataclass(frozen=True)
@@ -261,6 +237,7 @@ class Weights:
     whenever r lies inside the admissible window.
     """
 
+    r: float
     mu: float
     beta: float
     delta: float
@@ -269,14 +246,16 @@ class Weights:
 def derived_weights(params: ProblemParams, r: Optional[float] = None) -> Weights:
     """Compute (mu, beta, delta) for an exponent r inside the window.
 
-    mu = (N/A)(1/p_c - 1/r), beta = (N/A)(1/r_c - 1/r) and
-    delta = N(p-1)/(A r) + (s1 - s2)/A.  When r is omitted the window
-    midpoint from :func:`default_r` is used.  Raises WindowViolation if
+    mu = (N/A)(1/p_c - 1/r), beta = (N/A)(1/r_c - 1/r), and delta is the
+    kernel order :func:`local_alpha` at q = r.  When r is omitted it is the
+    midpoint of the window in 1/r coordinates, taken over the window
+    clipped to (0, 1): the formulas place no floor at 1/r = 0 for large p,
+    but a usable exponent needs r in (1, inf).  Raises WindowViolation if
     1/r falls outside the open window (or r <= 1).
     """
     lo, hi = r_window(params)
     if r is None:
-        r = default_r(params)
+        r = 2.0 / (max(lo, 0.0) + min(hi, 1.0))
     if not r > 1.0:
         raise WindowViolation("need r > 1, got r=%g" % r)
     inv_r = 1.0 / r
@@ -286,8 +265,7 @@ def derived_weights(params: ProblemParams, r: Optional[float] = None) -> Weights
     n_over_a = params.N / params.diffusion_depth
     mu = n_over_a * (1.0 / scaling_index(params) - inv_r)
     beta = n_over_a * (1.0 / forcing_index(params) - inv_r)
-    delta = (params.N * (params.p - 1.0) / (params.diffusion_depth * r)
-             + (params.sigma1 - params.sigma2) / params.diffusion_depth)
+    delta = local_alpha(params, r)
 
     # Window membership makes these bounds theorems; in floating point they
     # can fail only by rounding, at extreme parameter values (sigma1 = 1e300
@@ -297,7 +275,7 @@ def derived_weights(params: ProblemParams, r: Optional[float] = None) -> Weights
         raise WindowViolation(
             "1/r=%g is inside the window only before rounding: mu=%g "
             "beta=%g delta=%g" % (inv_r, mu, beta, delta))
-    return Weights(mu=mu, beta=beta, delta=delta)
+    return Weights(r=r, mu=mu, beta=beta, delta=delta)
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +294,18 @@ def local_alpha(params: ProblemParams, q: float) -> float:
             + (params.sigma1 - params.sigma2) / a)
 
 
+def _q_violations(params: ProblemParams, q: float) -> list:
+    """The local-theory inequalities that q fails, as messages."""
+    n, p = params.N, params.p
+    lebesgue = n * p / (n + params.sigma2)
+    kernel = n * (p - 1.0) / (2.0 + params.sigma2)
+    checks = [(q > lebesgue, "q=%g <= Np/(N+s2)=%g" % (q, lebesgue)),
+              (q > kernel, "q=%g <= N(p-1)/(2+s2)=%g (kernel order >= 1)"
+               % (q, kernel)),
+              (q >= p, "q=%g < p=%g" % (q, p))]
+    return [message for ok, message in checks if not ok]
+
+
 def local_q_admissible(params: ProblemParams, q: float) -> bool:
     """Whether q carries the local existence theory for these parameters.
 
@@ -325,23 +315,12 @@ def local_q_admissible(params: ProblemParams, q: float) -> bool:
         q > N (p-1) / (2 + s2)    (equivalently local_alpha < 1),
         q >= p.
     """
-    n, p = params.N, params.p
-    return (q > n * p / (n + params.sigma2)
-            and q > n * (p - 1.0) / (2.0 + params.sigma2)
-            and q >= p)
+    return not _q_violations(params, q)
 
 
 def require_admissible_q(params: ProblemParams, q: float) -> None:
     """Raise Inadmissible with the specific failed inequality for q."""
-    n, p = params.N, params.p
-    bad = []
-    if not q > n * p / (n + params.sigma2):
-        bad.append("q=%g <= Np/(N+s2)=%g" % (q, n * p / (n + params.sigma2)))
-    if not q > n * (p - 1.0) / (2.0 + params.sigma2):
-        bad.append("q=%g <= N(p-1)/(2+s2)=%g (kernel order >= 1)"
-                   % (q, n * (p - 1.0) / (2.0 + params.sigma2)))
-    if not q >= p:
-        bad.append("q=%g < p=%g" % (q, p))
+    bad = _q_violations(params, q)
     if bad:
         raise Inadmissible("; ".join(bad))
 
@@ -384,7 +363,6 @@ def classify_regime(params: ProblemParams, w_mass_sign: int = 1) -> Regime:
     At N = 2 the rho = 0 threshold (N+s2)/(N-2)_+ is +inf, so every p > 1
     is in the nonexistence range there.
     """
-    require_valid(params)
     positive = w_mass_sign > 0
     if params.rho > 0.0:
         return Regime.NO_GLOBAL_RHO_POSITIVE if positive else Regime.UNCLASSIFIED
@@ -410,8 +388,8 @@ class ExponentReport:
     """Every exponent of a parameter tuple, plus optional window weights.
 
     ``window`` is the admissible interval in 1/r coordinates, or None when
-    it is empty.  ``r``/``weights`` are populated only when a usable r was
-    available (given or defaulted) inside the window.
+    it is empty.  ``weights`` (with the r they belong to) is populated only
+    when a usable r was available (given or defaulted) inside the window.
     """
 
     params: ProblemParams
@@ -421,7 +399,6 @@ class ExponentReport:
     p_star: float
     r_c: float
     window: Optional[Tuple[float, float]]
-    r: Optional[float]
     weights: Optional[Weights]
     regime: Regime
 
@@ -432,21 +409,15 @@ def build_report(params: ProblemParams, r: Optional[float] = None,
 
     The window and weights are best-effort: an empty window or an r outside
     it leaves those fields None instead of raising, so the report stays
-    total for any valid tuple.  ``w_mass_sign`` feeds the regime
-    classification (default assumes positive-mass forcing).
+    total for any tuple.  ``w_mass_sign`` feeds the regime classification
+    (default assumes positive-mass forcing).
     """
-    require_valid(params)
+    window, weights = None, None
     try:
         window = r_window(params)
-    except EmptyWindow:
-        window = None
-    chosen, weights = None, None
-    if window is not None:
-        try:
-            chosen = default_r(params) if r is None else float(r)
-            weights = derived_weights(params, chosen)
-        except WindowViolation:
-            chosen, weights = None, None
+        weights = derived_weights(params, r)
+    except (EmptyWindow, WindowViolation):
+        pass
     return ExponentReport(
         params=params,
         p_fujita=fujita_first(params),
@@ -455,53 +426,43 @@ def build_report(params: ProblemParams, r: Optional[float] = None,
         p_star=critical_forced(params),
         r_c=forcing_index(params),
         window=window,
-        r=chosen,
         weights=weights,
         regime=classify_regime(params, w_mass_sign),
     )
 
 
 def _fmt(x) -> str:
-    if x is None:
-        return ""
     if isinstance(x, float) and math.isinf(x):
         return "inf"
     return "%.12g" % x
 
 
-def report_text(report: ExponentReport) -> str:
-    """Serialize a report as a flat key = value block."""
-    p = report.params
-    lines = [
-        ("N", "%g" % p.N),
-        ("sigma1", _fmt(p.sigma1)),
-        ("sigma2", _fmt(p.sigma2)),
-        ("rho", _fmt(p.rho)),
-        ("p", _fmt(p.p)),
-        ("p_fujita", _fmt(report.p_fujita)),
-        ("mu_star", _fmt(report.mu_star)),
-        ("p_c", _fmt(report.p_c)),
-        ("p_star", _fmt(report.p_star)),
-        ("r_c", _fmt(report.r_c)),
-    ]
+def _report_cells(report: ExponentReport) -> List[Tuple[str, str]]:
+    """(key, cell) pairs of a report; missing window/weights are empty.
+
+    r_lo/r_hi are the window endpoints expressed in r (not 1/r), so they
+    read as 'r may be chosen in (r_lo, r_hi)'.
+    """
+    p, w = report.params, report.weights
+    r_lo = r_hi = ""
     if report.window is not None:
         lo, hi = report.window
-        # window is stored in 1/r coordinates; publish it as an r interval
-        r_hi = math.inf if lo <= 0.0 else 1.0 / lo
-        lines += [("r_lo", _fmt(1.0 / hi)), ("r_hi", _fmt(r_hi))]
-    else:
-        lines += [("r_lo", ""), ("r_hi", "")]
-    if report.weights is not None:
-        lines += [
-            ("r", _fmt(report.r)),
-            ("mu", _fmt(report.weights.mu)),
-            ("beta", _fmt(report.weights.beta)),
-            ("delta", _fmt(report.weights.delta)),
-        ]
-    else:
-        lines += [("r", ""), ("mu", ""), ("beta", ""), ("delta", "")]
-    lines.append(("regime", report.regime.value))
-    return "\n".join("%s = %s" % kv for kv in lines) + "\n"
+        r_lo, r_hi = _fmt(1.0 / hi), "inf" if lo <= 0.0 else _fmt(1.0 / lo)
+    # every other key names the attribute that fills its cell
+    return ([("N", "%g" % p.N)]
+            + [(k, _fmt(getattr(p, k)))
+               for k in ("sigma1", "sigma2", "rho", "p")]
+            + [(k, _fmt(getattr(report, k)))
+               for k in ("p_fujita", "mu_star", "p_c", "p_star", "r_c")]
+            + [("r_lo", r_lo), ("r_hi", r_hi)]
+            + [(k, _fmt(getattr(w, k)) if w else "")
+               for k in ("r", "mu", "beta", "delta")]
+            + [("regime", report.regime.value)])
+
+
+def report_text(report: ExponentReport) -> str:
+    """Serialize a report as a flat key = value block."""
+    return "".join("%s = %s\n" % kv for kv in _report_cells(report))
 
 
 REPORT_CSV_COLUMNS = [
@@ -512,25 +473,5 @@ REPORT_CSV_COLUMNS = [
 
 
 def report_csv_row(report: ExponentReport) -> list:
-    """One CSV row per report; missing window/weights become empty cells.
-
-    r_lo/r_hi are the window endpoints expressed in r (not 1/r), so the
-    row reads as 'r may be chosen in (r_lo, r_hi)'.
-    """
-    p = report.params
-    if report.window is not None:
-        lo, hi = report.window
-        r_lo = _fmt(1.0 / hi)
-        r_hi = "inf" if lo <= 0.0 else _fmt(1.0 / lo)
-    else:
-        r_lo, r_hi = "", ""
-    w = report.weights
-    return [
-        "%g" % p.N, _fmt(p.sigma1), _fmt(p.sigma2), _fmt(p.rho), _fmt(p.p),
-        _fmt(report.p_fujita), _fmt(report.mu_star), _fmt(report.p_c),
-        _fmt(report.p_star), _fmt(report.r_c),
-        r_lo, r_hi,
-        _fmt(w.mu) if w else "", _fmt(w.beta) if w else "",
-        _fmt(w.delta) if w else "",
-        report.regime.value,
-    ]
+    """One CSV row per report: every report_text cell but r."""
+    return [cell for key, cell in _report_cells(report) if key != "r"]

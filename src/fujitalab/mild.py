@@ -30,17 +30,15 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .capacity import RampProfile, _profile_power_integral
+from .capacity import _LOG_MAX, RampProfile, _profile_power_integral
 from .errors import (HypothesisViolation, NotContracting, NoValidT,
                      NumericalFailure, Overflow)
-from .exponents import (ProblemParams, default_r, derived_weights,
-                        local_alpha, require_admissible_q, require_valid)
+from .exponents import (ProblemParams, derived_weights, local_alpha,
+                        require_admissible_q)
 from .radial import RadialField, lq_norm, sphere_area
 from .semigroup import SemigroupOp
 
 OVERFLOW_GUARD = 1e30
-
-_LOG_MAX = math.log(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -140,10 +138,10 @@ def _metric_for(params: ProblemParams, cfg: MildConfig) -> Tuple[float, float]:
     trajectory reports meaningful for diagnostics.
     """
     try:
-        r = cfg.r if cfg.r is not None else default_r(params)
-        return derived_weights(params, r).mu, r
+        weights = derived_weights(params, cfg.r)
     except HypothesisViolation:
         return 0.0, 2.0
+    return weights.mu, weights.r
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +247,6 @@ def duhamel_forcing(w: RadialField, params: ProblemParams,
                     t_grid: Sequence[float],
                     cfg: Optional[MildConfig] = None) -> Trajectory:
     """Forcing response H(t) on the given times by substep quadrature."""
-    require_valid(params)
     cfg = cfg if cfg is not None else MildConfig()
     times = np.asarray(t_grid, dtype=float)
     mu, r = _metric_for(params, cfg)
@@ -270,7 +267,6 @@ def picard_step(u_n: Trajectory, u0: RadialField, w: Optional[RadialField],
     grid to avoid recomputing it on every iteration.  Raises Overflow when
     any output value exceeds the divergence guard.
     """
-    require_valid(params)
     cfg = cfg if cfg is not None else MildConfig()
     times = u_n.times
     op = SemigroupOp(u0.grid, params)
@@ -346,10 +342,9 @@ def solve_global_small(u0: RadialField, w: Optional[RadialField],
     one abort with NotContracting, the signature of data too large for the
     small-data regime.
     """
-    require_valid(params)
     cfg = cfg if cfg is not None else MildConfig()
-    r = cfg.r if cfg.r is not None else default_r(params)
-    mu = derived_weights(params, r).mu
+    weights = derived_weights(params, cfg.r)
+    mu, r = weights.mu, weights.r
     times = _time_grid(cfg.t_max, cfg.n_times)
     op = SemigroupOp(u0.grid, params)
     lin_vals = _linear_values(op, u0, w, params, times, cfg.duhamel_substeps)
@@ -391,7 +386,6 @@ def solve_local_Lq(u0: RadialField, w: Optional[RadialField],
     underflow to 0 or the fixed point's L^q trace jumps by more than five
     times the linear trace's own grid modulus.
     """
-    require_valid(params)
     require_admissible_q(params, q)
     if not horizon_guess > 0.0:
         raise ValueError("horizon_guess must be positive")
@@ -532,7 +526,6 @@ def weak_residual(traj: Trajectory, u0: RadialField,
     The test support must end inside the trajectory horizon and inside
     the radial grid, otherwise the truncated quadrature is meaningless.
     """
-    require_valid(params)
     t_end, r_hi = test.eta.intervals[-1][1], test.chi.intervals[-1][1]
     if t_end > traj.times[-1]:
         raise ValueError("test support [0, %g] exceeds the trajectory "

@@ -194,8 +194,6 @@ def gaussian_profile(center: float, width: float,
     def f(r):
         r = np.asarray(r, dtype=float)
         return amplitude * np.exp(-((r - center) ** 2) / (2.0 * width * width))
-    f.mass_sign = int(np.sign(amplitude))
-    f.label = "gaussian(%g, %g, %g)" % (center, width, amplitude)
     return f
 
 
@@ -213,16 +211,12 @@ def bump_profile(support: float,
         # exp(1 - 1/(1-x^2)) is C-infinity and equals 1 at the origin
         out[inside] = amplitude * np.exp(1.0 - 1.0 / (1.0 - x2[inside]))
         return out
-    f.mass_sign = int(np.sign(amplitude))
-    f.label = "bump(%g, %g)" % (support, amplitude)
     return f
 
 
 def zero_profile() -> Callable[[np.ndarray], np.ndarray]:
     def f(r):
         return np.zeros_like(np.asarray(r, dtype=float))
-    f.mass_sign = 0
-    f.label = "zero"
     return f
 
 
@@ -238,8 +232,6 @@ def powerlaw_profile(decay: float,
     def f(r):
         r = np.asarray(r, dtype=float)
         return amplitude * r ** (-decay)
-    f.mass_sign = int(np.sign(amplitude))
-    f.label = "powerlaw(%g, %g)" % (decay, amplitude)
     return f
 
 

@@ -29,7 +29,7 @@ from typing import Callable, List, Sequence
 import numpy as np
 
 from .errors import DegenerateTransform, InsufficientResolution, Overflow
-from .exponents import ProblemParams, require_valid
+from .exponents import ProblemParams
 from .radial import RadialField, RadialGrid
 
 __all__ = [
@@ -60,11 +60,10 @@ def transform_params(params: ProblemParams) -> TransformParams:
     """Compute the transform constants for a parameter tuple.
 
     Raises DegenerateTransform when 2 + sbar = 0, where the s-substitution
-    collapses.  (For structurally valid parameters, s2 > -2 keeps
-    2 + sbar = 2(2+s2)/(2+s1) strictly positive; the guard protects
-    callers who bypass validation.)
+    collapses.  In exact arithmetic s2 > -2 keeps 2 + sbar = 2(2+s2)/(2+s1)
+    strictly positive, but rounding can still reach 0 from a valid tuple:
+    N = 3, s1 = 1e17, s2 = -2 + 2^-51 gives sbar = -2 exactly.
     """
-    require_valid(params)
     theta = 1.0 + params.sigma1 / 2.0
     sbar = 2.0 * (params.sigma2 - params.sigma1) / (2.0 + params.sigma1)
     if 2.0 + sbar == 0.0:
@@ -130,7 +129,6 @@ def forcing_W(w: Callable, params: ProblemParams) -> Callable:
         s = np.asarray(s, dtype=float)
         r = _r_of_s(s, tp)
         return pre * r ** (-params.sigma1) * np.asarray(w(r), dtype=float)
-    W.label = "transformed(%s)" % getattr(w, "label", "w")
     return W
 
 

@@ -2,6 +2,7 @@ import glob
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -259,20 +260,43 @@ def test_numerical_failures_exit_4_but_write_artifacts(tmp_path):
     assert len(data) == 6
 
 
+@pytest.mark.filterwarnings("error")
 def test_undefined_r_squared_fails_the_capacity_gate(tmp_path):
-    # T = R^50 makes T^(rho+1) overflow, so the normalised capacities reach
-    # 0 and both R^2 are nan: the gate must fail rather than wave nan past
+    # T = R^50 makes I_time = T^(1-kappa) R^a_time underflow to 0 at
+    # R = 1e4, T = 1e200, so the time fit's slope and R^2 are nan: the gate
+    # must fail rather than wave nan past
     cfg = _write(tmp_path, "nan.cfg", (
-        "N = 3\nrho = 0.9\np = 1.5\nradii = 10, 100, 1000, 10000\n"
+        "N = 3\nrho = -0.9\np = 1.5\nradii = 10, 100, 1000, 10000\n"
         "t_exponent = 50\n"))
-    with pytest.warns(RuntimeWarning):
-        rc = cli.main(["capacity-fit", "--config", cfg,
-                       "--out", str(tmp_path)])
+    rc = cli.main(["capacity-fit", "--config", cfg, "--out", str(tmp_path)])
     assert rc == cli.EXIT_NUMERICAL
     comments, data = _read_csv(tmp_path / "capacity_fit.csv")
     assert any("QUALITY GATE FAILED" in c for c in comments)
     assert any("r_squared=nan" in c for c in comments)
     assert len(data) == 5
+
+
+@pytest.mark.parametrize("text, message", [
+    ("rho = 0.9\np = 1.5\nradii = 10, 100, 1000, 10000\nt_exponent = 50\n",
+     "T^(rho+1) overflows"),
+    ("sigma1 = 1e300\nradii = 2, 20, 200\nt_exponent = 1\n",
+     "a capacity profile constant"),
+    ("p = 1.0000001\nradii = 10, 100, 1000\n", "a capacity profile constant"),
+    ("radii = 20, 200, 1e300\nt_exponent = 1\n", "powers of R and T"),
+    ("sigma2 = -1.9999999\np = 1.0000001\nradii = 1e3, 1e4, 1e5\n"
+     "log_case = true\n", "the log-cutoff capacity"),
+], ids=["forcing-time-factor", "time-radial-power", "kappa-power",
+        "huge-radius", "log-kappa-power"])
+@pytest.mark.filterwarnings("error")
+def test_overflowing_capacity_exits_4(tmp_path, capsys, text, message):
+    # T = R^50 puts T^(rho+1) = 1e380 past the float range at R = 1e4; a
+    # radial power 2e300, a kappa^kappa at p -> 1 or R^2 at R = 1e300 leave
+    # it too, and each is reported as an overflow before a fit is written
+    cfg = _write(tmp_path, "big.cfg", "N = 3\n" + text)
+    rc = cli.main(["capacity-fit", "--config", cfg, "--out", str(tmp_path)])
+    assert rc == cli.EXIT_NUMERICAL
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "capacity_fit.csv").exists()
 
 
 def test_datum_above_the_blowup_cap_exits_2(tmp_path):
@@ -417,6 +441,25 @@ def test_float_range_edges_keep_the_contract(tmp_path, command, text, code):
     # without a numpy warning
     cfg = _write(tmp_path, "edge.cfg", text + SMALL_GRID)
     assert cli.main([command, "--config", cfg, "--out", str(tmp_path)]) == code
+
+
+@pytest.mark.parametrize("command, text", [
+    ("transform-check", "N = 3\nrho = -0.5\nu0 = gaussian(0, 1, 1)\n"
+                        "t_end = 1e300\n"),
+    ("blowup-scan", "N = 3\nrho = -0.5\np = 2\namplitude = 1\n"
+                    "t_max = 1e300\n"),
+], ids=["transform-horizon", "scan-horizon"])
+@pytest.mark.filterwarnings("error")
+def test_horizon_beyond_the_step_budget_exits_4(tmp_path, capsys, command,
+                                                text):
+    # at most 10 dt_init a step, a horizon of 1e300 needs far more than the
+    # 10^6-step budget: the run stops before its first step
+    cfg = _write(tmp_path, "long.cfg", text + SMALL_GRID)
+    start = time.perf_counter()
+    rc = cli.main([command, "--config", cfg, "--out", str(tmp_path)])
+    assert time.perf_counter() - start < 0.5
+    assert rc == cli.EXIT_NUMERICAL
+    assert "than the budget of 1000000" in capsys.readouterr().err
 
 
 def test_import_and_closed_form_commands_load_no_scipy(tmp_path):

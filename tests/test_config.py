@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fujitalab import config
-from fujitalab.errors import ConfigError
+from fujitalab.errors import ConfigError, HypothesisViolation
 
 
 # ---------------------------------------------------------------------------
@@ -69,6 +69,15 @@ def test_build_config_happy_path():
     assert cfg.command == "exponents"
     assert cfg.params.N == 3 and cfg.params.p == 3.0
     assert cfg.out_dir == "."
+
+
+def test_tuple_is_checked_after_every_key_is_coerced():
+    with pytest.raises(ConfigError):
+        config.build_config(_raw(N="1", p="oops"))
+    with pytest.raises(HypothesisViolation, match="N must be an integer >= 2"):
+        config.build_config(_raw(N="1"))
+    with pytest.raises(ConfigError, match="bad problem parameters"):
+        config.build_config(_raw(N="1" + "0" * 400))    # beyond any float
 
 
 def test_unknown_keys_are_listed():

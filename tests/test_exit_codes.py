@@ -6,13 +6,12 @@ negative, huge, non-finite or malformed.  A drawn config either keeps every
 value in range or spoils exactly one key (an odd value, or the key left
 out), so each odd value meets otherwise runnable inputs.  Whatever the
 draw, ``cli.main`` must return 0, 2, 3 or 4 and let no exception escape,
-and no numpy RuntimeWarning either, except from capacity-fit, whose
-T^(rho+1) may still overflow.
+and no numpy RuntimeWarning either.
 Grids and time lists stay small (16 to 48 nodes, 8 to 12 stored times) and
-horizons short so the whole property costs a few seconds.  The time-stepping
-horizons (transform-check t_end, blowup-scan t_max) are never 1e300, since at
-the integrator's capped step size they run without bound; local-solve works
-on a fixed time grid and draws every odd horizon.
+horizons short so the whole property costs a few seconds.  Every odd
+horizon is drawn, 1e300 included: the time-stepping runs (transform-check
+t_end, blowup-scan t_max) stop at once when their horizon needs more steps
+than the integrator's budget, and local-solve works on a fixed time grid.
 """
 
 import math
@@ -31,12 +30,6 @@ ODD = st.sampled_from([0.0, -1.0, 1e300, math.inf, -math.inf, math.nan])
 
 def _float(lo, hi):
     return st.floats(lo, hi).map(repr), ODD.map(repr)
-
-
-def _short(lo, hi):
-    # a float in range, or an odd value other than an endless 1e300
-    return (st.floats(lo, hi).map(repr),
-            ODD.filter(lambda x: x != 1e300).map(repr))
 
 
 def _int(lo, hi, odd=(-1, 0)):
@@ -106,7 +99,7 @@ SCHEMAS = {
         **GRID,
         "u0": _profile(),
         "w": _profile(),
-        "t_end": _short(0.01, 0.2),
+        "t_end": _float(0.01, 0.2),
         "n_snapshots": _int(2, 5),
         "dt_init": _float(1e-3, 1e-2),
     },
@@ -143,7 +136,7 @@ SCHEMAS = {
         "bracket_width": _float(0.1, 1.0),
         "dt_init": _float(1e-2, 0.1),
         "dt_min": _float(1e-10, 1e-4),
-        "t_max": _short(0.1, 5.0),
+        "t_max": _float(0.1, 5.0),
         "norm_cap": _float(1e3, 1e10),
     },
 }
@@ -170,7 +163,6 @@ def test_every_config_exits_with_a_contract_code(tmp_path_factory, command,
     path = out / "drawn.cfg"
     path.write_text(text, encoding="utf-8")
     with warnings.catch_warnings():
-        if command != "capacity-fit":
-            warnings.simplefilter("error", RuntimeWarning)
+        warnings.simplefilter("error", RuntimeWarning)
         rc = cli.main([command, "--config", str(path), "--out", str(out)])
     assert rc in CONTRACT, text

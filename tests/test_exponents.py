@@ -17,8 +17,7 @@ from conftest import sample_supercritical_tuples
 
 def test_valid_tuple_passes():
     p = ex.ProblemParams(N=3, sigma1=-0.5, sigma2=-1.0, rho=-0.25, p=2.5)
-    assert ex.validate(p) == []
-    ex.require_valid(p)
+    assert replace(p, p=3.0).p == 3.0
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -36,7 +35,21 @@ def test_invalid_tuples_raise(kwargs):
     base = dict(N=3, sigma1=0.0, sigma2=0.0, rho=0.0, p=2.0)
     base.update(kwargs)
     with pytest.raises(HypothesisViolation):
-        ex.require_valid(ex.ProblemParams(**base))
+        ex.ProblemParams(**base)
+
+
+def test_every_violation_is_listed_and_replace_is_checked():
+    with pytest.raises(HypothesisViolation) as info:
+        ex.ProblemParams(N=1, sigma1=-3.0, rho=-1.0, p=1.0)
+    assert str(info.value) == (
+        "N must be an integer >= 2, got 1; sigma1 must exceed -2, got -3.0; "
+        "rho must exceed -1, got -1.0; p must exceed 1, got 1.0")
+    # a non-finite entry is reported alone
+    with pytest.raises(HypothesisViolation,
+                       match="^N must be finite, got nan$"):
+        ex.ProblemParams(N=math.nan, p=0.5)
+    with pytest.raises(HypothesisViolation, match="rho must exceed -1"):
+        replace(ex.ProblemParams(N=3), rho=-1.0)
 
 
 def test_diffusion_depth():
@@ -139,6 +152,7 @@ def test_reference_window_and_weights():
     r = ex.default_r(p)
     assert r == pytest.approx(4.5, rel=1e-14)
     w = ex.derived_weights(p, r)
+    assert w.r == r and w.delta == ex.local_alpha(p, r)
     assert w.mu == pytest.approx(1.0 / 6.0, rel=1e-13)
     assert w.beta == pytest.approx(2.0 / 3.0, rel=1e-13)
     assert w.delta == pytest.approx(2.0 / 3.0, rel=1e-13)

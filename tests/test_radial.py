@@ -107,7 +107,6 @@ def test_bump_profile_support_and_peak():
     assert vals[0] == pytest.approx(3.0)
     assert vals[1] > 0.0
     assert vals[3] == 0.0 and vals[4] == 0.0
-    assert prof.mass_sign == 1
 
 
 def test_gaussian_profile_symmetry_and_amplitude():
@@ -119,7 +118,6 @@ def test_gaussian_profile_symmetry_and_amplitude():
 
 def test_zero_profile_mass_sign():
     prof = radial.zero_profile()
-    assert prof.mass_sign == 0
     assert np.all(prof(np.linspace(0.0, 5.0, 7)) == 0.0)
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fujitalab import blowup, radial, transform
+from fujitalab.errors import DegenerateTransform
 from fujitalab.exponents import ProblemParams
 
 
@@ -31,6 +32,14 @@ def test_constants_for_weighted_case():
     assert tp.nbar == pytest.approx(4.0)                  # 2(N+s1)/(2+s1)
     assert tp.lam == pytest.approx(0.5 ** (2.0 * 1.0 / 3.0))
     assert not tp.is_identity
+
+
+def test_valid_tuple_can_round_onto_the_degenerate_transform():
+    # s2 > -2 keeps 2 + sbar > 0 in exact arithmetic, but 2 + s1 and
+    # s2 - s1 both round to multiples of 16 near 1e17, so sbar = -2 exactly
+    params = _params(1e17, -2.0 + 2.0 ** -51)
+    with pytest.raises(DegenerateTransform, match=r"2 \+ sbar vanishes"):
+        transform.transform_params(params)
 
 
 def test_effective_dimension_is_generally_noninteger():
