@@ -14,9 +14,8 @@ from .errors import (ConfigError, FujitaLabError, HypothesisViolation,
                      NoBracket, NotContracting, NoValidT, NumericalFailure,
                      Overflow, PoorFit, QuadratureFailure)
 from .exponents import (ProblemParams, Regime, Weights, build_report,
-                        critical_forced, default_r, derived_weights,
-                        fujita_first, fujita_second, local_alpha,
-                        local_q_admissible, quadratic_f, r_window,
+                        critical_forced, derived_weights, fujita_first,
+                        fujita_second, local_alpha, quadratic_f, r_window,
                         report_text, scaling_index)
 from .radial import (RadialField, RadialGrid, bump_profile,
                      field_from_callable, gaussian_profile, lq_norm,

@@ -43,6 +43,9 @@ BLOWN_UP = "BlownUp"
 INCONCLUSIVE = "Inconclusive"
 
 _STEP_BUDGET = 10 ** 6      # most steps a horizon may need at the step cap
+_T_TARGET = 10.0            # horizon of the calibration's ignition probes
+_AMP_START = 0.125          # first amplitude the calibration tries
+_MAX_DOUBLINGS = 16         # most doublings, then halvings, of that amplitude
 
 
 @dataclass(frozen=True)
@@ -81,10 +84,6 @@ class SolveOutcome:
     steps: int
     min_dt: float
     snapshots: List[Tuple[float, RadialField]] = field(default_factory=list)
-
-    @property
-    def blew_up(self) -> bool:
-        return self.status == BLOWN_UP
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -211,7 +210,6 @@ class ScanReport:
     rows: List[ScanRow]
     bracket: Tuple[float, float]
     p_star_theory: float
-    amplitude: float
     note: str = ("Finite-horizon evidence only: the theory's threshold is "
                  "asymptotic, so slow blow-up above the bracket and slow "
                  "decay below it are indistinguishable at this horizon.")
@@ -220,8 +218,8 @@ class ScanReport:
 SCAN_CSV_COLUMNS = ["p", "outcome", "t_star_or_Tmax", "max_norm"]
 
 
-def _default_scan_grid(m: int = 384) -> RadialGrid:
-    return RadialGrid.log_spaced(30.0, m, r_min=1e-3 * 30.0)
+def _default_scan_grid() -> RadialGrid:
+    return RadialGrid.log_spaced(30.0, 384, r_min=1e-3 * 30.0)
 
 
 def _scan_forcing(grid: RadialGrid, params: ProblemParams,
@@ -288,17 +286,11 @@ def scan_threshold(params_base: ProblemParams, p_range: Tuple[float, float],
             hi = mid
 
     return ScanReport(rows=rows, bracket=(min(lo, hi), max(lo, hi)),
-                      p_star_theory=critical_forced(params_base),
-                      amplitude=forcing_amp)
+                      p_star_theory=critical_forced(params_base))
 
 
 def calibrate_amplitude(params_base: ProblemParams, cfg: BlowupConfig,
-                        p_below: Optional[float] = None,
-                        p_above: Optional[float] = None,
-                        t_target: float = 10.0,
-                        grid: Optional[RadialGrid] = None,
-                        amp_start: float = 0.125,
-                        max_doublings: int = 16) -> float:
+                        grid: Optional[RadialGrid] = None) -> float:
     """Deterministic two-sided amplitude calibration for threshold scans.
 
     A scan can only see the dichotomy when the forcing is strong enough to
@@ -306,52 +298,48 @@ def calibrate_amplitude(params_base: ProblemParams, cfg: BlowupConfig,
     enough that above it the response stays under the large-data ignition
     level, where raising p strengthens rather than weakens the reaction.
 
-    Doubling from ``amp_start`` finds the first amplitude that blows up by
-    ``t_target`` at ``p_below`` (default: critical power minus one half).
-    That amplitude is then halved until the probe at ``p_above`` (default:
-    critical power plus one half) survives the full horizon, re-checking
-    each time that ``p_below`` still blows up by the horizon.  NoBracket is
-    raised when the two requirements cannot be met together, and
-    HypothesisViolation, before any probe, when the probe powers are not
-    1 < p_below < p_above or the critical power they default to is infinite.
+    The probes sit at p* -/+ 1/2 around the critical power p*.  Doubling
+    from 1/8 finds the first amplitude that blows up at p* - 1/2 by
+    t = min(10, t_max).  That amplitude is then halved until the probe at
+    p* + 1/2 survives the full horizon, re-checking each time that
+    p* - 1/2 still blows up by the horizon.  NoBracket is raised when the
+    two requirements cannot be met together, and HypothesisViolation,
+    before any probe, unless 1 < p* - 1/2 < p* + 1/2 (p* infinite, at most
+    3/2, or so large that the probes round together).
     """
     p_star = critical_forced(params_base)
-    if p_below is None or p_above is None:
-        if not math.isfinite(p_star):
-            raise HypothesisViolation("calibration needs a finite critical "
-                                      "power or explicit probe powers")
-        p_below = p_star - 0.5 if p_below is None else p_below
-        p_above = p_star + 0.5 if p_above is None else p_above
-    if not (1.0 < p_below < p_above):
-        raise HypothesisViolation("calibration needs 1 < p_below < p_above, "
-                                  "got %g and %g" % (p_below, p_above))
+    if not math.isfinite(p_star):
+        raise HypothesisViolation("calibration needs a finite critical power")
+    p_sub, p_sup = p_star - 0.5, p_star + 0.5
+    if not (1.0 < p_sub < p_sup):
+        raise HypothesisViolation("calibration needs 1 < p* - 1/2 < p* + 1/2, "
+                                  "got %g and %g" % (p_sub, p_sup))
     g = grid if grid is not None else _default_scan_grid()
-    fast_cfg = replace(cfg, t_max=min(t_target, cfg.t_max))
+    fast_cfg = replace(cfg, t_max=min(_T_TARGET, cfg.t_max))
 
     def probe(p: float, amp: float, horizon_cfg: BlowupConfig) -> SolveOutcome:
         w = _scan_forcing(g, params_base, amp)
         return _run_at_p(params_base, p, g, w, horizon_cfg)
 
-    amp = amp_start
+    amp = _AMP_START
     hot = None
-    for _ in range(max_doublings):
-        out = probe(p_below, amp, fast_cfg)
-        if out.status == BLOWN_UP and out.t_star is not None \
-                and out.t_star <= t_target:
+    for _ in range(_MAX_DOUBLINGS):
+        out = probe(p_sub, amp, fast_cfg)
+        if out.status == BLOWN_UP and out.t_star <= _T_TARGET:
             hot = amp
             break
         amp *= 2.0
     if hot is None:
         raise NoBracket("no amplitude up to %g ignited blow-up by t=%g at p=%g"
-                        % (amp / 2.0, t_target, p_below))
+                        % (amp / 2.0, fast_cfg.t_max, p_sub))
 
     amp = hot
-    for _ in range(max_doublings):
-        if probe(p_above, amp, cfg).status == GLOBAL:
-            if probe(p_below, amp, cfg).status == BLOWN_UP:
+    for _ in range(_MAX_DOUBLINGS):
+        if probe(p_sup, amp, cfg).status == GLOBAL:
+            if probe(p_sub, amp, cfg).status == BLOWN_UP:
                 return amp
             break
         amp /= 2.0
     raise NoBracket(
         "no amplitude blows up at p=%g yet stays global at p=%g over t<=%g"
-        % (p_below, p_above, cfg.t_max))
+        % (p_sub, p_sup, cfg.t_max))

@@ -45,7 +45,7 @@ __all__ = [
     "RampProfile", "CutoffPair", "default_cutoffs",
     "CapacityParts", "capacity_integrals",
     "CapacityFitReport", "capacity_exponent_fit",
-    "LogCapacityReport", "log_capacity_fit",
+    "LogCapacityReport", "log_capacity_fit", "log_space_capacity",
     "FIT_CSV_COLUMNS",
 ]
 

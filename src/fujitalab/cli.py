@@ -38,7 +38,8 @@ from .exponents import (REPORT_CSV_COLUMNS, build_report, derived_weights,
 from .mild import (CONVERGENCE_CSV_COLUMNS, TRAJECTORY_CSV_COLUMNS,
                    MildConfig, convergence_csv_rows, solve_global_small,
                    solve_local_Lq, trajectory_csv_rows)
-from .radial import RadialField, RadialGrid, field_from_callable
+from .radial import (RadialField, RadialGrid, field_from_callable,
+                     powerlaw_profile)
 from .semigroup import SemigroupOp, smoothing_slope, weighted_smoothing_check
 from .transform import residual_check, transform_params
 
@@ -87,10 +88,6 @@ def _field(cfg: ExperimentConfig, key: str, grid: RadialGrid) -> RadialField:
     return field_from_callable(grid, profile, float(cfg.params.N))
 
 
-def _out_path(out_dir: str, name: str) -> str:
-    return os.path.join(out_dir, name)
-
-
 # ---------------------------------------------------------------------------
 # command implementations
 # ---------------------------------------------------------------------------
@@ -98,7 +95,7 @@ def _out_path(out_dir: str, name: str) -> str:
 def _run_exponents(cfg: ExperimentConfig, out_dir: str) -> None:
     r = cfg.options["r"]
     report = build_report(cfg.params, None if r == 0.0 else r)
-    path = _out_path(out_dir, "exponents.csv")
+    path = os.path.join(out_dir, "exponents.csv")
     _write_csv(path, REPORT_CSV_COLUMNS, [report_csv_row(report)],
                ["params: " + cfg.describe()])
     sys.stdout.write(report_text(report))
@@ -107,13 +104,16 @@ def _run_exponents(cfg: ExperimentConfig, out_dir: str) -> None:
 
 def _run_transform_check(cfg: ExperimentConfig, out_dir: str) -> None:
     tp = transform_params(cfg.params)
+    n_snap = cfg.options["n_snapshots"]
+    if n_snap < 3:
+        raise ConfigError("the residual's v_tau needs n_snapshots >= 3, "
+                          "got %d" % n_snap)
     with _building():
         grid = _grid_for(cfg)
         u0 = _field(cfg, "u0", grid)
         w = _field(cfg, "w", grid)
         w_profile = cfg.options["w"].build()
         t_end = cfg.options["t_end"]
-        n_snap = cfg.options["n_snapshots"]
         samples = list(np.linspace(t_end / n_snap, t_end, n_snap))
         run_cfg = BlowupConfig(dt_init=cfg.options["dt_init"],
                                t_max=1.05 * t_end)
@@ -124,7 +124,7 @@ def _run_transform_check(cfg: ExperimentConfig, out_dir: str) -> None:
     fields = [f for _, f in out.snapshots]
     residuals = residual_check(times, fields, w_profile, cfg.params)
     rows = [[times[k + 1], res] for k, res in enumerate(residuals)]
-    path = _out_path(out_dir, "transform_check.csv")
+    path = os.path.join(out_dir, "transform_check.csv")
     _write_csv(path, ["t", "residual_sup"], rows,
                ["params: " + cfg.describe(),
                 "transform: theta=%.12g sbar=%.12g nbar=%.12g lambda=%.12g"
@@ -134,7 +134,6 @@ def _run_transform_check(cfg: ExperimentConfig, out_dir: str) -> None:
 
 
 def _run_semigroup_check(cfg: ExperimentConfig, out_dir: str) -> None:
-    from .radial import powerlaw_profile
     a, b = cfg.options["lq_a"], cfg.options["lq_b"]
     gamma = cfg.options["gamma"]
     opts = cfg.options
@@ -153,7 +152,7 @@ def _run_semigroup_check(cfg: ExperimentConfig, out_dir: str) -> None:
         fit = weighted_smoothing_check(op, a, b, gamma, source, times)
         label = "weighted (gamma=%g) L^%g -> L^%g smoothing" % (gamma, a, b)
     rows = [[float(t), float(n)] for t, n in zip(fit.x, fit.y)]
-    path = _out_path(out_dir, "semigroup_check.csv")
+    path = os.path.join(out_dir, "semigroup_check.csv")
     _write_csv(path, ["t", "norm"], rows,
                ["params: " + cfg.describe(),
                 "check: %s" % label,
@@ -182,10 +181,10 @@ def _run_mild_solve(cfg: ExperimentConfig, out_dir: str) -> None:
                 "metric: r=%.10g mu=%.10g" % (sol.r, sol.mu),
                 "converged: %s after %d iterations, x_norm=%.10g"
                 % (sol.converged, len(sol.diffs), sol.trajectory.x_norm)]
-    traj_path = _out_path(out_dir, "mild_trajectory.csv")
+    traj_path = os.path.join(out_dir, "mild_trajectory.csv")
     _write_csv(traj_path, TRAJECTORY_CSV_COLUMNS,
                trajectory_csv_rows(sol.trajectory, sol.r, sol.mu), comments)
-    conv_path = _out_path(out_dir, "mild_convergence.csv")
+    conv_path = os.path.join(out_dir, "mild_convergence.csv")
     _write_csv(conv_path, CONVERGENCE_CSV_COLUMNS,
                convergence_csv_rows(sol.diffs, sol.ratios), comments)
     print("wrote %s and %s (converged=%s)" % (traj_path, conv_path,
@@ -215,7 +214,7 @@ def _run_blowup_scan(cfg: ExperimentConfig, out_dir: str) -> None:
                             bracket_width=cfg.options["bracket_width"])
     rows = [[row.p, row.outcome, row.t_star_or_tmax, row.max_norm]
             for row in report.rows]
-    path = _out_path(out_dir, "blowup_scan.csv")
+    path = os.path.join(out_dir, "blowup_scan.csv")
     _write_csv(path, SCAN_CSV_COLUMNS, rows,
                ["params: " + cfg.describe(),
                 "amplitude: %.10g%s" % (amp,
@@ -231,7 +230,7 @@ def _run_blowup_scan(cfg: ExperimentConfig, out_dir: str) -> None:
 
 def _run_capacity_fit(cfg: ExperimentConfig, out_dir: str) -> None:
     radii = list(cfg.options["radii"])
-    path = _out_path(out_dir, "capacity_fit.csv")
+    path = os.path.join(out_dir, "capacity_fit.csv")
     comments = ["params: " + cfg.describe()]
     log_case = cfg.options["log_case"]
     write = _write_report_log if log_case else _write_report_fit
@@ -305,7 +304,7 @@ def _run_local_solve(cfg: ExperimentConfig, out_dir: str) -> None:
         if not cfg.options["horizon"] > 0.0:
             raise ValueError("horizon must be positive")
     sol = solve_local_Lq(u0, w, cfg.params, q, cfg.options["horizon"], mcfg)
-    path = _out_path(out_dir, "local_trajectory.csv")
+    path = os.path.join(out_dir, "local_trajectory.csv")
     _write_csv(path, TRAJECTORY_CSV_COLUMNS,
                trajectory_csv_rows(sol.trajectory, sol.q, 0.0),
                ["params: " + cfg.describe(),

@@ -131,15 +131,7 @@ class ProfileSpec:
     args: Tuple[float, ...]
 
     def build(self) -> Callable:
-        if self.name == "zero":
-            return zero_profile()
-        if self.name == "gaussian":
-            return gaussian_profile(*self.args)
-        if self.name == "bump":
-            return bump_profile(*self.args)
-        if self.name == "powerlaw":
-            return powerlaw_profile(*self.args)
-        raise ConfigError("unreachable profile %r" % self.name)
+        return _PROFILES[self.name][1](*self.args)
 
     def __str__(self):
         if not self.args:
@@ -147,7 +139,9 @@ class ProfileSpec:
         return "%s(%s)" % (self.name, ", ".join("%g" % a for a in self.args))
 
 
-_PROFILE_ARITY = {"zero": 0, "gaussian": 3, "bump": 2, "powerlaw": 2}
+# profile name -> (argument count, builder)
+_PROFILES = {"zero": (0, zero_profile), "gaussian": (3, gaussian_profile),
+             "bump": (2, bump_profile), "powerlaw": (2, powerlaw_profile)}
 
 _PROFILE_RE = re.compile(r"^([a-z_]+)\s*(?:\((.*)\))?$")
 
@@ -157,18 +151,18 @@ def parse_profile(text: str) -> ProfileSpec:
     if m is None:
         raise ConfigError("malformed profile %r" % text)
     name, argtext = m.group(1), m.group(2)
-    if name not in _PROFILE_ARITY:
+    if name not in _PROFILES:
         raise ConfigError("unknown profile %r; expected one of %s"
-                          % (name, sorted(_PROFILE_ARITY)))
+                          % (name, sorted(_PROFILES)))
     args: Tuple[float, ...] = ()
     if argtext is not None and argtext.strip():
         try:
             args = tuple(float(a) for a in argtext.split(","))
         except ValueError:
             raise ConfigError("non-numeric argument in profile %r" % text)
-    if len(args) != _PROFILE_ARITY[name]:
+    if len(args) != _PROFILES[name][0]:
         raise ConfigError("profile %s takes %d arguments, got %d"
-                          % (name, _PROFILE_ARITY[name], len(args)))
+                          % (name, _PROFILES[name][0], len(args)))
     return ProfileSpec(name=name, args=args)
 
 

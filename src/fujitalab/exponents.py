@@ -35,11 +35,9 @@ __all__ = [
     "quadratic_f",
     "quadratic_f_at_critical",
     "r_window",
-    "default_r",
     "Weights",
     "derived_weights",
     "local_alpha",
-    "local_q_admissible",
     "Regime",
     "classify_regime",
     "ExponentReport",
@@ -219,11 +217,6 @@ def r_window(params: ProblemParams) -> Tuple[float, float]:
     return (lo, hi)
 
 
-def default_r(params: ProblemParams) -> float:
-    """The exponent :func:`derived_weights` picks when r is omitted."""
-    return derived_weights(params).r
-
-
 @dataclass(frozen=True)
 class Weights:
     """Decay weights attached to an admissible integrability exponent r.
@@ -287,7 +280,7 @@ def local_alpha(params: ProblemParams, q: float) -> float:
 
     alpha = N(p-1)/(q(2+s1)) + (s1-s2)/(2+s1).  The local contraction
     closes exactly when alpha < 1, which is the first admissibility
-    inequality of :func:`local_q_admissible`.
+    inequality of :func:`require_admissible_q`.
     """
     a = params.diffusion_depth
     return (params.N * (params.p - 1.0) / (q * a)
@@ -306,20 +299,17 @@ def _q_violations(params: ProblemParams, q: float) -> list:
     return [message for ok, message in checks if not ok]
 
 
-def local_q_admissible(params: ProblemParams, q: float) -> bool:
-    """Whether q carries the local existence theory for these parameters.
+def require_admissible_q(params: ProblemParams, q: float) -> None:
+    """Check that q carries the local existence theory for these parameters.
 
     Requires all three of
 
         q > N p / (N + s2),
         q > N (p-1) / (2 + s2)    (equivalently local_alpha < 1),
-        q >= p.
+        q >= p,
+
+    and raises Inadmissible naming each failed inequality.
     """
-    return not _q_violations(params, q)
-
-
-def require_admissible_q(params: ProblemParams, q: float) -> None:
-    """Raise Inadmissible with the specific failed inequality for q."""
     bad = _q_violations(params, q)
     if bad:
         raise Inadmissible("; ".join(bad))
@@ -403,14 +393,13 @@ class ExponentReport:
     regime: Regime
 
 
-def build_report(params: ProblemParams, r: Optional[float] = None,
-                 w_mass_sign: int = 1) -> ExponentReport:
+def build_report(params: ProblemParams,
+                 r: Optional[float] = None) -> ExponentReport:
     """Assemble the full exponent report for a parameter tuple.
 
     The window and weights are best-effort: an empty window or an r outside
     it leaves those fields None instead of raising, so the report stays
-    total for any tuple.  ``w_mass_sign`` feeds the regime classification
-    (default assumes positive-mass forcing).
+    total for any tuple.  The regime assumes positive-mass forcing.
     """
     window, weights = None, None
     try:
@@ -427,7 +416,7 @@ def build_report(params: ProblemParams, r: Optional[float] = None,
         r_c=forcing_index(params),
         window=window,
         weights=weights,
-        regime=classify_regime(params, w_mass_sign),
+        regime=classify_regime(params),
     )
 
 

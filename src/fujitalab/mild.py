@@ -94,13 +94,10 @@ class Trajectory:
         if len(self.fields) != t.size:
             raise ValueError("need one field per time, got %d fields for %d "
                              "times" % (len(self.fields), t.size))
-        for f in self.fields:
-            if not np.all(np.isfinite(f.values)):
-                raise ValueError("trajectory fields must be finite")
         self.times = t
 
-    def norms(self, q: float, weight: float = 0.0) -> np.ndarray:
-        return np.array([lq_norm(f, q, weight) for f in self.fields])
+    def norms(self, q: float) -> np.ndarray:
+        return np.array([lq_norm(f, q) for f in self.fields])
 
     def max_values(self) -> np.ndarray:
         return np.array([float(np.max(np.abs(f.values))) for f in self.fields])

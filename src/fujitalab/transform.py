@@ -51,10 +51,6 @@ class TransformParams:
     nbar: float
     lam: float
 
-    @property
-    def is_identity(self) -> bool:
-        return self.theta == 1.0
-
 
 def transform_params(params: ProblemParams) -> TransformParams:
     """Compute the transform constants for a parameter tuple.
@@ -82,30 +78,23 @@ def _r_of_s(s: np.ndarray, tp: TransformParams) -> np.ndarray:
     return (tp.theta ** (2.0 / (2.0 + tp.sbar)) * s) ** (1.0 / tp.theta)
 
 
-def to_transformed(fld: RadialField, params: ProblemParams, t: float = None):
-    """Map a radial field (and optionally its time) to transformed variables.
+def to_transformed(fld: RadialField, params: ProblemParams) -> RadialField:
+    """Map a radial field to the transformed variables; tau = Lambda t.
 
-    Returns ``field_s`` or ``(field_s, tau)`` when a time is given.  Values
-    are carried pointwise: v(s(r)) = u(r), on the nodes s(r_i); s is a
-    power of r, so a log grid maps to a log grid.  The output field's
+    Values are carried pointwise: v(s(r)) = u(r), on the nodes s(r_i); s is
+    a power of r, so a log grid maps to a log grid.  The output field's
     dimension is the effective Nbar.
     """
     tp = transform_params(params)
     grid_s = RadialGrid(_s_of_r(fld.grid.nodes, tp))
-    out = RadialField(grid_s, fld.values.copy(), tp.nbar)
-    if t is None:
-        return out
-    return out, tp.lam * t
+    return RadialField(grid_s, fld.values.copy(), tp.nbar)
 
 
-def from_transformed(fld: RadialField, params: ProblemParams, tau: float = None):
+def from_transformed(fld: RadialField, params: ProblemParams) -> RadialField:
     """Inverse of :func:`to_transformed`; round-trips to rounding error."""
     tp = transform_params(params)
     grid_r = RadialGrid(_r_of_s(fld.grid.nodes, tp))
-    out = RadialField(grid_r, fld.values.copy(), float(params.N))
-    if tau is None:
-        return out
-    return out, tau / tp.lam
+    return RadialField(grid_r, fld.values.copy(), float(params.N))
 
 
 def forcing_W(w: Callable, params: ProblemParams) -> Callable:
@@ -146,21 +135,22 @@ def _second_derivative(values: np.ndarray, x: np.ndarray):
     return d1, d2
 
 
+_EDGE_TRIM = 8      # nodes dropped at each boundary of the residual
+
+
 def residual_check(times: Sequence[float], fields: Sequence[RadialField],
-                   w: Callable, params: ProblemParams,
-                   test_indices: Sequence[int] = None,
-                   edge_trim: int = 8) -> List[float]:
+                   w: Callable, params: ProblemParams) -> List[float]:
     """Discrete residual of the transformed equation along a trajectory.
 
     ``times``/``fields`` are snapshots of a solution of the original
-    equation on a common radial grid.  Each tested snapshot (by default all
-    that have both neighbours) is transported to (tau, s) variables, and
+    equation on a common radial grid.  Each snapshot that has both
+    neighbours is transported to (tau, s) variables, and
 
         v_tau - [ v_ss + (Nbar-1)/s v_s + s^sbar |v|^p + tau^rho W(s) ]
 
     is formed with a centered difference in tau and centered differences
     in s.  Returns one number per tested snapshot: the root-mean-square
-    residual over interior nodes, with ``edge_trim`` nodes dropped at each
+    residual over interior nodes, with 8 nodes dropped at each
     boundary so absorbing/reflecting closures do not pollute the measure.
     Raises InsufficientResolution when fewer than 5 interior nodes remain.
 
@@ -177,18 +167,14 @@ def residual_check(times: Sequence[float], fields: Sequence[RadialField],
     taus = tp.lam * np.asarray(times, dtype=float)
     w_vals = forcing_W(w, params)(s)
 
-    lo = 1 + edge_trim
-    hi = s.size - 1 - edge_trim
+    lo = 1 + _EDGE_TRIM
+    hi = s.size - 1 - _EDGE_TRIM
     if hi - lo < 5:
         raise InsufficientResolution(
             "only %d interior nodes after trimming" % max(hi - lo, 0))
 
-    if test_indices is None:
-        test_indices = range(1, len(times) - 1)
     out = []
-    for k in test_indices:
-        if not 0 < k < len(times) - 1:
-            raise ValueError("test index %d has no neighbours" % k)
+    for k in range(1, len(times) - 1):
         v_prev, v_k, v_next = (fields[k - 1].values, fields[k].values,
                                fields[k + 1].values)
         v_tau = (v_next - v_prev) / (taus[k + 1] - taus[k - 1])
@@ -198,6 +184,6 @@ def residual_check(times: Sequence[float], fields: Sequence[RadialField],
                + sin ** tp.sbar * np.abs(v_k[1:-1]) ** params.p
                + taus[k] ** params.rho * w_vals[1:-1])
         res = v_tau[1:-1] - rhs
-        window = res[edge_trim:res.size - edge_trim]
+        window = res[_EDGE_TRIM:res.size - _EDGE_TRIM]
         out.append(float(np.sqrt(np.mean(window ** 2))))
     return out

@@ -208,8 +208,10 @@ MILD_TUPLE = "N = 3\nsigma2 = -0.1\nrho = -0.5\np = 3\n"
     ("mild-solve", "grid_r_max = 1e300\n"),
     ("mild-solve", "u0 = gaussian(0, 1e-200, 1)\n"),
     ("blowup-scan", "bracket_width = 0\n"),
+    ("transform-check", "n_snapshots = 2\n"),
 ], ids=["grid_m", "grid_r_max", "u0", "n_times", "t_lo", "grid_r_min",
-        "grid_r_max_huge", "u0_width_underflow", "bracket_width"])
+        "grid_r_max_huge", "u0_width_underflow", "bracket_width",
+        "n_snapshots"])
 @pytest.mark.filterwarnings("error")
 def test_invalid_inputs_to_builders_exit_2(tmp_path, command, extra):
     # values the schema types admit but the grid, profile, solver settings

@@ -149,7 +149,7 @@ def test_reference_window_and_weights():
     # window in 1/r coordinates is (1/9, 1/3): r may sit in (3, 9)
     assert lo == pytest.approx(1.0 / 9.0, rel=1e-14)
     assert hi == pytest.approx(1.0 / 3.0, rel=1e-14)
-    r = ex.default_r(p)
+    r = ex.derived_weights(p).r
     assert r == pytest.approx(4.5, rel=1e-14)
     w = ex.derived_weights(p, r)
     assert w.r == r and w.delta == ex.local_alpha(p, r)
@@ -191,7 +191,7 @@ def test_default_r_clips_window_to_usable_exponents():
     # large p pushes the window floor below zero; the midpoint must still
     # produce a finite r > 1 inside the clipped window
     p = ex.ProblemParams(N=5, sigma1=-0.2, sigma2=-0.4, rho=-0.3, p=12.0)
-    r = ex.default_r(p)
+    r = ex.derived_weights(p).r
     assert r > 1.0
     ex.derived_weights(p, r)
 
@@ -207,11 +207,9 @@ def test_local_alpha_reference_value():
 
 def test_local_admissibility_inequalities():
     p = ex.ProblemParams(N=3, sigma1=0.0, sigma2=0.0, rho=0.0, p=2.0)
-    assert ex.local_q_admissible(p, 4.0)
-    assert not ex.local_q_admissible(p, 1.5)   # q < p
     ex.require_admissible_q(p, 4.0)
     with pytest.raises(Inadmissible) as info:
-        ex.require_admissible_q(p, 1.5)
+        ex.require_admissible_q(p, 1.5)         # q < p
     assert "q=1.5" in str(info.value)
 
 
@@ -220,7 +218,7 @@ def test_local_alpha_below_one_iff_admissible_kernel():
         n, p = params.N, params.p
         q_edge = n * (p - 1.0) / (2.0 + params.sigma2)
         q = max(q_edge, n * p / (n + params.sigma2), p) * 1.1
-        assert ex.local_q_admissible(params, q)
+        ex.require_admissible_q(params, q)
         assert ex.local_alpha(params, q) < 1.0
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fujitalab import blowup, radial, transform
-from fujitalab.errors import DegenerateTransform
+from fujitalab.errors import DegenerateTransform, InsufficientResolution
 from fujitalab.exponents import ProblemParams
 
 
@@ -18,7 +18,6 @@ def _params(s1, s2, rho=-0.5, p=2.0):
 
 def test_identity_when_time_weight_absent():
     tp = transform.transform_params(_params(0.0, -0.5))
-    assert tp.is_identity
     assert tp.theta == 1.0
     assert tp.nbar == 3.0
     assert tp.lam == 1.0
@@ -31,7 +30,6 @@ def test_constants_for_weighted_case():
     assert tp.sbar == pytest.approx(2.0 * 0.5 / 1.0)      # 2(s2-s1)/(2+s1)
     assert tp.nbar == pytest.approx(4.0)                  # 2(N+s1)/(2+s1)
     assert tp.lam == pytest.approx(0.5 ** (2.0 * 1.0 / 3.0))
-    assert not tp.is_identity
 
 
 def test_valid_tuple_can_round_onto_the_degenerate_transform():
@@ -65,11 +63,10 @@ def test_roundtrip_recovers_nodes_and_values():
     g = radial.RadialGrid.log_spaced(10.0, 128, r_min=1e-3)
     params = _params(-1.0, -0.5)
     fld = radial.field_from_callable(g, radial.gaussian_profile(1.0, 0.7, 2.0), 3.0)
-    there, tau = transform.to_transformed(fld, params, t=0.7)
-    back, t = transform.from_transformed(there, params, tau=tau)
+    there = transform.to_transformed(fld, params)
+    back = transform.from_transformed(there, params)
     assert np.allclose(back.grid.nodes, g.nodes, rtol=1e-12)
     assert np.allclose(back.values, fld.values, rtol=1e-12)
-    assert t == pytest.approx(0.7, rel=1e-12)
 
 
 def test_transported_dimension_is_effective():
@@ -148,9 +145,10 @@ def test_residual_decreases_under_time_refinement():
 
 
 def test_residual_rejects_tiny_grids():
+    # 20 nodes leave 2 interior nodes after the 8-node trim at each end
     params = _params(0.0, 0.0, rho=0.0)
     g = radial.RadialGrid.log_spaced(5.0, 20)
     flds = [radial.RadialField(g, np.ones(20), 3.0) for _ in range(3)]
-    with pytest.raises(Exception):
+    with pytest.raises(InsufficientResolution, match="only 2 interior"):
         transform.residual_check([0.0, 0.1, 0.2], flds,
-                                 radial.zero_profile(), params, edge_trim=12)
+                                 radial.zero_profile(), params)
