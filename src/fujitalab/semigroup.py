@@ -14,9 +14,11 @@ Time stepping is Crank-Nicolson (second order, A-stable), after implicit
 Euler (first order; the step matrix is an M-matrix, so nonnegative data
 stay nonnegative) on the first interval of ``evolve_through``.  Both are
 one tridiagonal solve per step: Crank-Nicolson is 2 (I - dt/2 L)^-1 u - u.
-Each step size is factored once (LAPACK gttrf) and its factors are reused
-(gttrs) for every later step of that size; both are bound at the first
-factorisation, not at import time.
+With L = W^-1 T, T symmetric and W = r^(N-1+s1) cells, a solve is one of
+the positive definite W - dt T, L D L^T-factored once per step size (LAPACK
+pttrf, bound at the first factorisation) and reused (pttrs).  A solve
+carries NaN and inf through; a march, a Duhamel slice and the direct
+integrator's trial step each check finiteness once.
 
 The module also carries the three certification studies used by the
 acceptance experiments:
@@ -53,7 +55,8 @@ __all__ = [
 ]
 
 _SUBSTEPS = 32      # equal steps of a march that does not name its count
-dgttrf = dgttrs = None      # scipy.linalg.lapack, bound at first factorisation
+_TINY, _HUGE = float(np.finfo(float).tiny), float(np.finfo(float).max)
+dpttrf = dpttrs = None      # scipy.linalg.lapack, bound at first factorisation
 
 
 @dataclass
@@ -61,8 +64,8 @@ class SemigroupOp:
     """Evolution operator S(t) = exp(t |x|^(-s1) Lap) on a radial grid.
 
     The operator owns the radial weights of the equation (``weight``).  Its
-    matrix and ``time_weight`` = r^(-s1) are assembled once at construction;
-    the LU factors of I - dt L are kept for the last dt solved with.
+    generator and ``time_weight`` = r^(-s1) are assembled once at
+    construction; the factors of W - dt T are kept for the last dt.
     """
 
     grid: RadialGrid
@@ -84,18 +87,18 @@ class SemigroupOp:
         cells[-1] = 0.5 * (h[-1] + h_gh)
 
         self.time_weight = self.weight(-self.params.sigma1)
-        scale = self.time_weight / (r ** (n - 1.0) * cells)
-        lo = np.zeros_like(r)
-        up = np.zeros_like(r)
-        di = np.zeros_like(r)
-        up[:-1] = scale[:-1] * cond
-        lo[1:] = scale[1:] * cond
-        di[0] = -scale[0] * cond[0]
-        di[1:-1] = -scale[1:-1] * (cond[:-1] + cond[1:])
-        di[-1] = -scale[-1] * (cond[-1] + cond_gh)
-        self._lo, self._di, self._up = lo, di, up
-        self._lu_dt: Optional[float] = None
-        self._lu: Tuple[np.ndarray, ...] = ()
+        with np.errstate(divide="ignore", over="ignore"):
+            w = r ** (n - 1.0) * cells / self.time_weight
+        if not all(_TINY <= a.min() and a.max() <= _HUGE
+                   for a in (self.time_weight, w)):
+            raise Overflow("the grid weight r^(%g) leaves the normal float "
+                           "range" % -self.params.sigma1)
+        # T is symmetric: off-diagonal cond, diagonal minus the conductances
+        # into and out of each node (the last one's out through the ghost)
+        tdi = -np.append(0.0, cond) - np.append(cond, cond_gh)
+        self._w, self._tdi, self._cond = w, tdi, cond
+        self._ldl_dt: Optional[float] = None
+        self._ldl: Tuple[np.ndarray, ...] = ()
 
     def weight(self, a: float) -> np.ndarray:
         """r^a at the nodes; raises Overflow, not a numpy warning, where a
@@ -109,58 +112,55 @@ class SemigroupOp:
     # -- low-level pieces ---------------------------------------------------
 
     def apply_operator(self, values: np.ndarray) -> np.ndarray:
-        """Matrix-vector product L u."""
-        out = self._di * values
-        out[:-1] += self._up[:-1] * values[1:]
-        out[1:] += self._lo[1:] * values[:-1]
-        return out
+        """Matrix-vector product L u = W^-1 T u."""
+        out = self._tdi * values
+        out[:-1] += self._cond * values[1:]
+        out[1:] += self._cond * values[:-1]
+        return out / self._w
 
-    def step_matrix_banded(self, dt: float) -> np.ndarray:
-        """Banded storage of I - dt L: super-, main and sub-diagonal rows,
-        which implicit_solve hands to LAPACK gttrf."""
-        m = self.grid.m
-        ab = np.zeros((3, m))
-        ab[0, 1:] = -dt * self._up[:-1]
-        ab[1, :] = 1.0 - dt * self._di
-        ab[2, :-1] = -dt * self._lo[1:]
-        return ab
+    def step_matrix_banded(self, dt: float) -> Tuple[np.ndarray, np.ndarray]:
+        """Diagonal and off-diagonal of the symmetric positive definite
+        W - dt T, which implicit_solve hands to LAPACK pttrf."""
+        return self._w - dt * self._tdi, -dt * self._cond
 
     def implicit_solve(self, rhs: np.ndarray, dt: float) -> np.ndarray:
-        """Solve (I - dt L) x = rhs with the LU factors of I - dt L.
+        """Solve (I - dt L) x = rhs as (W - dt T) x = W rhs.
 
-        A dt other than the last one is factored first and its factors
-        replace the kept ones.  rhs is not modified.  Raises StepFailure on
-        a singular matrix or non-finite output.
+        A dt other than the last one is factored first and its L D L^T
+        factors replace the kept ones.  rhs is not modified.  Raises
+        StepFailure when W - dt T is not positive definite; a non-finite
+        rhs gives a non-finite x, which the caller checks.
         """
-        global dgttrf, dgttrs
-        if dt != self._lu_dt:
-            if dgttrf is None:
-                from scipy.linalg.lapack import dgttrf, dgttrs
-            ab = self.step_matrix_banded(dt)
-            *lu, info = dgttrf(ab[2, :-1], ab[1], ab[0, 1:])
+        global dpttrf, dpttrs
+        if dt != self._ldl_dt:
+            if dpttrf is None:
+                from scipy.linalg.lapack import dpttrf, dpttrs
+            *ldl, info = dpttrf(*self.step_matrix_banded(dt), overwrite_d=1,
+                                overwrite_e=1)
             if info != 0:
-                raise StepFailure("step matrix I - dt L is singular at "
-                                  "dt=%g" % dt)
-            self._lu, self._lu_dt = tuple(lu), dt
-        x, _ = dgttrs(*self._lu, rhs)
-        if not np.all(np.isfinite(x)):
-            raise StepFailure("implicit solve produced non-finite values")
+                raise StepFailure("step matrix W - dt T is not positive "
+                                  "definite at dt=%g" % dt)
+            self._ldl, self._ldl_dt = tuple(ldl), dt
+        x, _ = dpttrs(*self._ldl, self._w * rhs, overwrite_b=1)
         return x
 
+    @np.errstate(over="ignore", invalid="ignore")
     def _march(self, values: np.ndarray, t: float, substeps: Optional[int],
                implicit_euler: bool = False) -> np.ndarray:
         # substeps equal steps, Crank-Nicolson unless implicit_euler
         n = _SUBSTEPS if substeps is None else int(substeps)
-        if t == 0.0 or n == 0:
+        if t == 0.0 or n <= 0:
             return values.copy()
         dt = t / n
-        u = values.copy()
+        u = values
         if implicit_euler:
             for _ in range(n):
                 u = self.implicit_solve(u, dt)
         else:
             for _ in range(n):
                 u = 2.0 * self.implicit_solve(u, 0.5 * dt) - u
+        if not np.isfinite(u).all():
+            raise StepFailure("a march left the float range")
         return u
 
     @np.errstate(over="ignore", invalid="ignore")
@@ -178,7 +178,7 @@ class SemigroupOp:
         dt = 0.25 * h
         out = acc + self.implicit_solve(
             self.implicit_solve(quad + c * src, dt) - quad, dt)
-        if not np.all(np.isfinite(out)):
+        if not np.isfinite(out).all():
             raise StepFailure("a Duhamel slice left the float range")
         return out
 

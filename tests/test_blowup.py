@@ -36,6 +36,20 @@ def test_zero_data_zero_forcing_stays_zero():
     assert out.max_norm == 0.0
 
 
+@pytest.mark.filterwarnings("error")
+def test_overflowing_trial_is_a_rejected_step():
+    # |u|^3 of a 1e200 datum overflows every trial: each is rejected and
+    # halved until dt_min, with no numpy warning and no step taken
+    g = _grid(64)
+    u0 = radial.field_from_callable(g, radial.gaussian_profile(0, 1, 1e200),
+                                    3.0)
+    cfg = blowup.BlowupConfig(dt_init=1e-3, t_max=1.0, blowup_norm_cap=1e300)
+    out = blowup.integrate_nonlinear(u0, None, _params(p=3.0), cfg)
+    assert out.status == blowup.INCONCLUSIVE
+    assert out.steps == 0 and out.t_end == 0.0
+    assert out.min_dt == 1e-3 / 2 ** 23       # 1.19e-10, above dt_min
+
+
 def test_small_data_supercritical_is_global():
     g = _grid()
     u0 = radial.field_from_callable(g, radial.gaussian_profile(0.0, 1.0, 1e-3), 3.0)

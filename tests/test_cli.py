@@ -402,15 +402,24 @@ def test_overflowing_reaction_is_a_rejected_step(tmp_path):
 @pytest.mark.parametrize("command, text", [
     ("semigroup-check", "N = 2\nsigma1 = 1e300\ngrid_m = 16\n"
                         "grid_r_min = 0.5\ngrid_r_max = 1\n"),
+    ("semigroup-check", "N = 2\nsigma1 = 400\ngrid_m = 32\n"
+                        "grid_r_min = 2\ngrid_r_max = 30\nt_lo = 1\n"
+                        "t_hi = 10\nn_times = 5\n"),
+    ("semigroup-check", "N = 2\nsigma1 = 207.5\ngrid_m = 32\n"
+                        "grid_r_min = 2\ngrid_r_max = 30\nt_lo = 1\n"
+                        "t_hi = 10\nn_times = 5\n"),
     ("transform-check", "N = 3\nsigma1 = -0.7\nsigma2 = 300\n"
                         "rho = -0.5\np = 3\n"),
     ("blowup-scan", "N = 3\nsigma2 = 300\nrho = -0.5\np = 2\n"
                     "amplitude = 1\n"),
-], ids=["time-weight", "reaction-weight", "scan-reaction-weight"])
+], ids=["time-weight", "time-weight-underflow", "mass-weight-overflow",
+        "reaction-weight", "scan-reaction-weight"])
 @pytest.mark.filterwarnings("error")
 def test_overflowing_grid_weight_exits_4(tmp_path, capsys, command, text):
     # r^(-s1) and r^(s2-s1) beyond the float range stop the run with a
-    # numerical failure that names the weight, not with a numpy warning
+    # numerical failure that names the weight, not with a numpy warning;
+    # so does an r^(-s1) that underflows, or whose inverse times
+    # r^(N-1) cells overflows, either of which would zero L on those nodes
     cfg = _write(tmp_path, "weight.cfg", text)
     rc = cli.main([command, "--config", cfg, "--out", str(tmp_path)])
     assert rc == cli.EXIT_NUMERICAL
