@@ -13,15 +13,14 @@ and a local-in-time solver working in plain C([0,T]; L^q) (mu = 0, r = q).
 
 Every time integral marches a running accumulator forward across a
 log-spaced grid of stored times.  Each stored interval is cut into midpoint
-slices, each one SemigroupOp.duhamel_slice: the accumulator takes a
-Crank-Nicolson march, and the slice source joins it after a half-slice of
-implicit Euler, because rough sources (negative radial powers in
-particular) ring under trapezoidal stepping.  The cell touching t = 0 is
-special for both integrals: the forcing factor s^rho is integrated
-analytically there against a propagator frozen at the substep midpoint, and
-the nonlinear source uses a frozen power-law-in-time model anchored at the
-first stored time.  The weak-form residual's test function is made of the
-capacity module's quintic ramp profiles.
+slices, each one SemigroupOp.duhamel_slice: one TR-BDF2 step of the
+accumulator with the slice source held constant.  The linear part
+S(t) u0 + H(t) is one such march started from u0.  The cell touching t = 0
+is special for both integrals: the forcing factor s^rho is integrated
+analytically there, and the nonlinear source uses a frozen
+power-law-in-time model anchored at the first stored time.  The weak-form
+residual's test function is made of the capacity module's quintic ramp
+profiles.
 """
 
 import math
@@ -146,15 +145,15 @@ def _metric_for(params: ProblemParams, cfg: MildConfig) -> Tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 def _forcing_values(op: SemigroupOp, src: np.ndarray, rho: float,
-                    times: np.ndarray, nsub: int,
-                    t_scale: float = 1.0) -> List[np.ndarray]:
-    """March the forcing integral H across the stored times.
+                    times: np.ndarray, nsub: int, t_scale: float = 1.0,
+                    start: Optional[np.ndarray] = None) -> List[np.ndarray]:
+    """March S(t) start + H(t) across the stored times, start zero if None.
 
-    src is the spatial part r^(-s1) w; the time factor (s/t_scale)^rho is
-    exact on the substep touching s = 0 and midpoint-sampled elsewhere.
+    src is the spatial part r^(-s1) w of H; the time factor (s/t_scale)^rho
+    is exact on the substep touching s = 0 and midpoint-sampled elsewhere.
     """
     out = []
-    acc = np.zeros_like(src)
+    acc = np.zeros_like(src) if start is None else start
     t_prev = 0.0
     for t in times:
         h = (t - t_prev) / nsub
@@ -214,17 +213,13 @@ def _nonlinear_values(op: SemigroupOp, u_vals: Sequence[np.ndarray],
 def _linear_values(op: SemigroupOp, u0: RadialField,
                    w: Optional[RadialField], params: ProblemParams,
                    times: np.ndarray, nsub: int) -> List[np.ndarray]:
-    """S(t) u0 + H(t) at the stored times, as raw value arrays."""
-    if np.any(u0.values != 0.0):
-        s_parts = [f.values for f in
-                   op.evolve_through(u0, list(times), substeps=nsub)]
-    else:
-        s_parts = [np.zeros_like(u0.values) for _ in times]
-    if w is not None and np.any(w.values != 0.0):
-        src = op.time_weight * w.values
-        h_parts = _forcing_values(op, src, params.rho, times, nsub)
-        return [s + h for s, h in zip(s_parts, h_parts)]
-    return s_parts
+    """S(t) u0 + H(t) at the stored times, as raw value arrays: one march
+    from u0 with the forcing source, or without one when w is zero."""
+    if w is None or not np.any(w.values != 0.0):
+        return [f.values for f in
+                op.evolve_through(u0, list(times), substeps=nsub)]
+    return _forcing_values(op, op.time_weight * w.values, params.rho, times,
+                           nsub, start=u0.values)
 
 
 def _wrap(u0: RadialField, times: np.ndarray, vals: List[np.ndarray],
@@ -392,7 +387,6 @@ def solve_local_Lq(u0: RadialField, w: Optional[RadialField],
     op = SemigroupOp(u0.grid, params)
 
     probe_times = _time_grid(horizon_guess, cfg.n_times)
-    lin_probe = _linear_values(op, u0, None, params, probe_times, nsub)
     h_probe = None
     if w is not None and np.any(w.values != 0.0):
         if (params.rho + 1.0) * math.log(horizon_guess) > _LOG_MAX:
@@ -400,7 +394,7 @@ def solve_local_Lq(u0: RadialField, w: Optional[RadialField],
                            "horizon guess %g" % horizon_guess)
         src = op.time_weight * w.values
         h_probe = _forcing_values(op, src, params.rho, probe_times, nsub)
-        lin_probe = [s + h for s, h in zip(lin_probe, h_probe)]
+    lin_probe = _linear_values(op, u0, w, params, probe_times, nsub)
     lin_norms = np.array([_norm(u0.with_values(v), q) for v in lin_probe])
     m0 = float(np.max(lin_norms))
     if m0 == 0.0:

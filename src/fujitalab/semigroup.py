@@ -10,12 +10,12 @@ boundary (zero ghost value beyond r_max).  The telescoping flux sum makes
 the weighted mass  int r^(N-1+s1) u dr  exact up to the outer boundary
 flux, so compactly supported data conserve mass to rounding error.
 
-Time stepping is Crank-Nicolson (second order, A-stable), after implicit
-Euler (first order; the step matrix is an M-matrix, so nonnegative data
-stay nonnegative) on the first interval of ``evolve_through``.  Both are
-one tridiagonal solve per step: Crank-Nicolson is 2 (I - dt/2 L)^-1 u - u.
-With L = W^-1 T, T symmetric and W = r^(N-1+s1) cells, a solve is one of
-the positive definite W - dt T, L D L^T-factored once per step size (LAPACK
+Time stepping is TR-BDF2 (Bank et al. 1985; Hosea & Shampine 1996): L-stable
+and second order from t = 0 on rough data, with no start-up rule.  Its
+trapezoid and BDF2 stages both solve with A = I - a L, a = (1 - 1/sqrt2) h:
+y = A^-1 u, then u <- A^-1 (alpha y - sqrt2 u), alpha = 1 + sqrt2.  With
+L = W^-1 T, T symmetric and W = r^(N-1+s1) cells, a solve is one of the
+positive definite W - a T, L D L^T-factored once per step size (LAPACK
 pttrf, bound at the first factorisation) and reused (pttrs).  A solve
 carries NaN and inf through; a march, a Duhamel slice and the direct
 integrator's trial step each check finiteness once.
@@ -54,7 +54,9 @@ __all__ = [
     "sample_log",
 ]
 
-_SUBSTEPS = 32      # equal steps of a march that does not name its count
+_SUBSTEPS = 16      # equal steps of a march that does not name its count
+_STAGE = 1.0 - math.sqrt(0.5)   # a / h: both TR-BDF2 stages solve with I - a L
+_ALPHA, _SQRT2 = 1.0 + math.sqrt(2.0), math.sqrt(2.0)
 _TINY, _HUGE = float(np.finfo(float).tiny), float(np.finfo(float).max)
 dpttrf = dpttrs = None      # scipy.linalg.lapack, bound at first factorisation
 
@@ -144,21 +146,29 @@ class SemigroupOp:
         x, _ = dpttrs(*self._ldl, self._w * rhs, overwrite_b=1)
         return x
 
+    def _step(self, acc: np.ndarray, h: float,
+              s: Optional[np.ndarray] = None) -> np.ndarray:
+        # one TR-BDF2 step of width h with the scaled source s of
+        # duhamel_slice: b = acc + s, y = A^-1 b, A^-1 (alpha (y + s) - sqrt2 b)
+        a = _STAGE * h
+        b = acc if s is None else acc + s
+        y = self.implicit_solve(b, a)
+        if s is not None:
+            y += s
+        y *= _ALPHA
+        y -= _SQRT2 * b
+        return self.implicit_solve(y, a)
+
     @np.errstate(over="ignore", invalid="ignore")
-    def _march(self, values: np.ndarray, t: float, substeps: Optional[int],
-               implicit_euler: bool = False) -> np.ndarray:
-        # substeps equal steps, Crank-Nicolson unless implicit_euler
+    def _march(self, values: np.ndarray, t: float,
+               substeps: Optional[int]) -> np.ndarray:
+        # substeps equal TR-BDF2 steps, two solves each
         n = _SUBSTEPS if substeps is None else int(substeps)
         if t == 0.0 or n <= 0:
             return values.copy()
-        dt = t / n
         u = values
-        if implicit_euler:
-            for _ in range(n):
-                u = self.implicit_solve(u, dt)
-        else:
-            for _ in range(n):
-                u = 2.0 * self.implicit_solve(u, 0.5 * dt) - u
+        for _ in range(n):
+            u = self._step(u, t / n)
         if not np.isfinite(u).all():
             raise StepFailure("a march left the float range")
         return u
@@ -166,18 +176,14 @@ class SemigroupOp:
     @np.errstate(over="ignore", invalid="ignore")
     def duhamel_slice(self, acc: np.ndarray, src: np.ndarray, h: float,
                       c: float) -> np.ndarray:
-        """One Duhamel slice of width h: CN^2 acc + c IE^2 src, two solves.
+        """One Duhamel slice of width h: a TR-BDF2 step of acc with the
+        constant source (c / h) src, two solves.
 
-        acc takes two Crank-Nicolson substeps of h/2, and src two implicit
-        Euler substeps of h/4 (rough sources ring under trapezoidal steps).
-        All share A = I - (h/4) L and CN = 2 A^-1 - I, so the slice equals
-        acc + A^-1 (A^-1 (4 acc + c src) - 4 acc).  Raises StepFailure when
-        a value leaves the float range.
+        The source enters as c (A^-2 / sqrt2 + (1 - 1/sqrt2) A^-1) src; A^-1
+        is a nonnegative matrix, so a rough nonnegative source cannot ring.
+        Raises StepFailure when a value leaves the float range.
         """
-        quad = 4.0 * acc
-        dt = 0.25 * h
-        out = acc + self.implicit_solve(
-            self.implicit_solve(quad + c * src, dt) - quad, dt)
+        out = self._step(acc, h, src * (_STAGE * c))
         if not np.isfinite(out).all():
             raise StepFailure("a Duhamel slice left the float range")
         return out
@@ -186,7 +192,7 @@ class SemigroupOp:
 
     def apply(self, fld: RadialField, t: float,
               substeps: Optional[int] = None) -> RadialField:
-        """Evolve a field by time t >= 0 with Crank-Nicolson substeps."""
+        """Evolve a field by time t >= 0 with equal TR-BDF2 steps."""
         if t < 0.0:
             raise ValueError("cannot evolve backwards, t=%g" % t)
         return fld.with_values(self._march(fld.values, t, substeps))
@@ -199,21 +205,16 @@ class SemigroupOp:
 
     def evolve_through(self, source: RadialField, t_list: Sequence[float],
                        substeps: Optional[int] = None) -> List[RadialField]:
-        """Fields at increasing times t_list, marched incrementally.
-
-        The first interval from t = 0 always uses implicit Euler substeps:
-        rough data (the borderline power-law sources in particular) excite
-        high modes that Crank-Nicolson barely damps, and the first-order
-        startup removes them before Crank-Nicolson takes over.
-        """
+        """Fields at increasing times t_list, marched incrementally with
+        ``substeps`` TR-BDF2 steps per interval."""
         ts = list(t_list)
         if any(b <= a for a, b in zip(ts, ts[1:])) or ts[0] <= 0.0:
             raise ValueError("t_list must be positive and strictly increasing")
         out = []
-        u = source.values.copy()
+        u = source.values
         t_prev = 0.0
-        for k, t in enumerate(ts):
-            u = self._march(u, t - t_prev, substeps, implicit_euler=k == 0)
+        for t in ts:
+            u = self._march(u, t - t_prev, substeps)
             out.append(source.with_values(u))
             t_prev = t
         return out

@@ -340,7 +340,7 @@ def test_unforced_closure_ignores_an_overflowing_forcing_power(tmp_path):
     # T^(rho + 1) at T = 1e10, rho = 50 overflows a float, and must not
     # decide the horizon nor escape as an OverflowError
     cfg = _write(tmp_path, "unforced.cfg", (
-        "N = 2\nsigma1 = 0\nsigma2 = 0\nrho = 50\np = 1.1\nq = 1.5\n"
+        "N = 2\nsigma1 = 0\nsigma2 = 0\nrho = 50\np = 2\nq = 4\n"
         "u0 = gaussian(0, 1, 0.5)\nw = zero\ngrid_m = 24\n"
         "grid_r_min = 0.03\ngrid_r_max = 10\nhorizon = 1e10\nn_times = 8\n"))
     rc = cli.main(["local-solve", "--config", cfg, "--out", str(tmp_path)])

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from fujitalab import radial, semigroup
 from fujitalab.errors import ConditionViolation, StepFailure
@@ -38,7 +39,7 @@ def test_no_spurious_flux_at_the_axis():
     assert np.allclose(out.values[inner], 1.0, atol=1e-9)
 
 
-def test_implicit_euler_preserves_positivity():
+def test_march_preserves_positivity():
     op = _op(-0.5)
     fld = radial.field_from_callable(op.grid, radial.bump_profile(1.0, 1.0), 3.0)
     out = op.evolve_through(fld, [0.5])[0]
@@ -135,9 +136,8 @@ def test_semigroup_property_one_step_composition():
 
 
 def test_evolve_through_tracks_apply():
-    # the incremental march opens with first-order substeps to damp rough
-    # data, so it tracks the one-shot second-order apply() to O(dt), not
-    # to rounding; 2% at this resolution, tighter when substeps double
+    # the incremental march and the one-shot apply() take different second
+    # order steps, so they agree to O(dt^2), not to rounding
     op = _op(0.0)
     fld = radial.field_from_callable(op.grid, radial.bump_profile(1.0, 1.0), 3.0)
     stops = [0.05, 0.1, 0.2]
@@ -152,43 +152,79 @@ def test_evolve_through_tracks_apply():
         return max(errs)
 
     coarse, fine = worst(16), worst(64)
-    assert coarse < 0.02
-    assert fine < coarse
+    assert coarse < 2e-3
+    assert fine < coarse / 8
+
+
+@pytest.mark.parametrize("s1", [-1.0, 0.0, 1.0])
+def test_march_is_second_order_from_t0_on_rough_data(s1):
+    # r^(-3/2) excites the stiff modes (lambda_min is about -2e7 at
+    # sigma1 = 0); an L-stable second-order step needs no start-up to keep
+    # its order
+    g = radial.RadialGrid.log_spaced(30.0, 512, r_min=0.03)
+    op = semigroup.SemigroupOp(g, _params(s1))
+    gen = np.column_stack([op.apply_operator(e) for e in np.eye(g.m)])
+    fld = radial.field_from_callable(g, radial.powerlaw_profile(1.5), 3.0)
+    exact = scipy.linalg.expm(gen) @ fld.values
+    meas = g.nodes ** 2 * g.cell_widths()
+
+    def err(n):
+        got = op.evolve_through(fld, [1.0], substeps=n)[0].values
+        return math.sqrt(float(np.sum((got - exact) ** 2 * meas)
+                               / np.sum(exact ** 2 * meas)))
+
+    order = math.log2(err(16) / err(32))
+    assert 1.9 <= order <= 2.1
 
 
 # ---------------------------------------------------------------------------
-# the fused Crank-Nicolson forms
+# the TR-BDF2 step
 # ---------------------------------------------------------------------------
+
+_STAGE = 1.0 - math.sqrt(0.5)       # both stages solve with I - (_STAGE h) L
+
+
+def _tr_bdf2(op, u, h, s):
+    # a trapezoid stage over (2 - sqrt2) h, then the BDF2 stage, with the
+    # constant source s / (_STAGE h) added at the two stages' weights
+    a = _STAGE * h
+    mid = op.implicit_solve(u + a * op.apply_operator(u) + 2.0 * s, a)
+    return op.implicit_solve((1.0 + math.sqrt(2.0)) / 2.0 * mid
+                             - (math.sqrt(2.0) - 1.0) / 2.0 * u + s, a)
+
 
 @pytest.mark.parametrize("s1", [-0.5, 0.0, 0.5])
-def test_cn_substep_matches_the_trapezoidal_form(s1):
-    # 2 (I - dt/2 L)^-1 u - u is (I - dt/2 L)^-1 (I + dt/2 L) u exactly
+def test_march_step_matches_the_tr_bdf2_stages(s1):
     op = _op(s1)
     fld = radial.field_from_callable(op.grid, radial.bump_profile(1.0, 1.0), 3.0)
-    half = 0.5 * 0.02
-    ref = op.implicit_solve(fld.values + half * op.apply_operator(fld.values),
-                            half)
+    ref = _tr_bdf2(op, fld.values, 0.02, np.zeros(op.grid.m))
     got = op.apply(fld, 0.02, substeps=1).values
     assert np.allclose(got, ref, rtol=1e-12, atol=1e-12 * np.max(np.abs(ref)))
 
 
 @pytest.mark.parametrize("s1", [-0.5, 0.0, 0.5])
-def test_duhamel_slice_matches_the_explicit_composition(s1):
-    # two Crank-Nicolson substeps of h/2 for the accumulator, two implicit
-    # Euler substeps of h/4 for the source
+def test_duhamel_slice_matches_the_tr_bdf2_stages(s1):
+    # the slice is one TR-BDF2 step of acc with the source (c / h) src
     op = _op(s1)
     r = op.grid.nodes
     acc = np.exp(-r ** 2)
     src = np.where(r < 1.0, 1.0, 0.0) * r ** (-0.5)
     h, c = 0.05, 0.3
-    ref = acc
-    for _ in range(2):
-        ref = op.implicit_solve(ref + 0.25 * h * op.apply_operator(ref),
-                                0.25 * h)
-    smooth = op.implicit_solve(op.implicit_solve(src, 0.25 * h), 0.25 * h)
-    ref = ref + c * smooth
+    ref = _tr_bdf2(op, acc, h, _STAGE * c * src)
     got = op.duhamel_slice(acc, src, h, c)
     assert np.allclose(got, ref, rtol=1e-12, atol=1e-12 * np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("s1", [-0.5, 0.0, 0.5])
+def test_duhamel_slice_of_a_rough_source_is_nonnegative(s1):
+    # the source enters as c (A^-2 / sqrt2 + (1 - 1/sqrt2) A^-1) src, and
+    # A^-1 is a nonnegative matrix: no ringing, even at stiff slice widths
+    op = _op(s1)
+    r = op.grid.nodes
+    src = np.where(r < 1.0, 1.0, 0.0) * r ** (-0.5)
+    for h in (1e-4, 1e-2, 1.0):
+        out = op.duhamel_slice(np.zeros(op.grid.m), src, h, h)
+        assert np.all(out >= 0.0)
 
 
 @pytest.mark.filterwarnings("error")
