@@ -63,5 +63,5 @@ for s1 in (0.0, -1.0):
     grid = RadialGrid.log_commensurate(30.0, 2048, lam=2.0, r_min=2e-3)
     op = SemigroupOp(grid, params)
     src = field_from_callable(grid, gaussian_profile(0.0, 1.0, 1.0), 3.0)
-    disc = scaling_identity_check(op, 2.0, 0.1, src, substeps=32)
+    disc = scaling_identity_check(op, 2.0, 0.1, src)
     print("  s1=%4g: relative discrepancy %.3e" % (s1, disc))

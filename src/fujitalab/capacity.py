@@ -37,7 +37,7 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ConditionViolation, Overflow, PoorFit, QuadratureFailure
-from .exponents import ProblemParams, critical_forced
+from .exponents import ProblemParams, _power_integral, critical_forced
 from .radial import sphere_area
 from .semigroup import SlopeFit
 
@@ -243,7 +243,7 @@ def _profile_power_integral(profile: RampProfile, power: float,
     """integral of profile(y)^power * y^(exponent - 1) dy over [0, inf).
 
     Plateau pieces, and ``left`` before the first piece, integrate in
-    closed form (their y-power is exact), ramp pieces numerically.  The
+    closed form (``_power_integral``), ramp pieces numerically.  The
     profile must vanish beyond its last piece (psi and phi do) and
     ``exponent`` must be positive for integrability at the origin.
     """
@@ -252,11 +252,11 @@ def _profile_power_integral(profile: RampProfile, power: float,
             "the %s integrand is not integrable at the origin "
             "(radial exponent %.6g <= 0)" % (what, exponent))
     lo0 = profile.intervals[0][0]
-    total = profile.left ** power * lo0 ** exponent / exponent
+    total = profile.left ** power * _power_integral(0.0, lo0, exponent)
     for lo, hi, vl, vr in profile.intervals:
         if vl == vr:
             if vl != 0.0:
-                total += vl ** power * (hi ** exponent - lo ** exponent) / exponent
+                total += vl ** power * _power_integral(lo, hi, exponent)
         else:
             fn = lambda y: profile(y) ** power * y ** (exponent - 1.0)
             total += _integrate(fn, [(lo, hi)], what)

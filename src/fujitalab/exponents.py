@@ -23,7 +23,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import List, Optional, Tuple
 
-from .errors import EmptyWindow, HypothesisViolation, Inadmissible, WindowViolation
+from .errors import (EmptyWindow, HypothesisViolation, Inadmissible, Overflow,
+                     WindowViolation)
 
 __all__ = [
     "ProblemParams",
@@ -285,6 +286,26 @@ def local_alpha(params: ProblemParams, q: float) -> float:
     a = params.diffusion_depth
     return (params.N * (params.p - 1.0) / (q * a)
             + (params.sigma1 - params.sigma2) / a)
+
+
+def _power_integral(a: float, b: float, e: float) -> float:
+    """int_a^b s^(e-1) ds for 0 <= a <= b and e > 0; e = rho + 1 gives the
+    forcing's time factor over a step.
+
+    b^e (1 - (a/b)^e) / e with expm1 and log1p does not cancel as e -> 0
+    or (b-a)/b -> 0.  Raises Overflow, with no OverflowError or warning,
+    where the integral or (for e > 1 only) b^e leaves the float range.  Out
+    of __all__, which the benchmark tracer wraps: it runs once per step.
+    """
+    part = (-math.expm1(e * math.log1p((a - b) / b)) if a > 0.0 else 1.0) / e
+    try:
+        value = math.pow(b, e) * part
+    except OverflowError:
+        value = math.inf
+    if value == math.inf:
+        raise Overflow("int s^%g ds over [%g, %g] leaves the float range"
+                       % (e - 1.0, a, b))
+    return value
 
 
 def _q_violations(params: ProblemParams, q: float) -> list:

@@ -11,16 +11,14 @@ share one quadrature engine and one Picard driver: a global small-data
 solver contracting in the time-weighted norm sup_t t^mu ||u(t)||_{L^r},
 and a local-in-time solver working in plain C([0,T]; L^q) (mu = 0, r = q).
 
-Every time integral marches a running accumulator forward across a
-log-spaced grid of stored times.  Each stored interval is cut into midpoint
-slices, each one SemigroupOp.duhamel_slice: one TR-BDF2 step of the
-accumulator with the slice source held constant.  The linear part
-S(t) u0 + H(t) is one such march started from u0.  The cell touching t = 0
-is special for both integrals: the forcing factor s^rho is integrated
-analytically there, and the nonlinear source uses a frozen
-power-law-in-time model anchored at the first stored time.  The weak-form
-residual's test function is made of the capacity module's quintic ramp
-profiles.
+Every time integral marches a running accumulator across a log-spaced
+grid of stored times, each interval cut into equal slices, each slice one
+SemigroupOp.duhamel_slice.  A slice weighs the forcing by the exact
+integral of s^rho over it, so the singularity at s = 0 (rho < 0) does not
+cap the order at 1 + rho; the nonlinear source on the cell touching t = 0
+follows the power law (s/t_1)^theta of the first stored time t_1, weighed
+the same way.  The linear part S(t) u0 + H(t) is one such march from u0.
+The weak-form residual's test function is made of capacity's ramp profiles.
 """
 
 import math
@@ -29,11 +27,11 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .capacity import _LOG_MAX, RampProfile, _profile_power_integral
+from .capacity import RampProfile, _profile_power_integral
 from .errors import (HypothesisViolation, NotContracting, NoValidT,
                      NumericalFailure, Overflow)
-from .exponents import (ProblemParams, derived_weights, local_alpha,
-                        require_admissible_q)
+from .exponents import (ProblemParams, _power_integral, derived_weights,
+                        local_alpha, require_admissible_q)
 from .radial import RadialField, lq_norm, sphere_area
 from .semigroup import SemigroupOp
 
@@ -98,9 +96,6 @@ class Trajectory:
     def norms(self, q: float) -> np.ndarray:
         return np.array([lq_norm(f, q) for f in self.fields])
 
-    def max_values(self) -> np.ndarray:
-        return np.array([float(np.max(np.abs(f.values))) for f in self.fields])
-
 
 @np.errstate(over="ignore")
 def _norm(fld: RadialField, q: float) -> float:
@@ -149,8 +144,8 @@ def _forcing_values(op: SemigroupOp, src: np.ndarray, rho: float,
                     start: Optional[np.ndarray] = None) -> List[np.ndarray]:
     """March S(t) start + H(t) across the stored times, start zero if None.
 
-    src is the spatial part r^(-s1) w of H; the time factor (s/t_scale)^rho
-    is exact on the substep touching s = 0 and midpoint-sampled elsewhere.
+    src is the spatial part r^(-s1) w of H.  Each slice weighs it by the
+    exact integral of the time factor (s/t_scale)^rho over the slice.
     """
     out = []
     acc = np.zeros_like(src) if start is None else start
@@ -158,11 +153,9 @@ def _forcing_values(op: SemigroupOp, src: np.ndarray, rho: float,
     for t in times:
         h = (t - t_prev) / nsub
         for m in range(nsub):
-            if t_prev == 0.0 and m == 0:
-                c = h ** (1.0 + rho) / ((1.0 + rho) * t_scale ** rho)
-            else:
-                s_mid = t_prev + (m + 0.5) * h
-                c = h * (s_mid / t_scale) ** rho
+            c = t_scale * _power_integral((t_prev + m * h) / t_scale,
+                                          (t_prev + (m + 1) * h) / t_scale,
+                                          rho + 1.0)
             acc = op.duhamel_slice(acc, src, h, c)
         out.append(acc)
         t_prev = t
@@ -174,12 +167,11 @@ def _nonlinear_values(op: SemigroupOp, u_vals: Sequence[np.ndarray],
                       head_theta: float) -> List[np.ndarray]:
     """March the nonlinear integral F[u] across the stored times.
 
-    On the head cell (0, times[0]] the source is modelled as
-    (s/t_1)^head_theta g(t_1), the self-similar profile of the weighted
-    construction (head_theta = -p mu) or a frozen constant (0) for the
-    local theory; head_theta > -1 keeps the cell integrable.  That cell is
-    a forcing integral.  Interior slices interpolate u log-linearly in time
-    between stored snapshots.
+    On the head cell (0, t_1], t_1 = times[0], the source is modelled as
+    (s/t_1)^head_theta g(t_1): the self-similar profile of the weighted
+    construction (head_theta = -p mu > -1) or a frozen constant (0) for
+    the local theory, integrated exactly as a forcing.  Interior slices
+    interpolate u log-linearly in time between stored snapshots.
     """
     if head_theta <= -1.0:
         raise ValueError("head cell diverges for exponent %g" % head_theta)
@@ -389,9 +381,8 @@ def solve_local_Lq(u0: RadialField, w: Optional[RadialField],
     probe_times = _time_grid(horizon_guess, cfg.n_times)
     h_probe = None
     if w is not None and np.any(w.values != 0.0):
-        if (params.rho + 1.0) * math.log(horizon_guess) > _LOG_MAX:
-            raise Overflow("the forcing factor T^(rho+1) overflows at the "
-                           "horizon guess %g" % horizon_guess)
+        # Overflow before any probe unless T^(rho+1) and its integral fit
+        _power_integral(0.0, horizon_guess, params.rho + 1.0)
         src = op.time_weight * w.values
         h_probe = _forcing_values(op, src, params.rho, probe_times, nsub)
     lin_probe = _linear_values(op, u0, w, params, probe_times, nsub)
@@ -573,9 +564,9 @@ CONVERGENCE_CSV_COLUMNS = ["iteration", "x_norm_diff", "ratio"]
 
 def trajectory_csv_rows(traj: Trajectory, r: float, mu: float) -> List[list]:
     norms = traj.norms(r)
-    maxes = traj.max_values()
-    return [[float(t), float(n), float(t ** mu * n), float(m)]
-            for t, n, m in zip(traj.times, norms, maxes)]
+    return [[float(t), float(n), float(t ** mu * n),
+             float(np.max(np.abs(f.values)))]
+            for t, n, f in zip(traj.times, norms, traj.fields)]
 
 
 def convergence_csv_rows(diffs: Sequence[float],

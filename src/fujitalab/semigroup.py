@@ -351,8 +351,7 @@ def _shift(values: np.ndarray, k: int) -> np.ndarray:
 
 
 def scaling_identity_check(op: SemigroupOp, lam: float, t: float,
-                           source: RadialField,
-                           substeps: Optional[int] = None) -> float:
+                           source: RadialField) -> float:
     """Relative discrepancy of D_lam^(-1) S(t) D_lam = S(lam^A t), A = 2+s1.
 
     Both sides are formed on the operator's own grid and compared in
@@ -367,8 +366,8 @@ def scaling_identity_check(op: SemigroupOp, lam: float, t: float,
     lam^(-A) under the shift, so the interior identity holds exactly for
     the scheme and the measured discrepancy isolates the effect of the
     domain truncation.  That error is controlled by the truncation radii,
-    not the node count: the convergent refinement family deepens r_min
-    (e.g. halves it) together with doubling m and substeps.  On grids not
+    not the node or step count: the convergent refinement family deepens
+    r_min (e.g. halves it) together with doubling m.  On grids not
     commensurate with lam the dilation falls back to log-linear resampling,
     whose interpolation error then dominates the measurement.
     """
@@ -386,12 +385,12 @@ def scaling_identity_check(op: SemigroupOp, lam: float, t: float,
 
     if shift is not None:
         dilated = source.with_values(_shift(source.values, shift))
-        lhs = _shift(op.apply(dilated, t, substeps=substeps).values, -shift)
+        lhs = _shift(op.apply(dilated, t).values, -shift)
     else:
         dilated = source.with_values(sample_log(source, lam * r))
-        lhs = sample_log(op.apply(dilated, t, substeps=substeps), r / lam)
+        lhs = sample_log(op.apply(dilated, t), r / lam)
     t_scaled = lam ** op.params.diffusion_depth * t
-    rhs = op.apply(source, t_scaled, substeps=substeps).values
+    rhs = op.apply(source, t_scaled).values
 
     spread = max(lam, 1.0 / lam)
     window = (20.0 * r[0], r[-1] / (4.0 * spread))

@@ -209,17 +209,16 @@ def test_06_dilation_covariance():
     for s1 in (0.0, -1.0):
         prm = ProblemParams(N=3, sigma1=s1, sigma2=0.0, rho=0.0, p=2.0)
 
-        def disc(m, r_min, sub):
+        def disc(m, r_min):
             g = radial.RadialGrid.log_commensurate(30.0, m, lam=2.0,
                                                    r_min=r_min)
             op = semigroup.SemigroupOp(g, prm)
             src = radial.field_from_callable(
                 g, radial.gaussian_profile(0.0, 1.0, 1.0), 3.0)
-            return semigroup.scaling_identity_check(op, 2.0, 0.1, src,
-                                                    substeps=sub)
+            return semigroup.scaling_identity_check(op, 2.0, 0.1, src)
 
-        coarse = disc(2048, 2e-3, 32)
-        fine = disc(4096, 1e-3, 64)
+        coarse = disc(2048, 2e-3)
+        fine = disc(4096, 1e-3)
         ok &= coarse < 1e-3 and fine < 0.5 * coarse
         details.append("s1=%g: %.2e -> %.2e (ratio %.2f)"
                        % (s1, coarse, fine, fine / coarse))

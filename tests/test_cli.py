@@ -442,14 +442,25 @@ SMALL_GRID = "grid_m = 16\ngrid_r_min = 0.5\ngrid_r_max = 1\n"
                     "u0 = gaussian(1e300, 1, 0)\n", 0),
     ("mild-solve", "N = 2\nrho = -0.5\np = 3\nw = zero\n"
                    "u0 = powerlaw(1e300, 1)\n", 2),
+    ("mild-solve", "N = 3\nrho = -0.999999999999\np = 3\n"
+                   "u0 = gaussian(0, 1, 1e-3)\nw = bump(1, 1e-15)\n", 0),
+    ("local-solve", "N = 2\nrho = -0.999999999999\np = 1.5\nq = 2\n"
+                    "u0 = gaussian(0, 1, 1)\nw = bump(1, 1e-12)\n", 0),
+    ("blowup-scan", "N = 2\nrho = -0.999999999999\np = 2\namplitude = 1\n"
+                    "t_max = 5\ndt_init = 0.05\np_lo = 1.5\np_hi = 3\n", 4),
 ], ids=["scan-forcing-factor", "transport-factor", "probe-forcing-factor",
-        "forced-horizon", "far-gaussian", "powerlaw-overflow"])
+        "forced-horizon", "far-gaussian", "powerlaw-overflow",
+        "mild-rho-near-minus-one", "local-rho-near-minus-one",
+        "scan-rho-near-minus-one"])
 @pytest.mark.filterwarnings("error")
 def test_float_range_edges_keep_the_contract(tmp_path, command, text, code):
     # t^(rho+1) and Lambda^(-rho-1) at rho = 1e300, and T^(rho+1) at a
     # horizon of 1e300, leave the float range (exit 4, no OverflowError);
     # profiles far outside it sample to 0 or to a non-finite datum (exit 2)
-    # without a numpy warning
+    # without a numpy warning.  At rho = -1 + 1e-12 each step weight
+    # int s^rho ds is (b^e - a^e) / e with e = 1e-12, where a difference of
+    # powers cancels: small forcing still gives a solution (exit 0), and the
+    # scan, which blows up at both ends of its p range, has no bracket
     cfg = _write(tmp_path, "edge.cfg", text + SMALL_GRID)
     assert cli.main([command, "--config", cfg, "--out", str(tmp_path)]) == code
 

@@ -1,4 +1,6 @@
+import decimal
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -6,7 +8,7 @@ import pytest
 
 from fujitalab import exponents as ex
 from fujitalab.errors import (EmptyWindow, HypothesisViolation, Inadmissible,
-                              WindowViolation)
+                              Overflow, WindowViolation)
 
 from conftest import sample_supercritical_tuples
 
@@ -273,3 +275,81 @@ def test_report_text_roundtrips_key_values():
     assert float(pairs["p_fujita"]) == pytest.approx(5.0 / 3.0)
     assert float(pairs["r"]) == pytest.approx(4.5)
     assert pairs["regime"] == "GlobalCandidate_Supercritical"
+
+
+# ---------------------------------------------------------------------------
+# the forcing time factor int_a^b s^rho ds = int_a^b s^(e-1) ds
+# ---------------------------------------------------------------------------
+
+def _power_integral_reference(a, b, e):
+    """(b^e - a^e) / e in 50-digit decimal arithmetic (inf past its range)."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        ctx.traps[decimal.Overflow] = False
+        e = decimal.Decimal(e)
+        lo = (decimal.Decimal(a).ln() * e).exp() if a > 0.0 else 0
+        return ((decimal.Decimal(b).ln() * e).exp() - lo) / e
+
+
+def _rel_err(got, ref):
+    return abs((decimal.Decimal(got) - ref) / ref)
+
+
+RHO_PLUS_ONE = [1e-12, 1e-6, 1e-3, 0.5, 1.0, 51.0]
+
+
+@pytest.mark.parametrize("e", RHO_PLUS_ONE)
+def test_power_integral_matches_a_50_digit_reference(e):
+    # the difference of powers ((a+h)^e - a^e) / e is off by 9e-5 at
+    # e = 1e-6, h/a = 1e-6, and by 100% at e = 1e-12
+    slices = [(0.0, b) for b in (1e-3, 0.7, 3.0, 1e3)]
+    slices += [(a, a + a * ratio) for a in (1e-3, 0.7, 3.0, 1e3)
+               for ratio in (1e-8, 1e-6, 1e-4, 1e-2, 1.0)]
+    for a, b in slices:
+        ref = _power_integral_reference(a, b, e)
+        assert _rel_err(ex._power_integral(a, b, e), ref) <= 1e-13, (a, b)
+
+
+@pytest.mark.parametrize("e", RHO_PLUS_ONE)
+def test_power_integral_weights_of_a_partition_sum_to_the_whole(e):
+    # log-spaced stored times cut into equal slices, as the Duhamel march
+    edges = [0.0]
+    for t in np.geomspace(2e-3, 2.0, 32):
+        h = (t - edges[-1]) / 4
+        edges += [edges[-1] + k * h for k in (1, 2, 3)] + [float(t)]
+    total = math.fsum(ex._power_integral(a, b, e)
+                      for a, b in zip(edges, edges[1:]))
+    assert _rel_err(total, _power_integral_reference(0.0, 2.0, e)) <= 1e-13
+
+
+@pytest.mark.parametrize("a, b, e", [
+    (0.0, 1e300, 2.0),              # T^2 / 2
+    (1e300, 2e300, 1.5),            # both powers overflow
+    (1e200, 1.1e200, 1.6),
+    (0.0, 1e308, 1e308),            # past any decimal exponent too
+    (0.0, 1e300, 1e-12),            # 1e12 T^(1e-12), inside the range
+])
+@pytest.mark.filterwarnings("error")
+def test_power_integral_raises_overflow_beyond_the_float_range(a, b, e):
+    ref = _power_integral_reference(a, b, e)
+    if ref < decimal.Decimal(sys.float_info.max):
+        assert _rel_err(ex._power_integral(a, b, e), ref) <= 1e-13
+        return
+    with pytest.raises(Overflow) as info:
+        ex._power_integral(a, b, e)
+    assert info.value.__context__ is None
+
+
+def test_power_integral_overflows_with_its_power_above_e_one():
+    # b^51 overflows by a factor 30 and b^51 / 51 does not; like the
+    # difference of powers, the function needs b^e in range
+    b = math.exp((math.log(sys.float_info.max) + math.log(30.0)) / 51.0)
+    assert _power_integral_reference(0.0, b, 51.0) < sys.float_info.max
+    with pytest.raises(Overflow):
+        ex._power_integral(0.0, b, 51.0)
+
+
+def test_power_integral_is_private():
+    # the benchmark tracer wraps every name in __all__, and this one runs
+    # once per time step
+    assert "_power_integral" not in ex.__all__
