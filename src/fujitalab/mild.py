@@ -11,9 +11,9 @@ share one quadrature engine and one Picard driver: a global small-data
 solver contracting in the time-weighted norm sup_t t^mu ||u(t)||_{L^r},
 and a local-in-time solver working in plain C([0,T]; L^q) (mu = 0, r = q).
 
-Every time integral marches a running accumulator across a log-spaced
-grid of stored times, each interval cut into equal slices, each slice one
-SemigroupOp.duhamel_slice.  A slice weighs the forcing by the exact
+Every time integral is one SemigroupOp.march across a log-spaced grid of
+stored times, each interval cut into equal slices, each slice one TR-BDF2
+step with a constant source.  A slice weighs the forcing by the exact
 integral of s^rho over it, so the singularity at s = 0 (rho < 0) does not
 cap the order at 1 + rho; the nonlinear source on the cell touching t = 0
 follows the power law (s/t_1)^theta of the first stored time t_1, weighed
@@ -139,29 +139,6 @@ def _metric_for(params: ProblemParams, cfg: MildConfig) -> Tuple[float, float]:
 # quadrature engine
 # ---------------------------------------------------------------------------
 
-def _forcing_values(op: SemigroupOp, src: np.ndarray, rho: float,
-                    times: np.ndarray, nsub: int, t_scale: float = 1.0,
-                    start: Optional[np.ndarray] = None) -> List[np.ndarray]:
-    """March S(t) start + H(t) across the stored times, start zero if None.
-
-    src is the spatial part r^(-s1) w of H.  Each slice weighs it by the
-    exact integral of the time factor (s/t_scale)^rho over the slice.
-    """
-    out = []
-    acc = np.zeros_like(src) if start is None else start
-    t_prev = 0.0
-    for t in times:
-        h = (t - t_prev) / nsub
-        for m in range(nsub):
-            c = t_scale * _power_integral((t_prev + m * h) / t_scale,
-                                          (t_prev + (m + 1) * h) / t_scale,
-                                          rho + 1.0)
-            acc = op.duhamel_slice(acc, src, h, c)
-        out.append(acc)
-        t_prev = t
-    return out
-
-
 def _nonlinear_values(op: SemigroupOp, u_vals: Sequence[np.ndarray],
                       params: ProblemParams, times: np.ndarray, nsub: int,
                       head_theta: float) -> List[np.ndarray]:
@@ -185,33 +162,33 @@ def _nonlinear_values(op: SemigroupOp, u_vals: Sequence[np.ndarray],
             raise Overflow("the source r^(s2-s1) |u|^p overflowed")
         return g
 
-    out = _forcing_values(op, g_of(u_vals[0]), head_theta, times[:1], nsub,
-                          times[0])
-    acc = out[0]
-    for j in range(1, len(times)):
-        t_prev, t = times[j - 1], times[j]
-        h = (t - t_prev) / nsub
-        lo, hi = u_vals[j - 1], u_vals[j]
-        log_ratio = math.log(t / t_prev)
-        for m in range(nsub):
-            s_mid = t_prev + (m + 0.5) * h
-            frac = math.log(s_mid / t_prev) / log_ratio
-            acc = op.duhamel_slice(acc, g_of((1.0 - frac) * lo + frac * hi),
-                                   h, h)
-        out.append(acc)
-    return out
+    t1, g1 = times[0], g_of(u_vals[0])
+
+    def source(j, t_prev, k, h):
+        if j == 0:
+            return g1, t1 * _power_integral(k * h / t1, (k + 1) * h / t1,
+                                            head_theta + 1.0)
+        frac = (math.log((t_prev + (k + 0.5) * h) / t_prev)
+                / math.log(times[j] / t_prev))
+        return g_of((1.0 - frac) * u_vals[j - 1] + frac * u_vals[j]), h
+
+    return op.march(np.zeros_like(g1), times, nsub, source)
 
 
 def _linear_values(op: SemigroupOp, u0: RadialField,
                    w: Optional[RadialField], params: ProblemParams,
                    times: np.ndarray, nsub: int) -> List[np.ndarray]:
     """S(t) u0 + H(t) at the stored times, as raw value arrays: one march
-    from u0 with the forcing source, or without one when w is zero."""
-    if w is None or not np.any(w.values != 0.0):
-        return [f.values for f in
-                op.evolve_through(u0, list(times), substeps=nsub)]
-    return _forcing_values(op, op.time_weight * w.values, params.rho, times,
-                           nsub, start=u0.values)
+    from u0 whose source r^(-s1) w each slice weighs by the exact integral
+    of s^rho over it, or without a source when w is zero."""
+    source = None
+    if w is not None and np.any(w.values != 0.0):
+        src, e = op.time_weight * w.values, params.rho + 1.0
+
+        def source(j, t_prev, k, h):
+            return src, _power_integral(t_prev + k * h, t_prev + (k + 1) * h,
+                                        e)
+    return op.march(u0.values, times, nsub, source)
 
 
 def _wrap(u0: RadialField, times: np.ndarray, vals: List[np.ndarray],
@@ -383,8 +360,8 @@ def solve_local_Lq(u0: RadialField, w: Optional[RadialField],
     if w is not None and np.any(w.values != 0.0):
         # Overflow before any probe unless T^(rho+1) and its integral fit
         _power_integral(0.0, horizon_guess, params.rho + 1.0)
-        src = op.time_weight * w.values
-        h_probe = _forcing_values(op, src, params.rho, probe_times, nsub)
+        zero = u0.with_values(np.zeros_like(u0.values))
+        h_probe = _linear_values(op, zero, w, params, probe_times, nsub)
     lin_probe = _linear_values(op, u0, w, params, probe_times, nsub)
     lin_norms = np.array([_norm(u0.with_values(v), q) for v in lin_probe])
     m0 = float(np.max(lin_norms))
@@ -406,7 +383,7 @@ def solve_local_Lq(u0: RadialField, w: Optional[RadialField],
     f_norm = 0.0
     c2 = 0.0
     if h_probe is not None:
-        f_norm = _norm(u0.with_values(src), q)
+        f_norm = _norm(u0.with_values(op.time_weight * w.values), q)
         with np.errstate(all="ignore"):
             c2 = float(np.max([_norm(u0.with_values(v), q)
                                / (f_norm * t ** (params.rho + 1.0))

@@ -16,9 +16,11 @@ trapezoid and BDF2 stages both solve with A = I - a L, a = (1 - 1/sqrt2) h:
 y = A^-1 u, then u <- A^-1 (alpha y - sqrt2 u), alpha = 1 + sqrt2.  With
 L = W^-1 T, T symmetric and W = r^(N-1+s1) cells, a solve is one of the
 positive definite W - a T, L D L^T-factored once per step size (LAPACK
-pttrf, bound at the first factorisation) and reused (pttrs).  A solve
-carries NaN and inf through; a march, a Duhamel slice and the direct
-integrator's trial step each check finiteness once.
+pttrf, bound at the first factorisation) and reused (pttrs).  Every
+application of exp(tL) is one SemigroupOp.march across stored times,
+with an optional per-step source for Duhamel integrals.  A solve carries
+NaN and inf through; a march checks finiteness once per stored time, the
+direct integrator once per trial step.
 
 The module also carries the three certification studies used by the
 acceptance experiments:
@@ -36,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -148,8 +150,8 @@ class SemigroupOp:
 
     def _step(self, acc: np.ndarray, h: float,
               s: Optional[np.ndarray] = None) -> np.ndarray:
-        # one TR-BDF2 step of width h with the scaled source s of
-        # duhamel_slice: b = acc + s, y = A^-1 b, A^-1 (alpha (y + s) - sqrt2 b)
+        # one TR-BDF2 step of width h with the scaled source s = a (c / h) g
+        # of a march: b = acc + s, y = A^-1 b, A^-1 (alpha (y + s) - sqrt2 b)
         a = _STAGE * h
         b = acc if s is None else acc + s
         y = self.implicit_solve(b, a)
@@ -159,65 +161,63 @@ class SemigroupOp:
         y -= _SQRT2 * b
         return self.implicit_solve(y, a)
 
-    @np.errstate(over="ignore", invalid="ignore")
-    def _march(self, values: np.ndarray, t: float,
-               substeps: Optional[int]) -> np.ndarray:
-        # substeps equal TR-BDF2 steps, two solves each
-        n = _SUBSTEPS if substeps is None else int(substeps)
-        if t == 0.0 or n <= 0:
-            return values.copy()
-        u = values
-        for _ in range(n):
-            u = self._step(u, t / n)
-        if not np.isfinite(u).all():
-            raise StepFailure("a march left the float range")
-        return u
-
-    @np.errstate(over="ignore", invalid="ignore")
-    def duhamel_slice(self, acc: np.ndarray, src: np.ndarray, h: float,
-                      c: float) -> np.ndarray:
-        """One Duhamel slice of width h: a TR-BDF2 step of acc with the
-        constant source (c / h) src, two solves.
-
-        The source enters as c (A^-2 / sqrt2 + (1 - 1/sqrt2) A^-1) src; A^-1
-        is a nonnegative matrix, so a rough nonnegative source cannot ring.
-        Raises StepFailure when a value leaves the float range.
-        """
-        out = self._step(acc, h, src * (_STAGE * c))
-        if not np.isfinite(out).all():
-            raise StepFailure("a Duhamel slice left the float range")
-        return out
-
     # -- public API ----------------------------------------------------------
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def march(self, values: np.ndarray, times: Sequence[float],
+              substeps: Optional[int] = None,
+              source: Optional[Callable] = None) -> List[np.ndarray]:
+        """values marched to each of the increasing positive times, with
+        ``substeps`` equal TR-BDF2 steps (two solves each) per interval.
+
+        source(j, t_prev, k, h), when given, is step k of interval j, which
+        starts at t_prev: it returns (g, c), and the step carries the
+        constant source (c / h) g.  That enters as
+        c (A^-2 / sqrt2 + (1 - 1/sqrt2) A^-1) g; A^-1 is a nonnegative
+        matrix, so a rough nonnegative source cannot ring.  Raises
+        StepFailure when a value at a stored time is not finite.
+        """
+        n = _SUBSTEPS if substeps is None else int(substeps)
+        ts = list(times)
+        if n < 1 or not ts or not all(b > a for a, b in zip([0.0] + ts, ts)):
+            raise ValueError("a march needs substeps >= 1 and positive, "
+                             "strictly increasing times")
+        out, u, t_prev = [], values, 0.0
+        for j, t in enumerate(ts):
+            h = (t - t_prev) / n
+            for k in range(n):
+                if source is None:
+                    u = self._step(u, h)
+                else:
+                    g, c = source(j, t_prev, k, h)
+                    u = self._step(u, h, g * (_STAGE * c))
+            if not np.isfinite(u).all():
+                raise StepFailure("a march left the float range by t=%g" % t)
+            out.append(u)
+            t_prev = t
+        return out
 
     def apply(self, fld: RadialField, t: float,
               substeps: Optional[int] = None) -> RadialField:
         """Evolve a field by time t >= 0 with equal TR-BDF2 steps."""
         if t < 0.0:
             raise ValueError("cannot evolve backwards, t=%g" % t)
-        return fld.with_values(self._march(fld.values, t, substeps))
+        if t == 0.0:
+            return fld.with_values(fld.values.copy())
+        return fld.with_values(self.march(fld.values, [t], substeps)[0])
 
     def evolve_values(self, values: np.ndarray, t: float,
                       substeps: Optional[int] = None) -> np.ndarray:
-        """Array-level apply().  No solver in the package calls it; it stays
-        because the benchmark tracer patches it by name."""
-        return self._march(values, t, substeps)
+        """Array-level apply() for t > 0.  No solver in the package calls
+        it; it stays because the benchmark tracer patches it by name."""
+        return self.march(values, [t], substeps)[0]
 
     def evolve_through(self, source: RadialField, t_list: Sequence[float],
                        substeps: Optional[int] = None) -> List[RadialField]:
-        """Fields at increasing times t_list, marched incrementally with
-        ``substeps`` TR-BDF2 steps per interval."""
-        ts = list(t_list)
-        if any(b <= a for a, b in zip(ts, ts[1:])) or ts[0] <= 0.0:
-            raise ValueError("t_list must be positive and strictly increasing")
-        out = []
-        u = source.values
-        t_prev = 0.0
-        for t in ts:
-            u = self._march(u, t - t_prev, substeps)
-            out.append(source.with_values(u))
-            t_prev = t
-        return out
+        """Fields at increasing positive times t_list, marched incrementally
+        with ``substeps`` TR-BDF2 steps per interval."""
+        return [source.with_values(v)
+                for v in self.march(source.values, t_list, substeps)]
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from fujitalab import radial, semigroup
+from fujitalab import mild, radial, semigroup
 from fujitalab.errors import ConditionViolation, StepFailure
 from fujitalab.exponents import ProblemParams
 
@@ -211,7 +211,7 @@ def test_duhamel_slice_matches_the_tr_bdf2_stages(s1):
     src = np.where(r < 1.0, 1.0, 0.0) * r ** (-0.5)
     h, c = 0.05, 0.3
     ref = _tr_bdf2(op, acc, h, _STAGE * c * src)
-    got = op.duhamel_slice(acc, src, h, c)
+    got = op.march(acc, [h], 1, lambda *_: (src, c))[0]
     assert np.allclose(got, ref, rtol=1e-12, atol=1e-12 * np.max(np.abs(ref)))
 
 
@@ -223,7 +223,7 @@ def test_duhamel_slice_of_a_rough_source_is_nonnegative(s1):
     r = op.grid.nodes
     src = np.where(r < 1.0, 1.0, 0.0) * r ** (-0.5)
     for h in (1e-4, 1e-2, 1.0):
-        out = op.duhamel_slice(np.zeros(op.grid.m), src, h, h)
+        out = op.march(np.zeros(op.grid.m), [h], 1, lambda *_: (src, h))[0]
         assert np.all(out >= 0.0)
 
 
@@ -233,7 +233,42 @@ def test_duhamel_slice_beyond_float_range_is_a_step_failure(acc_scale, c):
     op = _op(0.0, m=64)
     ones = np.ones(op.grid.m)
     with pytest.raises(StepFailure):
-        op.duhamel_slice(acc_scale * ones, 100.0 * ones, 0.01, c)
+        op.march(acc_scale * ones, [0.01], 1, lambda *_: (100.0 * ones, c))
+
+
+@pytest.mark.parametrize("s1", [-0.5, 0.0, 0.5])
+def test_march_with_a_zero_source_is_the_march_without_one(s1):
+    # skipping the source where it vanishes is a shortcut, not a second
+    # numerical path
+    op = _op(s1)
+    fld = radial.field_from_callable(op.grid, radial.bump_profile(1.0, 1.0), 3.0)
+    zero = np.zeros(op.grid.m)
+    times = [0.01, 0.05, 0.2]
+    plain = op.march(fld.values, times, 4)
+    sourced = op.march(fld.values, times, 4, lambda j, t0, k, h: (zero, h))
+    for a, b in zip(plain, sourced):
+        assert np.array_equal(a, b)
+
+
+_BAD_MARCHES = {
+    "apply-zero-substeps": lambda op, fld: op.apply(fld, 1.0, substeps=0),
+    "apply-negative-substeps": lambda op, fld: op.apply(fld, 1.0, substeps=-2),
+    "evolve-through-no-times": lambda op, fld: op.evolve_through(fld, []),
+    "march-zero-time": lambda op, fld: op.march(fld.values, [0.0, 1.0]),
+    "march-nan-time": lambda op, fld: op.march(fld.values, [0.5, math.nan]),
+    "forcing-decreasing-times": lambda op, fld: mild.duhamel_forcing(
+        fld, op.params, [0.5, 0.2]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_MARCHES))
+def test_march_rejects_bad_counts_and_times(case):
+    # a caller's error is a ValueError, not an unchanged field, an
+    # IndexError or a StepFailure from a negative step
+    op = _op(0.0, m=64)
+    fld = radial.field_from_callable(op.grid, radial.bump_profile(1.0, 1.0), 3.0)
+    with pytest.raises(ValueError):
+        _BAD_MARCHES[case](op, fld)
 
 
 @pytest.mark.filterwarnings("error")
