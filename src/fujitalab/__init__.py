@@ -21,8 +21,8 @@ from .radial import (RadialField, RadialGrid, bump_profile,
                      field_from_callable, gaussian_profile, lq_norm,
                      powerlaw_profile, sphere_area, weighted_integral,
                      zero_profile)
-from .transform import (TransformParams, forcing_W, from_transformed,
-                        residual_check, to_transformed, transform_params)
+from .transform import (TransformParams, forcing_W, residual_check,
+                        transform_params)
 from .semigroup import (SemigroupOp, SlopeFit, fit_loglog, smoothing_slope,
                         scaling_identity_check, weighted_smoothing_check)
 from .mild import (GlobalSolution, LocalSolution, MildConfig, Trajectory,

@@ -2,11 +2,12 @@
 
 The equation weights u_t by |x|^s1, feeds it |x|^s2 |u|^p plus the forcing
 t^rho w(x), and the interesting question is whether solutions live forever
-or leave every bound in finite time.  The integrator treats the stiff
-linear part implicitly (same tridiagonal operator the semigroup uses) and
-the nonlinearity and forcing explicitly; the forcing time factor is
-integrated exactly and without cancellation over each step, so rho close
-to -1 costs nothing in accuracy.
+or leave every bound in finite time.  Each step is the TR-BDF2 step that
+every march takes (SemigroupOp._step), fed the reaction extrapolated to
+mid-step and the forcing, whose time factor is integrated exactly and
+without cancellation over the step, so rho close to -1 costs nothing in
+accuracy.  The extrapolation doubles as the error estimate that sets the
+step on a geometric ladder, whose repeated rungs reuse factorisations.
 
 Blow-up cannot be observed, only diagnosed: we declare it when the sup
 norm passes a large cap, or when the step size collapses below
@@ -28,7 +29,7 @@ from .errors import HypothesisViolation, NoBracket, NumericalFailure
 from .exponents import ProblemParams, _power_integral, critical_forced
 from .radial import (RadialField, RadialGrid, bump_profile,
                      field_from_callable, sphere_area)
-from .semigroup import SemigroupOp
+from .semigroup import _STAGE, SemigroupOp
 
 __all__ = [
     "GLOBAL", "BLOWN_UP", "INCONCLUSIVE",
@@ -41,7 +42,9 @@ GLOBAL = "Global"
 BLOWN_UP = "BlownUp"
 INCONCLUSIVE = "Inconclusive"
 
-_STEP_BUDGET = 10 ** 6      # most steps a horizon may need at the step cap
+_STEP_BUDGET = 10 ** 6      # most steps a run may attempt, rejected ones included
+_RUNGS = 4                  # rungs of the step ladder dt_init 2^(k/4) per doubling
+_TOP_RUNG = 32              # the largest step is dt_init 2^(32/4) = 256 dt_init
 _T_TARGET = 10.0            # horizon of the calibration's ignition probes
 _AMP_START = 0.125          # first amplitude the calibration tries
 _MAX_DOUBLINGS = 16         # most doublings, then halvings, of that amplitude
@@ -91,34 +94,41 @@ def integrate_nonlinear(u0: RadialField, w: Optional[RadialField],
                         sample_times: Optional[Sequence[float]] = None) -> SolveOutcome:
     """March the full nonlinear problem and classify the outcome.
 
-    One step from t_n with size dt solves
-
-        (I - dt L) u_{n+1} = u_n + dt r^(s2-s1) |u_n|^p + c_n r^(-s1) w
-
-    where L is the weighted diffusion operator and c_n integrates the
-    forcing factor t^rho exactly over the step.  Steps that double the sup
-    norm or go non-finite are retried at half size; accepted steps let dt
-    recover by a factor 1.2 up to ten times the initial size.  Snapshots
-    are taken exactly at the requested times by clamping the step there.
-    An overflowing trial is a rejected step, so numpy's overflow warnings
-    are off for the run; an overflowing weight or forcing raises Overflow.
-    A horizon that takes more than 10^6 steps at the capped step size
-    raises NumericalFailure before the first step.
+    A step of size dt from t_n is one TR-BDF2 step (SemigroupOp._step)
+    whose source integrates to dt f_n + (dt^2 / 2) f'_n + c_n r^(-s1) w:
+    f = r^(s2-s1) |u|^p is the reaction, f'_n its slope over the last
+    accepted step (zero on the first step), c_n the exact integral of
+    t^rho over the step.  A^-1 is nonnegative with sup norm at most 1, so
+    the slope term's sup norm bounds what it adds to u; over 2 dt_init
+    times the larger of the old and new sup norms it is the error
+    estimate, which grows as dt^2.  A trial is rejected when the estimate
+    exceeds 1, and at half size when it doubles the sup norm or goes
+    non-finite.  A predictive PI controller (Gustafsson 1994) sets dt on
+    the ladder dt_init 2^(k/4), k <= 32, climbing two or more rungs at a
+    time, so most steps reuse the last factors; the first step is dt_init.
+    The step is clamped at each requested snapshot time.  An overflowing
+    trial is a rejected step, so numpy's overflow warnings are off; an
+    overflowing weight or forcing raises Overflow.  NumericalFailure is
+    raised up front when t_max needs more than 10^6 steps at the top
+    rung, and when a run would attempt more than 10^6 steps, with the
+    partial SolveOutcome as its ``outcome``.
     """
-    dt_cap = 10.0 * cfg.dt_init
-    if cfg.t_max / dt_cap > _STEP_BUDGET:
+    dt_top = cfg.dt_init * 2.0 ** (_TOP_RUNG / _RUNGS)
+    if cfg.t_max / dt_top > _STEP_BUDGET:
         raise NumericalFailure("t_max=%g needs more steps of at most %g "
                                "than the budget of %d"
-                               % (cfg.t_max, dt_cap, _STEP_BUDGET))
+                               % (cfg.t_max, dt_top, _STEP_BUDGET))
     op = SemigroupOp(u0.grid, params)
     sup0 = cfg.start_norm(u0)
     u = u0.values.astype(float).copy()
 
-    w_weighted, w_sup = None, 0.0
+    # rows f, f' and r^(-s1) w: one dot product forms a step's source
+    rows = np.zeros((3, u.size))
     if w is not None:
-        w_weighted = op.time_weight * w.values
-        w_sup = float(np.max(np.abs(w_weighted)))
+        rows[2] = op.time_weight * w.values
+    w_sup = float(np.max(np.abs(rows[2])))
     power_weight = op.weight(params.sigma2 - params.sigma1)
+    rows[0] = power_weight * np.abs(u) ** params.p
 
     requested = [] if sample_times is None else list(sample_times)
     wanted = sorted(float(s) for s in requested if 0.0 < float(s) <= cfg.t_max)
@@ -126,57 +136,80 @@ def integrate_nonlinear(u0: RadialField, w: Optional[RadialField],
     if sample_times is not None and any(float(s) == 0.0 for s in sample_times):
         snapshots.append((0.0, u0.with_values(u.copy())))
 
-    t = 0.0
-    dt = cfg.dt_init
-    steps = 0
-    min_dt_seen = dt
+    def outcome(status: str, t_star: Optional[float]) -> SolveOutcome:
+        return SolveOutcome(status, t, t_star, max_norm, recent[-1], steps,
+                            min_dt_seen, snapshots)
+
+    t, k, steps, attempts = 0.0, 0, 0, 0
+    min_dt_seen = cfg.dt_init
     max_norm = sup0
     recent = deque([sup0], maxlen=11)
+    slope_sup, c_prev = 0.0, None       # c = estimate / dt^2
 
     while t < cfg.t_max:
+        if attempts == _STEP_BUDGET:
+            exc = NumericalFailure("the run reached the budget of %d steps "
+                                   "at t=%g" % (_STEP_BUDGET, t))
+            exc.outcome = outcome(INCONCLUSIVE, None)
+            raise exc
+        attempts += 1
+        dt = cfg.dt_init * 2.0 ** (k / _RUNGS)
+        min_dt_seen = min(min_dt_seen, dt)
         if wanted and t + dt > wanted[0] - 1e-14:
             dt = max(wanted[0] - t, cfg.dt_min)
         dt = min(dt, cfg.t_max - t)
 
-        rhs = u + dt * power_weight * np.abs(u) ** params.p
-        injected = 0.0
-        if w_weighted is not None:
-            cn = _power_integral(t, t + dt, params.rho + 1.0)
-            rhs += cn * w_weighted
-            injected = cn * w_sup
-        trial = op.implicit_solve(rhs, dt)
-        sup = float(np.abs(trial).max())      # nan or inf: a rejected step
+        cn = 0.0 if w is None else _power_integral(t, t + dt, params.rho + 1.0)
+        trial = op._step(u, dt, np.dot(
+            (_STAGE * dt, _STAGE * 0.5 * dt * dt, _STAGE * cn), rows))
+        mag = np.abs(trial)
+        sup = float(mag.max())          # nan or inf: a rejected step
 
         # the forcing injection is legitimate growth even from zero data,
         # so it widens the doubling allowance
-        if not math.isfinite(sup) or sup > 2.0 * (recent[-1] + injected) + 1e-300:
+        if not math.isfinite(sup) or sup > 2.0 * (recent[-1] + cn * w_sup) + 1e-300:
             if dt / 2.0 < cfg.dt_min:
                 grew = sup if math.isfinite(sup) else recent[-1]
                 if len(recent) == recent.maxlen and grew > 10.0 * recent[0]:
-                    return SolveOutcome(BLOWN_UP, t, t, max(max_norm, grew),
-                                        recent[-1], steps, min_dt_seen, snapshots)
-                return SolveOutcome(INCONCLUSIVE, t, None, max_norm,
-                                    recent[-1], steps, min_dt_seen, snapshots)
-            dt /= 2.0
-            min_dt_seen = min(min_dt_seen, dt)
+                    max_norm = max(max_norm, grew)
+                    return outcome(BLOWN_UP, t)
+                return outcome(INCONCLUSIVE, None)
+            k -= _RUNGS
+            continue
+        err = 0.5 * dt * dt * slope_sup / (2.0 * cfg.dt_init
+                                           * max(sup, recent[-1], 1e-300))
+        # aim the next estimate at 0.8: err = c dt^2, with c extrapolated
+        # from its last two values at half weight; a rung is 2^(1/2) in err
+        e = max(err, 1e-3)
+        c_now = e / (dt * dt)
+        rungs = math.floor(2.0 * math.log2(
+            0.8 / e * ((c_prev or c_now) / c_now) ** 0.5))
+        if err > 1.0:
+            k += min(rungs, -1)
             continue
 
+        np.power(mag, params.p, out=mag)
+        mag *= power_weight
+        np.subtract(mag, rows[0], out=rows[1])
+        rows[1] /= dt
+        rows[0] = mag
+        slope_sup = float(np.abs(rows[1]).max())
         u = trial
         t += dt
         steps += 1
         recent.append(sup)
         max_norm = max(max_norm, sup)
+        c_prev = c_now if err > 0.0 else c_prev
 
         while wanted and t >= wanted[0] - 1e-12:
             snapshots.append((wanted.pop(0), u0.with_values(u.copy())))
 
         if sup > cfg.blowup_norm_cap:
-            return SolveOutcome(BLOWN_UP, t, t, max_norm, sup, steps,
-                                min_dt_seen, snapshots)
-        dt = min(dt * 1.2, dt_cap)
+            return outcome(BLOWN_UP, t)
+        if rungs < 0 or rungs >= 2:
+            k = min(k + min(rungs, _RUNGS), _TOP_RUNG)
 
-    return SolveOutcome(GLOBAL, t, None, max_norm, recent[-1], steps,
-                        min_dt_seen, snapshots)
+    return outcome(GLOBAL, None)
 
 
 # --------------------------------------------------------------------------

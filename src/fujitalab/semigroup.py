@@ -53,7 +53,6 @@ __all__ = [
     "smoothing_slope",
     "weighted_smoothing_check",
     "scaling_identity_check",
-    "sample_log",
 ]
 
 _SUBSTEPS = 16      # equal steps of a march that does not name its count
@@ -329,19 +328,6 @@ def weighted_smoothing_check(op: SemigroupOp, q1: float, q2: float,
 # dilation identity
 # ---------------------------------------------------------------------------
 
-def sample_log(fld: RadialField, radii: np.ndarray) -> np.ndarray:
-    """Sample a field at arbitrary radii, linearly in log r.
-
-    Below the first node the profile is taken flat (radial symmetry forces
-    u'(0) = 0); beyond the last node it is zero (absorbing far field).
-    """
-    r = fld.grid.nodes
-    out = np.interp(np.log(radii), np.log(r), fld.values,
-                    left=float(fld.values[0]), right=0.0)
-    out = np.where(radii > r[-1], 0.0, out)
-    return out
-
-
 def _shift(values: np.ndarray, k: int) -> np.ndarray:
     """values[i + k] at node i: flat below the first node, zero past the last."""
     idx = np.arange(values.size) + k
@@ -356,20 +342,19 @@ def scaling_identity_check(op: SemigroupOp, lam: float, t: float,
 
     Both sides are formed on the operator's own grid and compared in
     L^2(r^(N-1) dr) over the interior window
-    [20 r_min, r_max / (4 max(lam, 1/lam))] so that boundary closures and
-    resampling fill values stay out of the measure.  Returns
+    [20 r_min, r_max / (4 max(lam, 1/lam))] so that the boundary closures
+    and the shift's fill values stay out of the measure.  Returns
     ||lhs - rhs||_2 / ||rhs||_2 on the window.
 
-    When the grid is log-uniform with step dividing log(lam) (see
-    RadialGrid.log_commensurate), the dilation is realized exactly as an
-    index shift.  On such a grid the discrete operator itself scales as
-    lam^(-A) under the shift, so the interior identity holds exactly for
-    the scheme and the measured discrepancy isolates the effect of the
-    domain truncation.  That error is controlled by the truncation radii,
-    not the node or step count: the convergent refinement family deepens
-    r_min (e.g. halves it) together with doubling m.  On grids not
-    commensurate with lam the dilation falls back to log-linear resampling,
-    whose interpolation error then dominates the measurement.
+    The grid must be log-uniform with a step dividing log(lam) (see
+    RadialGrid.log_commensurate), and ValueError is raised otherwise: the
+    dilation is then realized exactly as an index shift.  On such a grid
+    the discrete operator itself scales as lam^(-A) under the shift, so
+    the interior identity holds exactly for the scheme and the measured
+    discrepancy isolates the effect of the domain truncation.  That error
+    is controlled by the truncation radii, not the node or step count: the
+    convergent refinement family deepens r_min (e.g. halves it) together
+    with doubling m.
     """
     if lam <= 0.0:
         raise ValueError("dilation factor must be positive")
@@ -382,13 +367,12 @@ def scaling_identity_check(op: SemigroupOp, lam: float, t: float,
         k = round(ratio)
         if 1 <= k <= r.size - 8 and abs(ratio - k) <= 1e-8 * max(1.0, ratio):
             shift = k if lam > 1.0 else -k
+    if shift is None:
+        raise ValueError("the grid is not log-uniform with a step dividing "
+                         "log(%g)" % lam)
 
-    if shift is not None:
-        dilated = source.with_values(_shift(source.values, shift))
-        lhs = _shift(op.apply(dilated, t).values, -shift)
-    else:
-        dilated = source.with_values(sample_log(source, lam * r))
-        lhs = sample_log(op.apply(dilated, t), r / lam)
+    dilated = source.with_values(_shift(source.values, shift))
+    lhs = _shift(op.apply(dilated, t).values, -shift)
     t_scaled = lam ** op.params.diffusion_depth * t
     rhs = op.apply(source, t_scaled).values
 

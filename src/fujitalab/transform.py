@@ -30,13 +30,11 @@ import numpy as np
 
 from .errors import DegenerateTransform, InsufficientResolution, Overflow
 from .exponents import ProblemParams
-from .radial import RadialField, RadialGrid
+from .radial import RadialField
 
 __all__ = [
     "TransformParams",
     "transform_params",
-    "to_transformed",
-    "from_transformed",
     "forcing_W",
     "residual_check",
 ]
@@ -76,25 +74,6 @@ def _s_of_r(r: np.ndarray, tp: TransformParams) -> np.ndarray:
 
 def _r_of_s(s: np.ndarray, tp: TransformParams) -> np.ndarray:
     return (tp.theta ** (2.0 / (2.0 + tp.sbar)) * s) ** (1.0 / tp.theta)
-
-
-def to_transformed(fld: RadialField, params: ProblemParams) -> RadialField:
-    """Map a radial field to the transformed variables; tau = Lambda t.
-
-    Values are carried pointwise: v(s(r)) = u(r), on the nodes s(r_i); s is
-    a power of r, so a log grid maps to a log grid.  The output field's
-    dimension is the effective Nbar.
-    """
-    tp = transform_params(params)
-    grid_s = RadialGrid(_s_of_r(fld.grid.nodes, tp))
-    return RadialField(grid_s, fld.values.copy(), tp.nbar)
-
-
-def from_transformed(fld: RadialField, params: ProblemParams) -> RadialField:
-    """Inverse of :func:`to_transformed`; round-trips to rounding error."""
-    tp = transform_params(params)
-    grid_r = RadialGrid(_r_of_s(fld.grid.nodes, tp))
-    return RadialField(grid_r, fld.values.copy(), float(params.N))
 
 
 def forcing_W(w: Callable, params: ProblemParams) -> Callable:

@@ -4,8 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fujitalab import blowup, radial
-from fujitalab.errors import NoBracket
+from fujitalab import blowup, radial, semigroup
+from fujitalab.errors import NoBracket, NumericalFailure
 from fujitalab.exponents import ProblemParams, critical_forced
 
 
@@ -39,7 +39,8 @@ def test_zero_data_zero_forcing_stays_zero():
 @pytest.mark.filterwarnings("error")
 def test_overflowing_trial_is_a_rejected_step():
     # |u|^3 of a 1e200 datum overflows every trial: each is rejected and
-    # halved until dt_min, with no numpy warning and no step taken
+    # halved, four rungs down the ladder dt_init 2^(k/4), until dt_min,
+    # with no numpy warning and no step taken
     g = _grid(64)
     u0 = radial.field_from_callable(g, radial.gaussian_profile(0, 1, 1e200),
                                     3.0)
@@ -47,7 +48,21 @@ def test_overflowing_trial_is_a_rejected_step():
     out = blowup.integrate_nonlinear(u0, None, _params(p=3.0), cfg)
     assert out.status == blowup.INCONCLUSIVE
     assert out.steps == 0 and out.t_end == 0.0
-    assert out.min_dt == 1e-3 / 2 ** 23       # 1.19e-10, above dt_min
+    assert out.min_dt == 1e-3 * 2.0 ** (-92 / 4)   # 1.19e-10, above dt_min
+
+
+def test_attempted_steps_past_the_budget_raise_with_the_partial_outcome(
+        monkeypatch):
+    # the budget counts attempted steps, rejected ones included
+    monkeypatch.setattr(blowup, "_STEP_BUDGET", 40)
+    g = _grid()
+    u0 = radial.RadialField(g, np.zeros(g.m), 3.0)
+    cfg = blowup.BlowupConfig(dt_init=5e-3, t_max=50.0)
+    with pytest.raises(NumericalFailure, match="budget of 40 steps") as info:
+        blowup.integrate_nonlinear(u0, _forcing(g, 4.0), _params(p=1.5), cfg)
+    partial = info.value.outcome
+    assert partial.status == blowup.INCONCLUSIVE
+    assert 0 < partial.steps <= 40 and 0.0 < partial.t_end < 50.0
 
 
 def test_small_data_supercritical_is_global():
@@ -95,6 +110,85 @@ def test_blowup_time_stable_under_step_refinement():
         u0, w, params, blowup.BlowupConfig(dt_init=2.5e-3, t_max=50.0))
     assert coarse.status == fine.status == blowup.BLOWN_UP
     assert abs(coarse.t_star - fine.t_star) / fine.t_star < 0.05
+
+
+def _t_star(p, dt_init):
+    g = _grid()
+    u0 = radial.RadialField(g, np.zeros(g.m), 3.0)
+    out = blowup.integrate_nonlinear(
+        u0, _forcing(g, 4.0), _params(p=p),
+        blowup.BlowupConfig(dt_init=dt_init, t_max=50.0))
+    assert out.status == blowup.BLOWN_UP
+    return out.t_star
+
+
+def test_blowup_time_converges_at_first_order_in_dt_init():
+    # The error estimate is the slope term of the source, of order dt^2,
+    # held near tol = 2 dt_init: dt scales as dt_init^(1/2), and the
+    # second-order step's error in t* as dt^2, that is as dt_init.  Ladder
+    # rungs (2^(1/4) apart) and the discrete rejections scatter the ratio
+    # of successive differences (0.5 to 1.4 across 2e-2 ... 3e-4), so the
+    # order is a least-squares fit over four levels, within 0.3 of 1.
+    # Measured: 1.09 against a reference at dt_init = 1.5625e-4, whose
+    # own error (about 3e-3) is about 5% of the smallest difference.
+    ref = _t_star(1.5, 1.5625e-4)
+    levels = [2e-2, 1e-2, 5e-3, 2.5e-3]
+    errors = [_t_star(1.5, h) - ref for h in levels]
+    assert all(e > 0.0 for e in errors)      # late, and later when coarser
+    order = np.polyfit(np.log(levels), np.log(errors), 1)[0]
+    assert 0.7 < order < 1.3
+
+
+@pytest.mark.parametrize("p, implicit_euler", [(1.5, 13.32), (1.75, 33.69)])
+def test_blowup_time_at_the_demo_step_beats_implicit_euler(p, implicit_euler):
+    # t* at the demo dt_init lies nearer a fine-step reference than the
+    # implicit-Euler integrator's 13.32 and 33.69 did
+    ref = _t_star(p, 3.125e-4)
+    assert abs(_t_star(p, 5e-3) - ref) < abs(implicit_euler - ref)
+
+
+def test_global_run_takes_few_steps_and_mostly_reuses_factors(monkeypatch):
+    # the estimate stays small on a decaying solution, so dt climbs the
+    # ladder two rungs or more at a time, and the factors of W - dt T are
+    # rebuilt only when dt changes rung
+    built = []
+    original = semigroup.SemigroupOp.step_matrix_banded
+
+    def counted(self, dt):
+        built.append(dt)
+        return original(self, dt)
+
+    monkeypatch.setattr(semigroup.SemigroupOp, "step_matrix_banded", counted)
+    g = _grid()
+    u0 = radial.RadialField(g, np.zeros(g.m), 3.0)
+    out = blowup.integrate_nonlinear(
+        u0, _forcing(g, 4.0), _params(p=2.5),
+        blowup.BlowupConfig(dt_init=5e-3, t_max=50.0))
+    assert out.status == blowup.GLOBAL
+    assert out.steps <= 150
+    assert len(built) < out.steps / 2
+
+
+def test_unweighted_blowup_has_the_type_one_rate():
+    # Giga & Kohn (1985): with s1 = s2 = 0 the sup norm blows up like
+    # (T* - t)^(-1/(p-1)), slope -2 at p = 1.5.  T* is the time the norm
+    # passes the cap of 1e8, about 2e-4 before the blow-up itself, so
+    # the slope flattens as T* - t nears that gap; the window 0.3 / 2^j,
+    # j = 0..5, keeps that bias to a few percent.  Measured: -1.93, with
+    # local slopes -1.91 ... -1.95; the band is 10% of the rate.
+    g = _grid()
+    u0 = radial.RadialField(g, np.zeros(g.m), 3.0)
+    w = _forcing(g, 4.0)
+    cfg = blowup.BlowupConfig(dt_init=5e-3, t_max=50.0)
+    first = blowup.integrate_nonlinear(u0, w, _params(p=1.5), cfg)
+    gaps = 0.3 * 0.5 ** np.arange(6)
+    out = blowup.integrate_nonlinear(u0, w, _params(p=1.5), cfg,
+                                     sample_times=first.t_star - gaps)
+    assert out.status == blowup.BLOWN_UP and len(out.snapshots) == 6
+    times = np.array([t for t, _ in out.snapshots])
+    sups = [float(np.abs(f.values).max()) for _, f in out.snapshots]
+    slope = np.polyfit(np.log(out.t_star - times), np.log(sups), 1)[0]
+    assert -2.2 < slope < -1.8
 
 
 def test_snapshots_taken_at_requested_times():

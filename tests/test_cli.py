@@ -474,8 +474,9 @@ def test_float_range_edges_keep_the_contract(tmp_path, command, text, code):
 @pytest.mark.filterwarnings("error")
 def test_horizon_beyond_the_step_budget_exits_4(tmp_path, capsys, command,
                                                 text):
-    # at most 10 dt_init a step, a horizon of 1e300 needs far more than the
-    # 10^6-step budget: the run stops before its first step
+    # at most 256 dt_init a step (the top rung of the step ladder), a
+    # horizon of 1e300 needs far more than the 10^6-step budget: the run
+    # stops before its first step
     cfg = _write(tmp_path, "long.cfg", text + SMALL_GRID)
     start = time.perf_counter()
     rc = cli.main([command, "--config", cfg, "--out", str(tmp_path)])

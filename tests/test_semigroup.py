@@ -358,15 +358,16 @@ def test_scaling_identity_on_commensurate_grid():
     assert disc < 1e-3
 
 
-def test_scaling_identity_interpolation_fallback_is_worse():
-    # a grid incommensurate with lam forces resampling; the measured
-    # discrepancy is then interpolation-dominated but still small
+def test_scaling_identity_rejects_an_incommensurate_grid():
+    # a log step that does not divide log(lam) has no exact index shift,
+    # and the check measures only the exact dilation
     s1 = 0.0
     g = radial.RadialGrid.log_spaced(30.0, 1024, r_min=4e-3)
     op = semigroup.SemigroupOp(g, _params(s1))
     src = radial.field_from_callable(g, radial.gaussian_profile(0.0, 1.0, 1.0), 3.0)
-    disc = semigroup.scaling_identity_check(op, 1.7, 0.1, src)
-    assert 1e-8 < disc < 0.05
+    with pytest.raises(ValueError, match="not log-uniform with a step "
+                                         "dividing"):
+        semigroup.scaling_identity_check(op, 1.7, 0.1, src)
 
 
 def test_scaling_identity_rejects_bad_dilation():
@@ -376,9 +377,12 @@ def test_scaling_identity_rejects_bad_dilation():
         semigroup.scaling_identity_check(op, -2.0, 0.1, src)
 
 
-def test_sample_log_boundary_conventions():
-    g = radial.RadialGrid.log_spaced(10.0, 64)
-    fld = radial.RadialField(g, np.linspace(1.0, 2.0, 64), 3.0)
-    vals = semigroup.sample_log(fld, np.array([g.nodes[0] / 2.0, 20.0]))
-    assert vals[0] == 1.0        # flat continuation at the axis
-    assert vals[1] == 0.0        # absorbing far field
+def test_shift_boundary_conventions():
+    # the index shift that realizes the dilation continues the profile
+    # flat below the first node (radial symmetry) and by zero past the
+    # last one (absorbing far field)
+    vals = np.linspace(1.0, 2.0, 8)
+    assert np.array_equal(semigroup._shift(vals, 3)[:5], vals[3:])
+    assert np.array_equal(semigroup._shift(vals, 3)[5:], np.zeros(3))
+    assert np.array_equal(semigroup._shift(vals, -2)[:3], [1.0, 1.0, 1.0])
+    assert np.array_equal(semigroup._shift(vals, -2)[2:], vals[:6])

@@ -47,41 +47,28 @@ def test_effective_dimension_is_generally_noninteger():
 
 
 # ---------------------------------------------------------------------------
-# field transport
+# node map r -> s
 # ---------------------------------------------------------------------------
 
 def test_identity_transform_keeps_everything():
     g = radial.RadialGrid.log_spaced(10.0, 64)
-    fld = radial.field_from_callable(g, radial.gaussian_profile(0.0, 1.0, 1.0), 3.0)
-    out = transform.to_transformed(fld, _params(0.0, -0.5))
-    assert np.allclose(out.grid.nodes, g.nodes, rtol=1e-14)
-    assert np.array_equal(out.values, fld.values)
-    assert out.dimension == 3.0
+    tp = transform.transform_params(_params(0.0, -0.5))
+    assert np.allclose(transform._s_of_r(g.nodes, tp), g.nodes, rtol=1e-14)
+    assert np.allclose(transform._r_of_s(g.nodes, tp), g.nodes, rtol=1e-14)
+    assert tp.nbar == 3.0
 
 
-def test_roundtrip_recovers_nodes_and_values():
+def test_node_map_roundtrip_recovers_nodes():
     g = radial.RadialGrid.log_spaced(10.0, 128, r_min=1e-3)
-    params = _params(-1.0, -0.5)
-    fld = radial.field_from_callable(g, radial.gaussian_profile(1.0, 0.7, 2.0), 3.0)
-    there = transform.to_transformed(fld, params)
-    back = transform.from_transformed(there, params)
-    assert np.allclose(back.grid.nodes, g.nodes, rtol=1e-12)
-    assert np.allclose(back.values, fld.values, rtol=1e-12)
-
-
-def test_transported_dimension_is_effective():
-    g = radial.RadialGrid.log_spaced(10.0, 64)
-    params = _params(-1.0, -0.5)
-    fld = radial.field_from_callable(g, radial.bump_profile(2.0, 1.0), 3.0)
-    out = transform.to_transformed(fld, params)
-    assert out.dimension == pytest.approx(4.0)
+    tp = transform.transform_params(_params(-1.0, -0.5))
+    there = transform._s_of_r(g.nodes, tp)
+    assert np.allclose(transform._r_of_s(there, tp), g.nodes, rtol=1e-12)
 
 
 def test_log_grid_maps_to_log_grid():
     g = radial.RadialGrid.log_spaced(10.0, 64)
-    out = transform.to_transformed(
-        radial.RadialField(g, np.ones(64), 3.0), _params(-1.0, -0.5))
-    steps = np.diff(np.log(out.grid.nodes))
+    s = transform._s_of_r(g.nodes, transform.transform_params(_params(-1.0, -0.5)))
+    steps = np.diff(np.log(s))
     assert np.allclose(steps, steps[0], rtol=1e-9, atol=0.0)
 
 
