@@ -32,9 +32,8 @@ from .mild import (GlobalSolution, LocalSolution, MildConfig, Trajectory,
 from .blowup import (BlowupConfig, ScanReport, SolveOutcome,
                      calibrate_amplitude, integrate_nonlinear,
                      scan_threshold)
-from .capacity import (CapacityParts, CutoffPair, capacity_exponent_fit,
-                       capacity_integrals, default_cutoffs, log_capacity_fit,
-                       log_space_capacity)
+from .capacity import (CapacityParts, capacity_exponent_fit,
+                       capacity_integrals, log_capacity_fit, log_space_capacity)
 from .config import ExperimentConfig, load_config, parse_profile
 
 __version__ = "0.1.0"

@@ -6,16 +6,18 @@ time derivative, the capacity of the Laplacian, and the forcing response.
 Each factors exactly into a 1-D profile integral times powers of the
 spatial radius R and the horizon T, so slopes in log R can be measured
 essentially to quadrature accuracy and compared with the closed forms.
-The profile constants depend on (N, s1, s2, rho, p) alone, so a fit
-computes them once and then only scales them by R and T per radius.
+The profile constants depend on (N, s1, s2, p) alone, so a fit computes
+them once and then only scales them by R and T per radius; the forcing
+response, which no fit reads, is computed only by capacity_integrals.
 
 The cutoff profiles are piecewise quintic smoothsteps: the supports and
 plateau values are dictated by the construction, while the ramp shape is
 our choice (any C^2 interpolation works; constants, not exponents, depend
 on it).  The same ramp profiles build the test function of the mild
 solver's weak-form residual (mild.weak_residual).  All quadrature is fixed
-composite Simpson on the ramp bands (512 pairs each, checked against 1024),
-split at sign changes of the integrand core, so runs are deterministic.
+composite Simpson on the ramp bands (1024 pairs each, checked against the
+512-pair sum over every other node of the same samples), split at sign
+changes of the integrand core, so runs are deterministic.
 
 A warning on the logarithmic cutoff used at the critical power: its
 capacity is a slowly varying function of log R, and the leading power of
@@ -42,14 +44,14 @@ from .radial import sphere_area
 from .semigroup import SlopeFit
 
 __all__ = [
-    "RampProfile", "CutoffPair", "default_cutoffs",
+    "RampProfile", "PSI", "PHI", "LOG_PHI",
     "CapacityParts", "capacity_integrals",
     "CapacityFitReport", "capacity_exponent_fit",
     "LogCapacityReport", "log_capacity_fit", "log_space_capacity",
     "FIT_CSV_COLUMNS",
 ]
 
-_RAMP_PAIRS = 512        # Simpson pairs on each ramp span
+_RAMP_STEPS = 2048       # Simpson steps per ramp span, checked on every other node
 _QUAD_RTOL = 1e-6
 _R2_FLOOR = 0.99         # fits below this R^2 raise PoorFit
 _LOG_MAX = math.log(np.finfo(float).max)
@@ -138,47 +140,29 @@ class RampProfile:
         return tuple((lo, hi) for lo, hi, vl, vr in self.intervals if vl != vr)
 
 
-@dataclass(frozen=True)
-class CutoffPair:
-    """The space-time cutoff profiles used by the capacity integrals.
-
-    ``psi``: time profile, 0 on [0, 1/4], 1 on [1/2, 3/4], 0 from 4/5 on.
-    ``phi``: space profile, 1 on [0, 1], 0 from 2 on.
-    ``log_phi``: space profile in stretched log coordinates for the
-    critical power, 1 for s <= 0 and 0 from s = 1 on.
-    """
-
-    psi: RampProfile
-    phi: RampProfile
-    log_phi: RampProfile
-
-
-def default_cutoffs() -> CutoffPair:
-    psi = RampProfile(
-        intervals=((0.0, 0.25, 0.0, 0.0),
-                   (0.25, 0.5, 0.0, 1.0),
-                   (0.5, 0.75, 1.0, 1.0),
-                   (0.75, 0.8, 1.0, 0.0)),
-        left=0.0, right=0.0)
-    phi = RampProfile(
-        intervals=((0.0, 1.0, 1.0, 1.0),
-                   (1.0, 2.0, 1.0, 0.0)),
-        left=1.0, right=0.0)
-    log_phi = RampProfile(
-        intervals=((0.0, 1.0, 1.0, 0.0),),
-        left=1.0, right=0.0)
-    return CutoffPair(psi=psi, phi=phi, log_phi=log_phi)
+# The space-time cutoffs of the capacity integrals.  PSI, the time profile:
+# 0 on [0, 1/4], 1 on [1/2, 3/4], 0 from 4/5 on.  PHI, the space profile:
+# 1 on [0, 1], 0 from 2 on.  LOG_PHI, the space profile in stretched log
+# coordinates for the critical power: 1 for s <= 0, 0 from s = 1 on.
+PSI = RampProfile(
+    intervals=((0.0, 0.25, 0.0, 0.0),
+               (0.25, 0.5, 0.0, 1.0),
+               (0.5, 0.75, 1.0, 1.0),
+               (0.75, 0.8, 1.0, 0.0)),
+    left=0.0, right=0.0)
+PHI = RampProfile(
+    intervals=((0.0, 1.0, 1.0, 1.0),
+               (1.0, 2.0, 1.0, 0.0)),
+    left=1.0, right=0.0)
+LOG_PHI = RampProfile(intervals=((0.0, 1.0, 1.0, 0.0),), left=1.0, right=0.0)
 
 
 # --------------------------------------------------------------------------
 # fixed composite quadrature
 # --------------------------------------------------------------------------
 
-def _simpson(fn: Callable[[np.ndarray], np.ndarray],
-             lo: float, hi: float, pairs: int) -> float:
-    x = np.linspace(lo, hi, 2 * pairs + 1)
-    y = np.asarray(fn(x), dtype=float)
-    h = (hi - lo) / (2 * pairs)
+def _simpson(y: np.ndarray, h: float) -> float:
+    """Composite Simpson sum of an odd number of samples spaced h apart."""
     return float(h / 3.0 * (y[0] + y[-1] + 4.0 * np.sum(y[1::2]) + 2.0 * np.sum(y[2:-2:2])))
 
 
@@ -188,7 +172,8 @@ def _sign_split(core: Callable[[np.ndarray], np.ndarray],
 
     Integrands of the form |core|^kappa lose smoothness where the core
     crosses zero; splitting the panels there restores the full Simpson
-    order.  Roots are bisected to near machine accuracy, deterministically.
+    order.  Roots are bisected until the midpoint is an end of the
+    bracket, that is to machine accuracy, deterministically.
     """
     probes = np.linspace(lo, hi, 129)
     vals = np.asarray(core(probes), dtype=float)
@@ -198,14 +183,15 @@ def _sign_split(core: Callable[[np.ndarray], np.ndarray],
         fa, fb = vals[i], vals[i + 1]
         if fa == 0.0 or fa * fb >= 0.0:
             continue
-        for _ in range(80):
-            mid = 0.5 * (a + b)
+        mid = 0.5 * (a + b)
+        while a < mid < b:
             fm = float(core(np.array([mid]))[0])
             if fa * fm <= 0.0:
-                b, fb = mid, fm
+                b = mid
             else:
                 a, fa = mid, fm
-        edges.append(0.5 * (a + b))
+            mid = 0.5 * (a + b)
+        edges.append(mid)
     edges.append(hi)
     return tuple(edges)
 
@@ -224,12 +210,17 @@ def _integrate(fn: Callable[[np.ndarray], np.ndarray],
                spans: Sequence[Tuple[float, float]], what: str) -> float:
     """Composite Simpson over the given (lo, hi) ramp spans.
 
-    Evaluated at the stated resolution and once more at double resolution;
-    disagreement beyond the tolerance raises QuadratureFailure rather than
-    returning a silently wrong number.
+    Each span's integrand is evaluated once, at _RAMP_STEPS + 1 nodes; the
+    Simpson sum over every other node checks the full one, and disagreement
+    beyond the tolerance raises QuadratureFailure rather than returning a
+    silently wrong number.
     """
-    coarse = sum(_simpson(fn, lo, hi, _RAMP_PAIRS) for lo, hi in spans)
-    fine = sum(_simpson(fn, lo, hi, 2 * _RAMP_PAIRS) for lo, hi in spans)
+    coarse = fine = 0.0
+    for lo, hi in spans:
+        y = np.asarray(fn(np.linspace(lo, hi, _RAMP_STEPS + 1)), dtype=float)
+        h = (hi - lo) / _RAMP_STEPS
+        coarse += _simpson(y[::2], 2.0 * h)
+        fine += _simpson(y, h)
     scale = max(abs(fine), 1e-300)
     if abs(fine - coarse) > _QUAD_RTOL * scale + 1e-300:
         raise QuadratureFailure(
@@ -296,36 +287,28 @@ class _Model(NamedTuple):
     kappa: float
     a_time: float
     a_space: float
-    rho: float
     time: float         # omega * kappa^kappa int|psi'|^kappa * int phi^2k y^(a_t-1)
     space: float        # omega * int psi^kappa * int (2k)^k |core|^k y^w
-    forcing: float      # int tau^rho psi^kappa
 
 
 @_overflow("a capacity profile constant")
 def _model(params: ProblemParams) -> _Model:
-    """The profile constants, which depend on (N, s1, s2, rho, p) only."""
-    cut = default_cutoffs()
-    psi, phi = cut.psi, cut.phi
+    """The profile constants, which depend on (N, s1, s2, p) only."""
     kappa, a_time, a_space = _exponents(params)
     n_dim = float(params.N)
     omega = sphere_area(params.N)
 
-    c_dpsi = kappa ** kappa * _integrate(lambda s: np.abs(psi.d1(s)) ** kappa,
-                                         _ramp_spans(psi), "time cutoff derivative")
-    time = omega * c_dpsi * _profile_power_integral(phi, 2.0 * kappa, a_time,
+    c_dpsi = kappa ** kappa * _integrate(lambda s: np.abs(PSI.d1(s)) ** kappa,
+                                         _ramp_spans(PSI), "time cutoff derivative")
+    time = omega * c_dpsi * _profile_power_integral(PHI, 2.0 * kappa, a_time,
                                                     "time capacity")
-    c_psi = _profile_power_integral(psi, kappa, 1.0, "time cutoff plateau")
-    core = _space_core(phi, n_dim, kappa)
+    c_psi = _profile_power_integral(PSI, kappa, 1.0, "time cutoff plateau")
+    core = _space_core(PHI, n_dim, kappa)
     weight_exp = n_dim - 1.0 - params.sigma2 / (params.p - 1.0)
     c_space = _integrate(lambda y: (2.0 * kappa) ** kappa * np.abs(core(y)) ** kappa
                          * y ** weight_exp,
-                         _ramp_spans(phi, core), "Laplacian capacity")
-    # psi vanishes near 0, so the rho > -1 singularity never meets the support
-    forcing = _profile_power_integral(psi, kappa, params.rho + 1.0,
-                                      "forcing time factor")
-    return _Model(kappa, a_time, a_space, params.rho, time,
-                  omega * c_psi * c_space, forcing)
+                         _ramp_spans(PHI, core), "Laplacian capacity")
+    return _Model(kappa, a_time, a_space, time, omega * c_psi * c_space)
 
 
 def _check_cutoff(params: ProblemParams, R: float, T: float) -> None:
@@ -338,11 +321,10 @@ def _check_cutoff(params: ProblemParams, R: float, T: float) -> None:
 
 
 @_overflow("a capacity integral scaled by powers of R and T")
-def _scaled(model: _Model, R: float, T: float) -> CapacityParts:
-    return CapacityParts(
-        time=model.time * T ** (1.0 - model.kappa) * R ** model.a_time,
-        space=model.space * T * R ** model.a_space,
-        forcing=model.forcing * T ** (model.rho + 1.0))
+def _scaled(model: _Model, R: float, T: float) -> Tuple[float, float]:
+    """The time and space capacities at radius R and horizon T."""
+    return (model.time * T ** (1.0 - model.kappa) * R ** model.a_time,
+            model.space * T * R ** model.a_space)
 
 
 def capacity_integrals(params: ProblemParams, R: float, T: float) -> CapacityParts:
@@ -358,7 +340,12 @@ def capacity_integrals(params: ProblemParams, R: float, T: float) -> CapacityPar
     the documented tolerance.
     """
     _check_cutoff(params, R, T)
-    return _scaled(_model(params), R, T)
+    model = _model(params)
+    with _overflow("a capacity integral scaled by powers of R and T"):
+        # psi vanishes near 0, so the rho > -1 singularity never meets the support
+        forcing = _profile_power_integral(PSI, model.kappa, params.rho + 1.0,
+                                          "forcing time factor")
+        return CapacityParts(*_scaled(model, R, T), forcing * T ** (params.rho + 1.0))
 
 
 # --------------------------------------------------------------------------
@@ -433,8 +420,7 @@ def capacity_exponent_fit(params: ProblemParams, radii: Sequence[float],
 
     # scalar powers per radius: numpy's array ** may differ in the last bit
     parts = [_scaled(model, R, T) for R, T in zip(rr, horizons)]
-    time_raw = np.array([c.time for c in parts])
-    space_raw = np.array([c.space for c in parts])
+    time_raw, space_raw = (np.array(c) for c in zip(*parts))
     scale = np.array([T ** (params.rho + 1.0) for T in horizons])
     time_norm, space_norm = time_raw / scale, space_raw / scale
 
@@ -480,20 +466,19 @@ def log_space_capacity(params: ProblemParams, R: float) -> float:
     if R <= math.e ** 2:
         raise ConditionViolation("log cutoff needs R large enough that "
                                  "log(sqrt(R)) > 1; got R=%g" % R)
-    prof = default_cutoffs().log_phi
     kappa, _, a_space = _exponents(params)
     n_dim = float(params.N)
     big_l = math.log(math.sqrt(R))
 
     def core(s: np.ndarray) -> np.ndarray:
-        P, dP, d2P = prof(s), prof.d1(s), prof.d2(s)
+        P, dP, d2P = LOG_PHI(s), LOG_PHI.d1(s), LOG_PHI.d2(s)
         return ((2.0 * kappa - 1.0) * dP * dP / big_l ** 2
                 + P * d2P / big_l ** 2
                 + (n_dim - 2.0) * P * dP / big_l)
 
     fn = lambda s: ((2.0 * kappa) ** kappa * np.abs(core(s)) ** kappa
                     * np.exp(a_space * big_l * s))
-    integral = _integrate(fn, _ramp_spans(prof, core), "log-cutoff capacity")
+    integral = _integrate(fn, _ramp_spans(LOG_PHI, core), "log-cutoff capacity")
     return sphere_area(params.N) * R ** (a_space / 2.0) * big_l * integral
 
 

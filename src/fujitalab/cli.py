@@ -40,7 +40,7 @@ from .mild import (CONVERGENCE_CSV_COLUMNS, TRAJECTORY_CSV_COLUMNS,
                    solve_local_Lq, trajectory_csv_rows)
 from .radial import (RadialField, RadialGrid, field_from_callable,
                      powerlaw_profile)
-from .semigroup import SemigroupOp, smoothing_slope, weighted_smoothing_check
+from .semigroup import SemigroupOp, weighted_smoothing_check
 from .transform import residual_check, transform_params
 
 EXIT_OK = 0
@@ -145,12 +145,9 @@ def _run_semigroup_check(cfg: ExperimentConfig, out_dir: str) -> None:
         source = field_from_callable(
             grid, powerlaw_profile(cfg.params.N / a), float(cfg.params.N))
     op = SemigroupOp(grid, cfg.params)
-    if gamma == 0.0:
-        fit = smoothing_slope(op, a, b, source, times)
-        label = "L^%g -> L^%g smoothing" % (a, b)
-    else:
-        fit = weighted_smoothing_check(op, a, b, gamma, source, times)
-        label = "weighted (gamma=%g) L^%g -> L^%g smoothing" % (gamma, a, b)
+    fit = weighted_smoothing_check(op, a, b, gamma, source, times)
+    label = ("L^%g -> L^%g smoothing" % (a, b) if gamma == 0.0 else
+             "weighted (gamma=%g) L^%g -> L^%g smoothing" % (gamma, a, b))
     rows = [[float(t), float(n)] for t, n in zip(fit.x, fit.y)]
     path = os.path.join(out_dir, "semigroup_check.csv")
     _write_csv(path, ["t", "norm"], rows,

@@ -188,10 +188,7 @@ def _coerce(key: str, raw: str, spec: KeySpec):
                 return False
             raise ValueError(raw)
         if spec.kind == "floats":
-            vals = tuple(_finite(float(x)) for x in raw.split(","))
-            if not vals:
-                raise ValueError(raw)
-            return vals
+            return tuple(_finite(float(x)) for x in raw.split(","))
         if spec.kind == "profile":
             return parse_profile(raw)
     except ConfigError:

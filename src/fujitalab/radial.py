@@ -1,17 +1,21 @@
-"""Radial grids, radial fields and weighted Lebesgue norms.
+"""Radial grids, radial fields, Lebesgue norms and weighted integrals.
 
 Radially symmetric functions on R^N are represented by their nodal values
 on a one-dimensional grid 0 < r_1 < ... < r_M; the equation's radial
 weights belong to the operator (semigroup.SemigroupOp.weight), not to the
 grid.  The default grid is uniform in log r, which resolves both the
 origin (where the degenerate diffusivity |x|^(-s1) lives) and the far
-field with the same relative resolution.  Norms are weighted Lebesgue norms
+field with the same relative resolution.  Norms are the Lebesgue norms
 
-    ||u||_{q,w} = ( omega_{N-1} * int |u(r)|^q r^(N-1+w) dr )^(1/q),
+    ||u||_q = ( omega_{N-1} * int |u(r)|^q r^(N-1) dr )^(1/q),
 
-computed by the trapezoid rule on the grid; the trapezoid cell widths
-coincide with the finite-volume cell widths used by the evolution
-schemes, so discrete mass bookkeeping is exact.
+and weighted_integral takes the signed integral against r^(N-1+w), both
+computed by the trapezoid rule on the grid.  The trapezoid cell widths
+are the finite-volume cell widths of the evolution schemes at every node
+but the last: SemigroupOp widens the last cell to the zero ghost node
+beyond r_max (h[-1] where the grid has h[-1]/2), so weighted_integral
+measures the operator's conserved mass exactly only for data that vanish
+at the last node.
 """
 
 from __future__ import annotations
@@ -99,10 +103,6 @@ class RadialGrid:
     def m(self) -> int:
         return self.nodes.size
 
-    @property
-    def r_max(self) -> float:
-        return float(self.nodes[-1])
-
     def cell_widths(self) -> np.ndarray:
         """Trapezoid weights: half-cells at both ends, midpoint cells inside.
 
@@ -156,19 +156,18 @@ class RadialField:
         return replace(self, values=np.asarray(values, dtype=float))
 
 
-def lq_norm(fld: RadialField, q: float, weight: float = 0.0) -> float:
-    """Weighted L^q norm of a radial field by trapezoid quadrature.
+def lq_norm(fld: RadialField, q: float) -> float:
+    """L^q norm of a radial field, measure r^(N-1) dr, by trapezoid quadrature.
 
-    weight is the extra radial power in the measure r^(N-1+weight) dr; use
-    weight = sigma1 with q = 1 for the conserved weighted mass, weight = 0
-    for plain Lebesgue norms.  q = inf returns max |u| (weight ignored).
+    q = inf returns max |u|.  For the conserved weighted mass use
+    weighted_integral.
     """
     if not (q >= 1.0):
         raise ValueError("need q >= 1, got %r" % (q,))
     v = np.abs(fld.values)
     if math.isinf(q):
         return float(v.max(initial=0.0))
-    dens = v ** q * fld.grid.power(fld.dimension - 1.0 + weight)
+    dens = v ** q * fld.grid.power(fld.dimension - 1.0)
     total = sphere_area(fld.dimension) * float(dens @ fld.grid.cell_widths())
     return total ** (1.0 / q)
 

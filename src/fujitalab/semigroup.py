@@ -264,15 +264,6 @@ def fit_loglog(x: Sequence[float], y: Sequence[float]) -> Tuple[float, float]:
     return float(slope), r2
 
 
-def _check_pair(params: ProblemParams, inv_a: float, inv_b: float) -> None:
-    # validity region of the L^a -> L^b estimate: 1/b <= 1/a < 1 + s1/N
-    edge = 1.0 + params.sigma1 / params.N
-    if not (0.0 < inv_b <= inv_a < edge):
-        raise ConditionViolation(
-            "need 1/b <= 1/a < 1 + sigma1/N, got 1/a=%g 1/b=%g edge=%g"
-            % (inv_a, inv_b, edge))
-
-
 def smoothing_slope(op: SemigroupOp, a: float, b: float, source: RadialField,
                     t_list: Sequence[float]) -> SlopeFit:
     """Fit the decay of ||S(t) source||_b and compare to the L^a -> L^b rate.
@@ -283,15 +274,10 @@ def smoothing_slope(op: SemigroupOp, a: float, b: float, source: RadialField,
     decay faster, so callers who want the fitted slope to meet the theory
     line should pass that borderline source (see
     :func:`fujitalab.radial.powerlaw_profile`).  a = b is allowed as the
-    trivial boundary case with zero theoretical rate.
+    trivial boundary case with zero theoretical rate.  This is the
+    gamma = 0 case of :func:`weighted_smoothing_check`.
     """
-    if not (1.0 < a < math.inf and 1.0 < b < math.inf):
-        raise ConditionViolation("need 1 < a, b < inf, got a=%r b=%r" % (a, b))
-    _check_pair(op.params, 1.0 / a, 1.0 / b)
-    theory = -(op.params.N / op.params.diffusion_depth) * (1.0 / a - 1.0 / b)
-    fields = op.evolve_through(source, t_list)
-    norms = np.array([lq_norm(f, b) for f in fields])
-    return SlopeFit.from_loglog(t_list, norms, theory)
+    return weighted_smoothing_check(op, a, b, 0.0, source, t_list)
 
 
 def weighted_smoothing_check(op: SemigroupOp, q1: float, q2: float,
@@ -301,9 +287,9 @@ def weighted_smoothing_check(op: SemigroupOp, q1: float, q2: float,
 
     Theory: ||S(t)(|x|^(-gamma) phi)||_{q2}
             <= C t^(-(N/A)(1/q1 - 1/q2) - gamma/A) ||phi||_{q1}
-    under 0 <= gamma < N and 0 < 1/q2 < gamma/N + 1/q1 < 1 + s1/N.  As in
-    :func:`smoothing_slope`, the borderline source r^(-N/q1) realizes the
-    rate exactly.
+    under 0 <= gamma < N and 0 < 1/q2 < gamma/N + 1/q1 < 1 + s1/N, where
+    gamma = 0 also allows q1 = q2 (rate 0).  As in :func:`smoothing_slope`,
+    the borderline source r^(-N/q1) realizes the rate exactly.
     """
     n = op.params.N
     if not (0.0 <= gamma < n):
@@ -312,10 +298,12 @@ def weighted_smoothing_check(op: SemigroupOp, q1: float, q2: float,
         raise ConditionViolation("need 1 < q1, q2 < inf")
     edge = 1.0 + op.params.sigma1 / n
     mid = gamma / n + 1.0 / q1
-    if not (0.0 < 1.0 / q2 < mid < edge):
+    if not (0.0 < 1.0 / q2 < mid < edge
+            or gamma == 0.0 and 0.0 < 1.0 / q2 == mid < edge):
         raise ConditionViolation(
-            "need 0 < 1/q2 < gamma/N + 1/q1 < 1 + sigma1/N, got 1/q2=%g "
-            "mid=%g edge=%g" % (1.0 / q2, mid, edge))
+            "need 0 < 1/q2 < gamma/N + 1/q1 < 1 + sigma1/N (1/q2 = 1/q1 "
+            "allowed at gamma = 0), got 1/q2=%g mid=%g edge=%g"
+            % (1.0 / q2, mid, edge))
     a_depth = op.params.diffusion_depth
     theory = -(n / a_depth) * (1.0 / q1 - 1.0 / q2) - gamma / a_depth
     weighted = source.with_values(source.values * op.weight(-gamma))

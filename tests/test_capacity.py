@@ -5,7 +5,7 @@ import pytest
 from scipy import integrate
 
 from fujitalab import capacity
-from fujitalab.errors import ConditionViolation, PoorFit
+from fujitalab.errors import ConditionViolation, PoorFit, QuadratureFailure
 from fujitalab.exponents import ProblemParams
 from fujitalab.radial import sphere_area
 
@@ -19,44 +19,58 @@ def _params(p=1.5, rho=-0.5, s1=0.0, s2=0.0, n=3):
 # ---------------------------------------------------------------------------
 
 def test_cutoff_ranges_and_plateaus():
-    cut = capacity.default_cutoffs()
     s = np.linspace(-0.5, 1.5, 401)
-    for prof in (cut.psi, cut.phi):
+    for prof in (capacity.PSI, capacity.PHI):
         vals = prof(s)
         assert np.all(vals >= 0.0) and np.all(vals <= 1.0)
-    assert np.all(cut.psi(np.linspace(0.5, 0.75, 50)) == 1.0)
-    assert np.all(cut.psi(np.linspace(0.0, 0.25, 50)) == 0.0)
-    assert np.all(cut.psi(np.linspace(0.81, 2.0, 50)) == 0.0)
-    assert np.all(cut.phi(np.linspace(0.0, 1.0, 50)) == 1.0)
-    assert np.all(cut.phi(np.linspace(2.0, 5.0, 50)) == 0.0)
+    assert np.all(capacity.PSI(np.linspace(0.5, 0.75, 50)) == 1.0)
+    assert np.all(capacity.PSI(np.linspace(0.0, 0.25, 50)) == 0.0)
+    assert np.all(capacity.PSI(np.linspace(0.81, 2.0, 50)) == 0.0)
+    assert np.all(capacity.PHI(np.linspace(0.0, 1.0, 50)) == 1.0)
+    assert np.all(capacity.PHI(np.linspace(2.0, 5.0, 50)) == 0.0)
 
 
 def test_cutoff_derivative_vanishes_on_plateaus():
-    cut = capacity.default_cutoffs()
     s = np.linspace(0.5, 0.75, 50)
-    assert np.all(cut.psi.d1(s) == 0.0)
-    assert np.all(cut.psi.d2(s) == 0.0)
+    assert np.all(capacity.PSI.d1(s) == 0.0)
+    assert np.all(capacity.PSI.d2(s) == 0.0)
 
 
 def test_cutoff_derivatives_match_finite_differences():
-    cut = capacity.default_cutoffs()
     h = 1e-6
     s = np.linspace(0.26, 0.49, 23)     # inside a ramp
-    fd1 = (cut.psi(s + h) - cut.psi(s - h)) / (2.0 * h)
-    fd2 = (cut.psi(s + h) - 2.0 * cut.psi(s) + cut.psi(s - h)) / h ** 2
-    assert np.allclose(cut.psi.d1(s), fd1, rtol=1e-7, atol=1e-7)
-    assert np.allclose(cut.psi.d2(s), fd2, rtol=1e-3, atol=1e-3)
+    fd1 = (capacity.PSI(s + h) - capacity.PSI(s - h)) / (2.0 * h)
+    fd2 = (capacity.PSI(s + h) - 2.0 * capacity.PSI(s) + capacity.PSI(s - h)) / h ** 2
+    assert np.allclose(capacity.PSI.d1(s), fd1, rtol=1e-7, atol=1e-7)
+    assert np.allclose(capacity.PSI.d2(s), fd2, rtol=1e-3, atol=1e-3)
 
 
 def test_smoothness_at_plateau_junctions():
     # C^2 matching is what keeps the capacity integrands bounded
-    cut = capacity.default_cutoffs()
     eps = 1e-9
     for x in (0.25, 0.5, 0.75, 0.8):
-        assert cut.psi(np.array([x - eps]))[0] == pytest.approx(
-            cut.psi(np.array([x + eps]))[0], abs=1e-6)
-        assert cut.psi.d1(np.array([x - eps]))[0] == pytest.approx(
-            cut.psi.d1(np.array([x + eps]))[0], abs=1e-5)
+        assert capacity.PSI(np.array([x - eps]))[0] == pytest.approx(
+            capacity.PSI(np.array([x + eps]))[0], abs=1e-6)
+        assert capacity.PSI.d1(np.array([x - eps]))[0] == pytest.approx(
+            capacity.PSI.d1(np.array([x + eps]))[0], abs=1e-5)
+
+
+# ---------------------------------------------------------------------------
+# fixed composite quadrature
+# ---------------------------------------------------------------------------
+
+def test_unsettled_quadrature_raises():
+    # sin(1e4 x) turns about 1,600 times on [0, 1]: the Simpson sum over
+    # every other node disagrees with the full one, and the gate says so
+    with pytest.raises(QuadratureFailure, match="test integrand did not settle"):
+        capacity._integrate(lambda x: np.sin(1e4 * x), [(0.0, 1.0)],
+                            "test integrand")
+
+
+def test_sign_split_bisects_to_adjacent_floats():
+    edges = capacity._sign_split(lambda x: x - 1.0 / 3.0, 0.0, 1.0)
+    assert len(edges) == 3 and (edges[0], edges[2]) == (0.0, 1.0)
+    assert abs(edges[1] - 1.0 / 3.0) <= math.ulp(1.0 / 3.0)
 
 
 # ---------------------------------------------------------------------------
@@ -68,8 +82,7 @@ def test_space_integrand_power_cancellation():
     p = 1.5
     kappa = p / (p - 1.0)
     dim = 3.0
-    cut = capacity.default_cutoffs()
-    phi = cut.phi
+    phi = capacity.PHI
     core = capacity._space_core(phi, dim, kappa)
     y = np.linspace(1.05, 1.95, 37)     # ramp region, phi in (0, 1)
     P, dP, d2P = phi(y), phi.d1(y), phi.d2(y)
@@ -89,26 +102,25 @@ def test_integrals_match_scipy_quadrature():
     R, T = 2.0, 3.0
     kappa = params.p / (params.p - 1.0)
     got = capacity.capacity_integrals(params, R, T)
-    cut = capacity.default_cutoffs()
 
     w_t = (params.sigma1 * params.p - params.sigma2) / (params.p - 1.0)
     time_s, _ = integrate.quad(
-        lambda s: abs(cut.psi.d1(np.array([s]))[0]) ** kappa, 0.25, 0.8,
+        lambda s: abs(capacity.PSI.d1(np.array([s]))[0]) ** kappa, 0.25, 0.8,
         points=[0.5, 0.75], limit=200)
     time_y, _ = integrate.quad(
-        lambda y: cut.phi(np.array([y]))[0] ** (2.0 * kappa)
+        lambda y: capacity.PHI(np.array([y]))[0] ** (2.0 * kappa)
         * y ** (params.N - 1.0 + w_t), 0.0, 2.0, points=[1.0], limit=200)
     want_time = (T ** (1.0 - kappa) * kappa ** kappa * time_s
                  * R ** (params.N + w_t) * sphere_area(float(params.N)) * time_y)
     assert got.time == pytest.approx(want_time, rel=1e-5)
 
-    core = capacity._space_core(cut.phi, float(params.N), kappa)
+    core = capacity._space_core(capacity.PHI, float(params.N), kappa)
     space_y, _ = integrate.quad(
         lambda y: abs(core(np.array([y]))[0]) ** kappa
         * y ** (params.N - 1.0 - params.sigma2 / (params.p - 1.0)),
         1.0, 2.0, limit=400)
     psi_s, _ = integrate.quad(
-        lambda s: cut.psi(np.array([s]))[0] ** kappa, 0.25, 0.8,
+        lambda s: capacity.PSI(np.array([s]))[0] ** kappa, 0.25, 0.8,
         points=[0.5, 0.75], limit=200)
     a_s = params.N - (2.0 * params.p + params.sigma2) / (params.p - 1.0)
     want_space = ((2.0 * kappa) ** kappa * space_y
@@ -116,7 +128,7 @@ def test_integrals_match_scipy_quadrature():
     assert got.space == pytest.approx(want_space, rel=1e-4)
 
     force_s, _ = integrate.quad(
-        lambda s: s ** params.rho * cut.psi(np.array([s]))[0] ** kappa,
+        lambda s: s ** params.rho * capacity.PSI(np.array([s]))[0] ** kappa,
         0.25, 0.8, points=[0.5, 0.75], limit=200)
     want_force = T ** (params.rho + 1.0) * force_s
     assert got.forcing == pytest.approx(want_force, rel=1e-5)

@@ -248,6 +248,20 @@ def test_calibration_preconditions_exit_3(tmp_path, tuple_):
     assert not (tmp_path / "blowup_scan.csv").exists()
 
 
+def test_negative_amplitude_exits_2_before_any_run(tmp_path, capsys,
+                                                  monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a scan ran")
+    monkeypatch.setattr(cli, "calibrate_amplitude", no_run)
+    monkeypatch.setattr(cli, "scan_threshold", no_run)
+    cfg = _write(tmp_path, "amp.cfg", BASE + "p_lo = 1.5\np_hi = 3\n"
+                 "amplitude = -1\n")
+    rc = cli.main(["blowup-scan", "--config", cfg, "--out", str(tmp_path)])
+    assert rc == cli.EXIT_CONFIG
+    assert "amplitude must be nonnegative" in capsys.readouterr().err
+    assert not (tmp_path / "blowup_scan.csv").exists()
+
+
 def test_numerical_failures_exit_4_but_write_artifacts(tmp_path):
     # the log-cutoff capacity is pre-asymptotic on desk-scale radii: the
     # quality gate fails, the exit code says so, and the measured values
@@ -332,6 +346,20 @@ def test_overflowing_nonlinearity_exits_4_without_traceback(tmp_path):
     assert "numerical failure:" in run.stderr
     assert "Traceback" not in run.stderr
     assert "RuntimeWarning" not in run.stderr
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_norm_exits_4_in_process(tmp_path, capsys):
+    # the datum of the test above, run in process: an L^q norm of the run
+    # overflows, and the solver names it without a numpy warning
+    cfg = _write(tmp_path, "ovf.cfg", (
+        "N = 3\nsigma1 = 0\nsigma2 = -0.1\nrho = -0.5\np = 3\n"
+        "u0 = gaussian(0, 1, 1e120)\nw = zero\n"
+        "grid_m = 64\nn_times = 8\n"))
+    rc = cli.main(["mild-solve", "--config", cfg, "--out", str(tmp_path)])
+    assert rc == cli.EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert "numerical failure: an L^" in err and "norm overflowed" in err
 
 
 @pytest.mark.filterwarnings("error")

@@ -336,6 +336,14 @@ def test_smoothing_rejects_invalid_pairs():
         semigroup.smoothing_slope(op, 1.2, 4.0, src, [1.0, 2.0, 4.0])
     with pytest.raises(ConditionViolation):
         semigroup.smoothing_slope(op, 4.0, 2.0, src, [1.0, 2.0, 4.0])
+    with pytest.raises(ConditionViolation):
+        # with gamma > 0 the middle inequality is strict:
+        # 1/q2 = gamma/N + 1/q1 = 1/2
+        semigroup.weighted_smoothing_check(op, 4.0, 2.0, 0.75, src,
+                                           [1.0, 2.0, 4.0])
+    # a = b is the trivial boundary case, with theory slope 0
+    assert semigroup.smoothing_slope(op, 2.0, 2.0, src,
+                                     [1.0, 2.0, 4.0]).theory == 0.0
 
 
 def test_fit_loglog_recovers_exact_power():
