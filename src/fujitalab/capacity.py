@@ -206,14 +206,12 @@ def _ramp_spans(profile: RampProfile,
     return spans
 
 
-def _integrate(fn: Callable[[np.ndarray], np.ndarray],
-               spans: Sequence[Tuple[float, float]], what: str) -> float:
-    """Composite Simpson over the given (lo, hi) ramp spans.
+def _simpson_sums(fn: Callable[[np.ndarray], np.ndarray],
+                  spans: Sequence[Tuple[float, float]]) -> Tuple[float, float]:
+    """(coarse, fine) composite Simpson sums over the (lo, hi) ramp spans.
 
     Each span's integrand is evaluated once, at _RAMP_STEPS + 1 nodes; the
-    Simpson sum over every other node checks the full one, and disagreement
-    beyond the tolerance raises QuadratureFailure rather than returning a
-    silently wrong number.
+    coarse sum takes every other node.
     """
     coarse = fine = 0.0
     for lo, hi in spans:
@@ -221,12 +219,23 @@ def _integrate(fn: Callable[[np.ndarray], np.ndarray],
         h = (hi - lo) / _RAMP_STEPS
         coarse += _simpson(y[::2], 2.0 * h)
         fine += _simpson(y, h)
-    scale = max(abs(fine), 1e-300)
-    if abs(fine - coarse) > _QUAD_RTOL * scale + 1e-300:
+    return coarse, fine
+
+
+def _settled(coarse: float, fine: float, what: str) -> float:
+    """fine, when the coarse sum agrees with it to the tolerance; else
+    QuadratureFailure rather than a silently wrong number."""
+    if abs(fine - coarse) > _QUAD_RTOL * max(abs(fine), 1e-300) + 1e-300:
         raise QuadratureFailure(
             "quadrature for the %s did not settle: %.3e vs %.3e"
             % (what, coarse, fine))
     return fine
+
+
+def _integrate(fn: Callable[[np.ndarray], np.ndarray],
+               spans: Sequence[Tuple[float, float]], what: str) -> float:
+    """Composite Simpson over the (lo, hi) ramp spans, checked."""
+    return _settled(*_simpson_sums(fn, spans), what)
 
 
 def _profile_power_integral(profile: RampProfile, power: float,
@@ -235,23 +244,29 @@ def _profile_power_integral(profile: RampProfile, power: float,
 
     Plateau pieces, and ``left`` before the first piece, integrate in
     closed form (``_power_integral``), ramp pieces numerically.  The
-    profile must vanish beyond its last piece (psi and phi do) and
-    ``exponent`` must be positive for integrability at the origin.
+    coarse-to-fine check is made on the whole integral, so a ramp piece
+    that is a negligible share of it (psi's rise, under a large exponent)
+    cannot fail it.  The profile must vanish beyond its last piece (psi and
+    phi do) and ``exponent`` must be positive for integrability at the
+    origin.
     """
     if exponent <= 0.0:
         raise QuadratureFailure(
             "the %s integrand is not integrable at the origin "
             "(radial exponent %.6g <= 0)" % (what, exponent))
     lo0 = profile.intervals[0][0]
-    total = profile.left ** power * _power_integral(0.0, lo0, exponent)
+    total = coarse = profile.left ** power * _power_integral(0.0, lo0, exponent)
     for lo, hi, vl, vr in profile.intervals:
-        if vl == vr:
-            if vl != 0.0:
-                total += vl ** power * _power_integral(lo, hi, exponent)
-        else:
+        if vl != vr:
             fn = lambda y: profile(y) ** power * y ** (exponent - 1.0)
-            total += _integrate(fn, [(lo, hi)], what)
-    return total
+            piece_coarse, piece = _simpson_sums(fn, [(lo, hi)])
+        elif vl != 0.0:
+            piece_coarse = piece = vl ** power * _power_integral(lo, hi, exponent)
+        else:
+            continue
+        total += piece
+        coarse += piece_coarse
+    return _settled(coarse, total, what)
 
 
 # --------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from fujitalab import blowup, radial, semigroup
+from fujitalab import blowup, cli, radial, semigroup
 from fujitalab.errors import NoBracket, NumericalFailure
 from fujitalab.exponents import ProblemParams, critical_forced
 
@@ -272,6 +273,82 @@ def test_calibration_fails_when_nothing_ignites():
     with pytest.raises(NoBracket, match=r"up to 4096 ignited blow-up by "
                                         r"t=0\.01 at p=1\.5$"):
         blowup.calibrate_amplitude(params, cfg)
+
+
+# demo tuple, then benchmark-domain tuples: p* - 1/2 = 1.2475 (two
+# halvings, the longest ignition-to-cap stretch), 1.3896 (no halving) and
+# 1.7062 (amplitude 8)
+_CALIBRATION_TUPLES = [(0.0, 0.0, -0.5),
+                       (0.245838, -0.296317, -0.569587),
+                       (-0.200802, -0.157412, -0.59543),
+                       (-0.187677, 0.253637, -0.479127)]
+
+
+@pytest.mark.parametrize("s1, s2, rho", _CALIBRATION_TUPLES)
+def test_calibration_reads_the_same_outcomes_at_the_full_cap(
+        s1, s2, rho, monkeypatch):
+    # a probe stops once its norm passes 1e3; run to the 1e8 cap it must
+    # pick the same amplitude
+    params = _params(s1=s1, s2=s2, rho=rho)
+    cfg = blowup.BlowupConfig(dt_init=5e-3, t_max=50.0)
+    amp = blowup.calibrate_amplitude(params, cfg)
+    monkeypatch.setattr(blowup, "_IGNITION", 1e8)
+    assert blowup.calibrate_amplitude(params, cfg) == amp
+
+
+def test_calibration_runs_no_probe_twice(monkeypatch):
+    # the igniting amplitude stays global at p* + 1/2, so nothing is
+    # halved and p* - 1/2, which already blew up there, is not run again
+    runs = []
+    original = blowup.integrate_nonlinear
+
+    def counted(u0, w, params, cfg, *args):
+        runs.append((params.p, float(w.values.max())))
+        return original(u0, w, params, cfg, *args)
+
+    monkeypatch.setattr(blowup, "integrate_nonlinear", counted)
+    s1, s2, rho = _CALIBRATION_TUPLES[2]
+    params = _params(s1=s1, s2=s2, rho=rho)
+    p_star = critical_forced(params)
+    amp = blowup.calibrate_amplitude(
+        params, blowup.BlowupConfig(dt_init=5e-3, t_max=50.0))
+    assert amp == 4.0
+    assert [p for p, _ in runs] == [p_star - 0.5] * 6 + [p_star + 0.5]
+    assert len(set(runs)) == len(runs)
+
+
+@pytest.fixture(scope="module")
+def demo_scan(tmp_path_factory):
+    """The demo blowup-scan config through the CLI: (attempted steps, rows)."""
+    attempts = []
+    original = semigroup.SemigroupOp._step
+
+    def counted(self, *args):
+        attempts.append(None)
+        return original(self, *args)
+
+    cfg = os.path.join(os.path.dirname(__file__), os.pardir, "demos",
+                       "configs", "blowup_scan.cfg")
+    out = tmp_path_factory.mktemp("demo_scan")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(semigroup.SemigroupOp, "_step", counted)
+        assert cli.main(["blowup-scan", "--config", cfg, "--out", str(out)]) == 0
+    lines = (out / "blowup_scan.csv").read_text(encoding="utf-8").splitlines()
+    rows = [l.split(",") for l in lines if not l.startswith("#")][1:]
+    return len(attempts), rows
+
+
+def test_demo_scan_stays_within_its_step_budget(demo_scan):
+    # every attempted IMEX step, rejected ones included, of the calibration
+    # and the scan: 1,287 with the probes capped at 1e3, 1,628 when they
+    # run to the scan's 1e8 cap
+    assert demo_scan[0] <= 1300
+
+
+def test_demo_scan_keeps_its_blowup_time(demo_scan):
+    # the scan's own runs keep the full cap, so their t* does not move
+    rows = {row[0]: row for row in demo_scan[1]}
+    assert rows["1.25"][1:3] == ["BlownUp", "10.923880185931532"]
 
 
 def test_scan_rows_serialize():

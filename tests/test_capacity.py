@@ -142,6 +142,20 @@ def test_forcing_factor_doubles_by_its_exponent(rho):
     assert b / a == pytest.approx(2.0 ** (rho + 1.0), rel=1e-6)
 
 
+@pytest.mark.parametrize("rho", [100.0, 200.0, 300.0, 1000.0])
+def test_forcing_factor_settles_at_large_rho(rho):
+    # y^rho puts nearly all the weight at the end of psi's support, so the
+    # rise onto the plateau is a negligible share of the integral; at
+    # rho = 300 that piece's own coarse-to-fine gap exceeds the tolerance
+    params = _params(p=1.5, rho=rho, s1=-0.2)
+    T = 10.0 ** 0.01
+    got = capacity.capacity_integrals(params, 10.0, T).forcing
+    force_s, _ = integrate.quad(
+        lambda s: s ** rho * capacity.PSI(np.array([s]))[0] ** 3.0,
+        0.25, 0.8, points=[0.5, 0.75], limit=200, epsabs=0.0, epsrel=1e-10)
+    assert got == pytest.approx(T ** (rho + 1.0) * force_s, rel=1e-6)
+
+
 def test_time_integral_scales_by_one_minus_kappa():
     params = _params(p=2.0, rho=-0.5)
     kappa = 2.0
