@@ -47,10 +47,11 @@ direct = integrate_nonlinear(u0, w, params,
                              BlowupConfig(dt_init=5e-4, t_max=2.0),
                              sample_times=stops)
 snaps = dict(direct.snapshots)
+fields = sol.trajectory.fields    # built on each access: take them once
 print()
 print("fixed point vs direct march, L^r norms:")
 for i, t in zip((7, 15, 31), stops):
-    ours = lq_norm(sol.trajectory.fields[i], sol.r)
+    ours = lq_norm(fields[i], sol.r)
     ref = lq_norm(snaps[t], sol.r)
     print("  t=%.4f  %.6e vs %.6e  (rel %.2e)"
           % (t, ours, ref, abs(ours - ref) / ref))

@@ -13,11 +13,13 @@ and a local-in-time solver working in plain C([0,T]; L^q) (mu = 0, r = q).
 
 Every time integral is one SemigroupOp.march across a log-spaced grid of
 stored times, each interval cut into equal slices, each slice one TR-BDF2
-step with a constant source.  A slice weighs the forcing by the exact
-integral of s^rho over it, so the singularity at s = 0 (rho < 0) does not
-cap the order at 1 + rho; the nonlinear source on the cell touching t = 0
-follows the power law (s/t_1)^theta of the first stored time t_1, weighed
-the same way.  The linear part S(t) u0 + H(t) is one such march from u0.
+step with a constant source; an interval's sources are one array.
+A slice weighs the forcing by the exact integral of s^rho over it, so the
+singularity at s = 0 (rho < 0) does not cap the order at 1 + rho; the
+nonlinear source on the cell touching t = 0 follows the power law
+(s/t_1)^theta of the first stored time t_1, weighed the same way.  The
+linear part S(t) u0 + H(t) is one such march from u0.  A trajectory is one
+(n_times, m) array, whose norms are taken in one pass.
 The weak-form residual's test function is made of capacity's ramp profiles.
 """
 
@@ -32,7 +34,7 @@ from .errors import (HypothesisViolation, NotContracting, NoValidT,
                      NumericalFailure, Overflow)
 from .exponents import (ProblemParams, _power_integral, derived_weights,
                         local_alpha, require_admissible_q)
-from .radial import RadialField, lq_norm, sphere_area
+from .radial import RadialField, sphere_area
 from .semigroup import SemigroupOp
 
 OVERFLOW_GUARD = 1e30
@@ -69,52 +71,66 @@ class MildConfig:
             raise ValueError("n_times must be at least 8")
 
 
-@dataclass
 class Trajectory:
-    """Field snapshots at increasing positive times plus their sup-metric.
+    """Snapshots at increasing positive times plus their sup-metric.
 
-    x_norm records sup_j times[j]^mu * ||fields[j]||_{L^r} for whatever
-    (mu, r) the producing solver used; difference trajectories are
-    measured with the same weights through x_distance.
+    ``values`` has one row per time, on the grid of the field it was built
+    from; ``fields`` builds the RadialFields on demand.  x_norm records
+    sup_j times[j]^mu * ||values[j]||_{L^r} for whatever (mu, r) the
+    producing solver used; difference trajectories are measured with the
+    same weights through x_distance.
     """
 
-    times: np.ndarray
-    fields: List[RadialField]
-    x_norm: float
-
-    def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
+    def __init__(self, times: np.ndarray, fields: Sequence[RadialField],
+                 x_norm: float):
+        t = np.asarray(times, dtype=float)
         if t.ndim != 1 or t.size == 0:
             raise ValueError("times must be a nonempty 1-d array")
         if t[0] <= 0.0 or np.any(np.diff(t) <= 0.0):
             raise ValueError("times must be positive and strictly increasing")
-        if len(self.fields) != t.size:
+        if len(fields) != t.size:
             raise ValueError("need one field per time, got %d fields for %d "
-                             "times" % (len(self.fields), t.size))
-        self.times = t
+                             "times" % (len(fields), t.size))
+        self.times, self.values = t, np.array([f.values for f in fields])
+        self.x_norm, self._like = x_norm, fields[0]
+
+    @classmethod
+    def _stacked(cls, times: np.ndarray, like: RadialField, values,
+                 x_norm: float) -> "Trajectory":
+        # rows on like's grid at times a march has already checked
+        traj = cls.__new__(cls)
+        traj.times, traj.values = times, np.asarray(values, dtype=float)
+        traj.x_norm, traj._like = x_norm, like
+        return traj
+
+    @property
+    def fields(self) -> List[RadialField]:
+        return [self._like.with_values(v) for v in self.values]
 
     def norms(self, q: float) -> np.ndarray:
-        return np.array([lq_norm(f, q) for f in self.fields])
+        """L^q norm of every stored time, q finite; Overflow where inf."""
+        return np.array(_norms(self.values, self._like, q))
 
 
 @np.errstate(over="ignore")
-def _norm(fld: RadialField, q: float) -> float:
-    """lq_norm, raising Overflow where it would return inf."""
-    value = lq_norm(fld, q)
-    if not math.isfinite(value):
+def _norms(values, like: RadialField, q: float) -> List[float]:
+    """lq_norm of every row of values on like's grid, bit for bit: one
+    |V|^q r^(N-1) pass, then a 1-D dot per row (a 2-D matmul may sum in
+    another order).  Raises Overflow where a norm is inf."""
+    grid, dim = like.grid, like.dimension
+    dens = np.abs(values) ** q * grid.power(dim - 1.0)
+    cells, area = grid.cell_widths(), sphere_area(dim)
+    out = [(area * float(row @ cells)) ** (1.0 / q) for row in dens]
+    if not all(map(math.isfinite, out)):
         raise Overflow("an L^%g norm overflowed" % q)
-    return value
+    return out
 
 
 def x_distance(a: Trajectory, b: Trajectory, mu: float, r: float) -> float:
     """sup_j t_j^mu ||a_j - b_j||_{L^r} over the common time grid."""
     if a.times.size != b.times.size or np.any(a.times != b.times):
         raise ValueError("trajectories live on different time grids")
-    best = 0.0
-    for t, fa, fb in zip(a.times, a.fields, b.fields):
-        d = _norm(fa.with_values(fa.values - fb.values), r)
-        best = max(best, t ** mu * d)
-    return best
+    return _wrap(a._like, a.times, a.values - b.values, mu, r).x_norm
 
 
 def _time_grid(t_max: float, n_times: int) -> np.ndarray:
@@ -139,65 +155,66 @@ def _metric_for(params: ProblemParams, cfg: MildConfig) -> Tuple[float, float]:
 # quadrature engine
 # ---------------------------------------------------------------------------
 
-def _nonlinear_values(op: SemigroupOp, u_vals: Sequence[np.ndarray],
+def _nonlinear_values(op: SemigroupOp, u_vals: np.ndarray,
                       params: ProblemParams, times: np.ndarray, nsub: int,
-                      head_theta: float) -> List[np.ndarray]:
+                      head_theta: float) -> np.ndarray:
     """March the nonlinear integral F[u] across the stored times.
 
     On the head cell (0, t_1], t_1 = times[0], the source is modelled as
     (s/t_1)^head_theta g(t_1): the self-similar profile of the weighted
     construction (head_theta = -p mu > -1) or a frozen constant (0) for
     the local theory, integrated exactly as a forcing.  Interior slices
-    interpolate u log-linearly in time between stored snapshots.
+    interpolate u log-linearly in time between stored snapshots, all
+    slices of an interval in one (nsub, m) array.
     """
     if head_theta <= -1.0:
         raise ValueError("head cell diverges for exponent %g" % head_theta)
     wgt = op.weight(params.sigma2 - params.sigma1)
-    p = params.p
+    p, t1, ks = params.p, times[0], range(nsub)
 
-    @np.errstate(over="ignore")
-    def g_of(vals: np.ndarray) -> np.ndarray:
+    def source(j, t_prev, h):       # called by the march, overflow ignored
+        if j == 0:
+            vals, c = u_vals[0], np.array(
+                [t1 * _power_integral(k * h / t1, (k + 1) * h / t1,
+                                      head_theta + 1.0) for k in ks])
+        else:
+            span = math.log(times[j] / t_prev)
+            frac = np.array([math.log((t_prev + (k + 0.5) * h) / t_prev)
+                             / span for k in ks])[:, None]
+            vals = (1.0 - frac) * u_vals[j - 1] + frac * u_vals[j]
+            c = np.full(nsub, h)
         g = wgt * np.abs(vals) ** p
         if not np.isfinite(g).all():
             raise Overflow("the source r^(s2-s1) |u|^p overflowed")
-        return g
+        return g, c
 
-    t1, g1 = times[0], g_of(u_vals[0])
-
-    def source(j, t_prev, k, h):
-        if j == 0:
-            return g1, t1 * _power_integral(k * h / t1, (k + 1) * h / t1,
-                                            head_theta + 1.0)
-        frac = (math.log((t_prev + (k + 0.5) * h) / t_prev)
-                / math.log(times[j] / t_prev))
-        return g_of((1.0 - frac) * u_vals[j - 1] + frac * u_vals[j]), h
-
-    return op.march(np.zeros_like(g1), times, nsub, source)
+    return op.march(np.zeros_like(u_vals[0]), times, nsub, source)
 
 
 def _linear_values(op: SemigroupOp, u0: RadialField,
                    w: Optional[RadialField], params: ProblemParams,
-                   times: np.ndarray, nsub: int) -> List[np.ndarray]:
-    """S(t) u0 + H(t) at the stored times, as raw value arrays: one march
-    from u0 whose source r^(-s1) w each slice weighs by the exact integral
-    of s^rho over it, or without a source when w is zero."""
+                   times: np.ndarray, nsub: int) -> np.ndarray:
+    """S(t) u0 + H(t) at the stored times, as one (n_times, m) array: one
+    march from u0 whose source r^(-s1) w each slice weighs by the exact
+    integral of s^rho over it, or without a source when w is zero."""
     source = None
     if w is not None and np.any(w.values != 0.0):
         src, e = op.time_weight * w.values, params.rho + 1.0
 
-        def source(j, t_prev, k, h):
-            return src, _power_integral(t_prev + k * h, t_prev + (k + 1) * h,
-                                        e)
+        def source(j, t_prev, h):
+            return src, np.array([_power_integral(t_prev + k * h,
+                                                  t_prev + (k + 1) * h, e)
+                                  for k in range(nsub)])
     return op.march(u0.values, times, nsub, source)
 
 
-def _wrap(u0: RadialField, times: np.ndarray, vals: List[np.ndarray],
-          mu: float, r: float) -> Trajectory:
-    fields = [u0.with_values(v) for v in vals]
+def _wrap(like: RadialField, times: np.ndarray, vals, mu: float,
+          r: float) -> Trajectory:
+    """vals as a trajectory, its x_norm sup_j t_j^mu ||vals[j]||_{L^r}."""
     xn = 0.0
-    for t, f in zip(times, fields):
-        xn = max(xn, t ** mu * _norm(f, r))
-    return Trajectory(times=times, fields=fields, x_norm=xn)
+    for t, n in zip(times, _norms(vals, like, r)):
+        xn = max(xn, t ** mu * n)
+    return Trajectory._stacked(times, like, vals, xn)
 
 
 # ---------------------------------------------------------------------------
@@ -237,11 +254,10 @@ def picard_step(u_n: Trajectory, u0: RadialField, w: Optional[RadialField],
         lin_vals = _linear_values(op, u0, w, params, times,
                                   cfg.duhamel_substeps)
     else:
-        lin_vals = [f.values for f in linear.fields]
-    f_vals = _nonlinear_values(op, [f.values for f in u_n.fields], params,
-                               times, cfg.duhamel_substeps, theta)
-    out = [a + b for a, b in zip(lin_vals, f_vals)]
-    worst = max(float(np.max(np.abs(v))) for v in out)
+        lin_vals = linear.values
+    out = lin_vals + _nonlinear_values(op, u_n.values, params, times,
+                                       cfg.duhamel_substeps, theta)
+    worst = float(np.max(np.abs(out)))
     if worst > OVERFLOW_GUARD:
         raise Overflow("iterate reached %g, beyond the %g guard"
                        % (worst, OVERFLOW_GUARD))
@@ -363,31 +379,28 @@ def solve_local_Lq(u0: RadialField, w: Optional[RadialField],
         zero = u0.with_values(np.zeros_like(u0.values))
         h_probe = _linear_values(op, zero, w, params, probe_times, nsub)
     lin_probe = _linear_values(op, u0, w, params, probe_times, nsub)
-    lin_norms = np.array([_norm(u0.with_values(v), q) for v in lin_probe])
-    m0 = float(np.max(lin_norms))
+    m0 = float(np.max(_norms(lin_probe, u0, q)))
     if m0 == 0.0:
         if np.any(u0.values != 0.0) or h_probe is not None:
             raise NumericalFailure(
                 "the L^%g norms of the nonzero linear response underflow to "
                 "0 on the probe times up to %g" % (q, horizon_guess))
-        zeros = [np.zeros_like(u0.values) for _ in probe_times]
-        traj = _wrap(u0, probe_times, zeros, 0.0, q)
+        traj = _wrap(u0, probe_times, np.zeros_like(lin_probe), 0.0, q)
         return LocalSolution(traj, horizon_guess, q, 0.0, 0.0, 0.0,
                              0.0, cfg.picard_tol, [0.0], [], True)
     radius = 2.0 * m0
 
     f_probe = _nonlinear_values(op, lin_probe, params, probe_times, nsub, 0.0)
-    c1 = max(_norm(u0.with_values(v), q)
-             / (t ** (1.0 - alpha) * m0 ** params.p)
-             for t, v in zip(probe_times, f_probe))
+    c1 = max(n / (t ** (1.0 - alpha) * m0 ** params.p)
+             for t, n in zip(probe_times, _norms(f_probe, u0, q)))
     f_norm = 0.0
     c2 = 0.0
     if h_probe is not None:
-        f_norm = _norm(u0.with_values(op.time_weight * w.values), q)
+        f_norm = _norms([op.time_weight * w.values], u0, q)[0]
         with np.errstate(all="ignore"):
-            c2 = float(np.max([_norm(u0.with_values(v), q)
-                               / (f_norm * t ** (params.rho + 1.0))
-                               for t, v in zip(probe_times, h_probe)]))
+            c2 = float(np.max([n / (f_norm * t ** (params.rho + 1.0))
+                               for t, n in zip(probe_times,
+                                               _norms(h_probe, u0, q))]))
         if not math.isfinite(c2):
             raise Overflow("the forcing constant C2 is not finite on the "
                            "probe times")
@@ -503,7 +516,7 @@ def weak_residual(traj: Trajectory, u0: RadialField,
     w_s2 = r ** params.sigma2
 
     times = np.concatenate(([0.0], traj.times))
-    vals = [u0.values] + [f.values for f in traj.fields]
+    vals = [u0.values] + list(traj.values)
     evo = np.empty(times.size)
     src = np.empty(times.size)
     for i, (t, v) in enumerate(zip(times, vals)):
@@ -540,10 +553,9 @@ CONVERGENCE_CSV_COLUMNS = ["iteration", "x_norm_diff", "ratio"]
 
 
 def trajectory_csv_rows(traj: Trajectory, r: float, mu: float) -> List[list]:
-    norms = traj.norms(r)
-    return [[float(t), float(n), float(t ** mu * n),
-             float(np.max(np.abs(f.values)))]
-            for t, n, f in zip(traj.times, norms, traj.fields)]
+    peaks = np.max(np.abs(traj.values), axis=1)
+    return [[float(t), float(n), float(t ** mu * n), float(peak)]
+            for t, n, peak in zip(traj.times, traj.norms(r), peaks)]
 
 
 def convergence_csv_rows(diffs: Sequence[float],

@@ -18,7 +18,8 @@ L = W^-1 T, T symmetric and W = r^(N-1+s1) cells, a solve is one of the
 positive definite W - a T, L D L^T-factored once per step size (LAPACK
 pttrf, bound at the first factorisation) and reused (pttrs).  Every
 application of exp(tL) is one SemigroupOp.march across stored times,
-with an optional per-step source for Duhamel integrals.  A solve carries
+which returns them stacked as one array, with an optional source for
+Duhamel integrals asked for once per interval.  A solve carries
 NaN and inf through; a march checks finiteness once per stored time, the
 direct integrator once per trial step.
 
@@ -165,13 +166,16 @@ class SemigroupOp:
     @np.errstate(over="ignore", invalid="ignore")
     def march(self, values: np.ndarray, times: Sequence[float],
               substeps: Optional[int] = None,
-              source: Optional[Callable] = None) -> List[np.ndarray]:
+              source: Optional[Callable] = None) -> np.ndarray:
         """values marched to each of the increasing positive times, with
-        ``substeps`` equal TR-BDF2 steps (two solves each) per interval.
+        ``substeps`` equal TR-BDF2 steps (two solves each) per interval,
+        as one (len(times),) + values.shape array.
 
-        source(j, t_prev, k, h), when given, is step k of interval j, which
-        starts at t_prev: it returns (g, c), and the step carries the
-        constant source (c / h) g.  That enters as
+        source(j, t_prev, h), when given, is called once for interval j,
+        which starts at t_prev, with the step width h.  It returns (g, c):
+        the array c of the ``substeps`` weights and g, one row or one per
+        step, and step k carries the constant source (c[k] / h) g[k].
+        That enters as
         c (A^-2 / sqrt2 + (1 - 1/sqrt2) A^-1) g; A^-1 is a nonnegative
         matrix, so a rough nonnegative source cannot ring.  Raises
         StepFailure when a value at a stored time is not finite.
@@ -181,18 +185,17 @@ class SemigroupOp:
         if n < 1 or not ts or not all(b > a for a, b in zip([0.0] + ts, ts)):
             raise ValueError("a march needs substeps >= 1 and positive, "
                              "strictly increasing times")
-        out, u, t_prev = [], values, 0.0
+        out, u, t_prev = np.empty((len(ts),) + values.shape), values, 0.0
         for j, t in enumerate(ts):
             h = (t - t_prev) / n
+            if source is not None:
+                g, c = source(j, t_prev, h)
+                s = (_STAGE * c)[:, None] * g
             for k in range(n):
-                if source is None:
-                    u = self._step(u, h)
-                else:
-                    g, c = source(j, t_prev, k, h)
-                    u = self._step(u, h, g * (_STAGE * c))
+                u = self._step(u, h, None if source is None else s[k])
             if not np.isfinite(u).all():
                 raise StepFailure("a march left the float range by t=%g" % t)
-            out.append(u)
+            out[j] = u
             t_prev = t
         return out
 

@@ -1,11 +1,12 @@
 import math
+import os
 
 import numpy as np
 import pytest
 from scipy import integrate
 from scipy.linalg import solve_banded
 
-from fujitalab import capacity, mild, radial, semigroup
+from fujitalab import capacity, cli, mild, radial, semigroup
 from fujitalab.errors import Inadmissible, Overflow
 from fujitalab.exponents import ProblemParams, derived_weights
 
@@ -188,6 +189,24 @@ def test_norms_on_cached_grid_measures_are_bitwise_the_formula(dimension):
         assert traj.x_norm == max(want)
         zero = mild._wrap(like, times, [0.0 * v for v in vals], 0.0, q)
         assert mild.x_distance(traj, zero, 0.0, q) == max(want)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("dimension", [3.0, 2.6])
+def test_one_pass_norms_are_lq_norm_bit_for_bit(dimension):
+    # one |V|^q r^(N-1) pass over the stacked rows, then a 1-D dot per
+    # row: the same bits as lq_norm row by row
+    g = _grid(512)
+    rng = np.random.default_rng(11)
+    like = radial.RadialField(g, np.zeros(g.m), dimension)
+    rows = rng.standard_normal((32, g.m)) * 10.0 ** rng.uniform(-3, 3, (32, 1))
+    for q in (1.0, 2.0, 4.0, 4.86):
+        want = [radial.lq_norm(like.with_values(v), q) for v in rows]
+        assert mild._norms(rows, like, q) == want
+    # a row whose norm overflows is the solver's Overflow, with no warning
+    rows[5] = 1e300
+    with pytest.raises(Overflow):
+        mild._norms(rows, like, 4.0)
 
 
 def test_x_distance_demands_common_grid():
@@ -381,3 +400,69 @@ def test_local_rejects_inadmissible_index():
     with pytest.raises(Inadmissible):
         mild.solve_local_Lq(_gaussian(g, 0.5), None, params,
                             q=1.5, horizon_guess=1.0)
+
+
+# ---------------------------------------------------------------------------
+# the demo runs: pinned bits and a work budget
+# ---------------------------------------------------------------------------
+
+def _demo_run(tmp_path_factory, command, name):
+    """Run a demo config through the CLI; returns the solution, the number
+    of RadialFields built and, per march, (source calls, stored times)."""
+    cfg = os.path.join(os.path.dirname(__file__), os.pardir, "demos",
+                       "configs", name)
+    got, built, marches = {}, [], []
+    solver = getattr(cli, command)
+    post_init = radial.RadialField.__post_init__
+    march = semigroup.SemigroupOp.march
+
+    def counted_field(self):
+        built.append(None)
+        post_init(self)
+
+    def counted_march(self, values, times, substeps=None, source=None):
+        calls = [0]
+        if source is not None:
+            def counted(*args):
+                calls[0] += 1
+                return source(*args)
+        marches.append((calls, len(times)))
+        return march(self, values, times, substeps,
+                     None if source is None else counted)
+
+    def kept(*args, **kwargs):
+        got["sol"] = solver(*args, **kwargs)
+        return got["sol"]
+
+    out = tmp_path_factory.mktemp("demo_" + command)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(radial.RadialField, "__post_init__", counted_field)
+        mp.setattr(semigroup.SemigroupOp, "march", counted_march)
+        mp.setattr(cli, command, kept)
+        mode = name[:-len(".cfg")].replace("_", "-")
+        assert cli.main([mode, "--config", cfg, "--out", str(out)]) == 0
+    return got["sol"], len(built), [(c[0], n) for c, n in marches]
+
+
+@pytest.fixture(scope="module")
+def local_demo(tmp_path_factory):
+    return _demo_run(tmp_path_factory, "solve_local_Lq", "local_solve.cfg")
+
+
+def test_local_demo_keeps_its_horizon(local_demo):
+    assert repr(local_demo[0].t_end) == "0.8976819785776684"
+
+
+def test_global_demo_keeps_its_certificate(tmp_path_factory):
+    sol = _demo_run(tmp_path_factory, "solve_global_small",
+                    "mild_solve.cfg")[0]
+    assert sol.trajectory.x_norm == 0.0007392269520796437
+    assert sol.diffs == [0.0007392268989013923, 7.748301623719887e-11]
+
+
+def test_local_demo_stays_within_its_work_budget(local_demo):
+    # 1,412 RadialFields when every stored time of every iterate was one;
+    # the solver now builds a handful, the CLI's own the rest
+    _, built, marches = local_demo
+    assert built <= 400
+    assert marches and all(calls <= n for calls, n in marches)
