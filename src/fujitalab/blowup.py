@@ -275,8 +275,9 @@ def scan_threshold(params_base: ProblemParams, p_range: Tuple[float, float],
     Starts from zero data driven by a positive unit-mass bump scaled by
     ``forcing_amp`` and bisects p between an endpoint that blew up and one
     that stayed global, until the bracket is narrower than
-    ``bracket_width``.  Raises NoBracket when both endpoints behave the
-    same (the amplitude is then unsuitable for this horizon).  Inconclusive
+    ``bracket_width`` or its midpoint is one of its ends, as narrow as
+    floats allow.  Raises NoBracket when both endpoints behave the same
+    (the amplitude is then unsuitable for this horizon).  Inconclusive
     runs count as not-global for bisection purposes but keep their honest
     label in the rows.
     """
@@ -304,12 +305,13 @@ def scan_threshold(params_base: ProblemParams, p_range: Tuple[float, float],
                "blow up" if lo_blown else "stay global"))
     # blow-up lives at small p, global at large p, in all observed regimes
     lo, hi = (p_lo, p_hi) if lo_blown else (p_hi, p_lo)
-    while abs(hi - lo) > bracket_width:
-        mid = 0.5 * (lo + hi)
+    mid = 0.5 * (lo + hi)
+    while abs(hi - lo) > bracket_width and min(lo, hi) < mid < max(lo, hi):
         if classify(mid):
             lo = mid
         else:
             hi = mid
+        mid = 0.5 * (lo + hi)
 
     return ScanReport(rows=rows, bracket=(min(lo, hi), max(lo, hi)),
                       p_star_theory=critical_forced(params_base))

@@ -19,7 +19,7 @@ singularity at s = 0 (rho < 0) does not cap the order at 1 + rho; the
 nonlinear source on the cell touching t = 0 follows the power law
 (s/t_1)^theta of the first stored time t_1, weighed the same way.  The
 linear part S(t) u0 + H(t) is one such march from u0.  A trajectory is one
-(n_times, m) array, whose norms are taken in one pass.
+(n_times, m) array, whose norms radial.lq_norm takes in one pass.
 The weak-form residual's test function is made of capacity's ramp profiles.
 """
 
@@ -34,7 +34,7 @@ from .errors import (HypothesisViolation, NotContracting, NoValidT,
                      NumericalFailure, Overflow)
 from .exponents import (ProblemParams, _power_integral, derived_weights,
                         local_alpha, require_admissible_q)
-from .radial import RadialField, sphere_area
+from .radial import RadialField, lq_norm, sphere_area
 from .semigroup import SemigroupOp
 
 OVERFLOW_GUARD = 1e30
@@ -74,63 +74,40 @@ class MildConfig:
 class Trajectory:
     """Snapshots at increasing positive times plus their sup-metric.
 
-    ``values`` has one row per time, on the grid of the field it was built
-    from; ``fields`` builds the RadialFields on demand.  x_norm records
-    sup_j times[j]^mu * ||values[j]||_{L^r} for whatever (mu, r) the
-    producing solver used; difference trajectories are measured with the
-    same weights through x_distance.
+    ``values`` has one row per time, on the grid and in the dimension of
+    ``like``, so lq_norm(trajectory, q) gives the norm of every row.
+    x_norm records sup_j times[j]^mu * ||values[j]||_{L^r} for whatever
+    (mu, r) the producing solver used; difference trajectories are
+    measured with the same weights through x_distance.
     """
 
-    def __init__(self, times: np.ndarray, fields: Sequence[RadialField],
+    def __init__(self, times: np.ndarray, values, like: RadialField,
                  x_norm: float):
         t = np.asarray(times, dtype=float)
         if t.ndim != 1 or t.size == 0:
             raise ValueError("times must be a nonempty 1-d array")
         if t[0] <= 0.0 or np.any(np.diff(t) <= 0.0):
             raise ValueError("times must be positive and strictly increasing")
-        if len(fields) != t.size:
-            raise ValueError("need one field per time, got %d fields for %d "
-                             "times" % (len(fields), t.size))
-        self.times, self.values = t, np.array([f.values for f in fields])
-        self.x_norm, self._like = x_norm, fields[0]
-
-    @classmethod
-    def _stacked(cls, times: np.ndarray, like: RadialField, values,
-                 x_norm: float) -> "Trajectory":
-        # rows on like's grid at times a march has already checked
-        traj = cls.__new__(cls)
-        traj.times, traj.values = times, np.asarray(values, dtype=float)
-        traj.x_norm, traj._like = x_norm, like
-        return traj
-
-    @property
-    def fields(self) -> List[RadialField]:
-        return [self._like.with_values(v) for v in self.values]
+        v = np.asarray(values, dtype=float)
+        if v.shape != (t.size, like.grid.m):
+            raise ValueError("need values of shape (%d, %d), got %s"
+                             % (t.size, like.grid.m, v.shape))
+        self.times, self.values, self.x_norm = t, v, x_norm
+        self.grid, self.dimension = like.grid, like.dimension
 
     def norms(self, q: float) -> np.ndarray:
-        """L^q norm of every stored time, q finite; Overflow where inf."""
-        return np.array(_norms(self.values, self._like, q))
-
-
-@np.errstate(over="ignore")
-def _norms(values, like: RadialField, q: float) -> List[float]:
-    """lq_norm of every row of values on like's grid, bit for bit: one
-    |V|^q r^(N-1) pass, then a 1-D dot per row (a 2-D matmul may sum in
-    another order).  Raises Overflow where a norm is inf."""
-    grid, dim = like.grid, like.dimension
-    dens = np.abs(values) ** q * grid.power(dim - 1.0)
-    cells, area = grid.cell_widths(), sphere_area(dim)
-    out = [(area * float(row @ cells)) ** (1.0 / q) for row in dens]
-    if not all(map(math.isfinite, out)):
-        raise Overflow("an L^%g norm overflowed" % q)
-    return out
+        """L^q norm of every stored time; Overflow where one is inf."""
+        out = lq_norm(self, q)
+        if not all(map(math.isfinite, out)):
+            raise Overflow("an L^%g norm overflowed" % q)
+        return np.array(out)
 
 
 def x_distance(a: Trajectory, b: Trajectory, mu: float, r: float) -> float:
     """sup_j t_j^mu ||a_j - b_j||_{L^r} over the common time grid."""
     if a.times.size != b.times.size or np.any(a.times != b.times):
         raise ValueError("trajectories live on different time grids")
-    return _wrap(a._like, a.times, a.values - b.values, mu, r).x_norm
+    return _wrap(a, a.times, a.values - b.values, mu, r).x_norm
 
 
 def _time_grid(t_max: float, n_times: int) -> np.ndarray:
@@ -208,13 +185,12 @@ def _linear_values(op: SemigroupOp, u0: RadialField,
     return op.march(u0.values, times, nsub, source)
 
 
-def _wrap(like: RadialField, times: np.ndarray, vals, mu: float,
-          r: float) -> Trajectory:
+def _wrap(like, times: np.ndarray, vals, mu: float, r: float) -> Trajectory:
     """vals as a trajectory, its x_norm sup_j t_j^mu ||vals[j]||_{L^r}."""
-    xn = 0.0
-    for t, n in zip(times, _norms(vals, like, r)):
-        xn = max(xn, t ** mu * n)
-    return Trajectory._stacked(times, like, vals, xn)
+    traj = Trajectory(times, vals, like, 0.0)
+    for t, n in zip(traj.times, traj.norms(r)):
+        traj.x_norm = max(traj.x_norm, t ** mu * n)
+    return traj
 
 
 # ---------------------------------------------------------------------------
@@ -372,6 +348,10 @@ def solve_local_Lq(u0: RadialField, w: Optional[RadialField],
     op = SemigroupOp(u0.grid, params)
 
     probe_times = _time_grid(horizon_guess, cfg.n_times)
+
+    def probe_norms(vals, times=probe_times):
+        return Trajectory(times, vals, u0, 0.0).norms(q)
+
     h_probe = None
     if w is not None and np.any(w.values != 0.0):
         # Overflow before any probe unless T^(rho+1) and its integral fit
@@ -379,7 +359,7 @@ def solve_local_Lq(u0: RadialField, w: Optional[RadialField],
         zero = u0.with_values(np.zeros_like(u0.values))
         h_probe = _linear_values(op, zero, w, params, probe_times, nsub)
     lin_probe = _linear_values(op, u0, w, params, probe_times, nsub)
-    m0 = float(np.max(_norms(lin_probe, u0, q)))
+    m0 = float(np.max(probe_norms(lin_probe)))
     if m0 == 0.0:
         if np.any(u0.values != 0.0) or h_probe is not None:
             raise NumericalFailure(
@@ -392,15 +372,16 @@ def solve_local_Lq(u0: RadialField, w: Optional[RadialField],
 
     f_probe = _nonlinear_values(op, lin_probe, params, probe_times, nsub, 0.0)
     c1 = max(n / (t ** (1.0 - alpha) * m0 ** params.p)
-             for t, n in zip(probe_times, _norms(f_probe, u0, q)))
+             for t, n in zip(probe_times, probe_norms(f_probe)))
     f_norm = 0.0
     c2 = 0.0
     if h_probe is not None:
-        f_norm = _norms([op.time_weight * w.values], u0, q)[0]
+        f_norm = float(probe_norms([op.time_weight * w.values],
+                                   probe_times[:1])[0])
         with np.errstate(all="ignore"):
             c2 = float(np.max([n / (f_norm * t ** (params.rho + 1.0))
                                for t, n in zip(probe_times,
-                                               _norms(h_probe, u0, q))]))
+                                               probe_norms(h_probe))]))
         if not math.isfinite(c2):
             raise Overflow("the forcing constant C2 is not finite on the "
                            "probe times")

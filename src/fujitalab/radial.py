@@ -156,20 +156,26 @@ class RadialField:
         return replace(self, values=np.asarray(values, dtype=float))
 
 
-def lq_norm(fld: RadialField, q: float) -> float:
+def lq_norm(fld: RadialField, q: float):
     """L^q norm of a radial field, measure r^(N-1) dr, by trapezoid quadrature.
 
-    q = inf returns max |u|.  For the conserved weighted mass use
-    weighted_integral.
+    Values stacked one profile per row (a mild.Trajectory) give the list
+    of row norms, each the bits of its 1-D norm: a 1-D dot per row, as a
+    2-D matmul may sum in another order.  q = inf returns max |u|; a norm
+    that overflows is inf, with no warning.  For the conserved weighted
+    mass use weighted_integral.
     """
     if not (q >= 1.0):
         raise ValueError("need q >= 1, got %r" % (q,))
     v = np.abs(fld.values)
     if math.isinf(q):
-        return float(v.max(initial=0.0))
-    dens = v ** q * fld.grid.power(fld.dimension - 1.0)
-    total = sphere_area(fld.dimension) * float(dens @ fld.grid.cell_widths())
-    return total ** (1.0 / q)
+        return v.max(axis=-1, initial=0.0).tolist()
+    with np.errstate(over="ignore"):
+        dens = v ** q * fld.grid.power(fld.dimension - 1.0)
+    cells, area = fld.grid.cell_widths(), sphere_area(fld.dimension)
+    out = [(area * float(row @ cells)) ** (1.0 / q)
+           for row in np.atleast_2d(dens)]
+    return out if v.ndim > 1 else out[0]
 
 
 def weighted_integral(fld: RadialField, weight: float = 0.0) -> float:

@@ -11,7 +11,7 @@ import importlib.util
 import os
 import sys
 
-import fujitalab.cli  # noqa: F401  (loads every module the tracer patches)
+import fujitalab.cli  # loads every module the tracer patches
 
 TRACER_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "bench",
                            "tracer.py")
@@ -64,3 +64,19 @@ def test_tracer_installs_on_every_target_and_uninstalls_cleanly():
         assert set(now) == set(attrs), owner
         changed = [k for k, v in attrs.items() if now[k] is not v]
         assert not changed, (owner, changed)
+
+
+def test_tracer_sees_the_norms_of_the_mild_path(tmp_path):
+    # mild imports lq_norm by name, so the tracer's by-name patch reaches
+    # every norm the local solver takes
+    tracer = _load_tracer().Tracer()
+    cfg = os.path.join(os.path.dirname(__file__), os.pardir, "demos",
+                       "configs", "local_solve.cfg")
+    tracer.install()
+    try:
+        code = fujitalab.cli.main(["local-solve", "--config", cfg,
+                                   "--out", str(tmp_path)])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    assert tracer.by_label()["radial.lq_norm"]["calls"] > 0

@@ -317,6 +317,27 @@ def test_calibration_runs_no_probe_twice(monkeypatch):
     assert len(set(runs)) == len(runs)
 
 
+def test_scan_stops_when_the_bracket_reaches_float_spacing(monkeypatch):
+    # a bracket_width below the float spacing of p cannot be met; the
+    # bisection stops once the midpoint is an end of the bracket
+    runs = []
+
+    def instant(params, p, grid, w, cfg):
+        runs.append(p)
+        if len(runs) > 200:     # the run cap: fail instead of bisecting on
+            raise RuntimeError("still bisecting after 200 runs")
+        status = blowup.BLOWN_UP if p < 1.8 else blowup.GLOBAL
+        return blowup.SolveOutcome(status, 1.0, 0.5, 1.0, 1.0, 1, 1.0)
+
+    monkeypatch.setattr(blowup, "_run_at_p", instant)
+    cfg = blowup.BlowupConfig(dt_init=5e-3, t_max=50.0)
+    rep = blowup.scan_threshold(_params(), (1.25, 3.0), 1.0, cfg,
+                                bracket_width=1e-300)
+    assert len(runs) < 64
+    lo, hi = rep.bracket
+    assert lo < 1.8 <= hi and math.nextafter(lo, math.inf) == hi
+
+
 @pytest.fixture(scope="module")
 def demo_scan(tmp_path_factory):
     """The demo blowup-scan config through the CLI: (attempted steps, rows)."""

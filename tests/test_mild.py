@@ -37,7 +37,7 @@ def test_forcing_response_vanishes_without_forcing():
     w = radial.RadialField(g, np.zeros(g.m), 3.0)
     traj = mild.duhamel_forcing(w, _params(), np.geomspace(0.01, 1.0, 12))
     assert traj.x_norm == 0.0
-    assert all(np.all(f.values == 0.0) for f in traj.fields)
+    assert all(np.all(v == 0.0) for v in traj.values)
 
 
 def test_forcing_response_is_linear_in_the_profile():
@@ -45,8 +45,8 @@ def test_forcing_response_is_linear_in_the_profile():
     t_grid = np.geomspace(0.01, 1.0, 12)
     one = mild.duhamel_forcing(_bump(g, 1.0), _params(), t_grid)
     two = mild.duhamel_forcing(_bump(g, 2.0), _params(), t_grid)
-    for a, b in zip(one.fields, two.fields):
-        assert np.allclose(2.0 * a.values, b.values, rtol=1e-12, atol=1e-300)
+    for a, b in zip(one.values, two.values):
+        assert np.allclose(2.0 * a, b, rtol=1e-12, atol=1e-300)
 
 
 def test_forcing_response_against_direct_march():
@@ -76,7 +76,7 @@ def test_forcing_response_against_direct_march():
         ck = ((t0 + h) ** rho1 - t0 ** rho1) / rho1
         u = solve_banded((1, 1), ab, u + ck * w.values, check_finite=False)
     meas = g.nodes ** 2 * g.cell_widths()
-    diff = traj.fields[-1].values - u
+    diff = traj.values[-1] - u
     rel = math.sqrt(float(np.sum(diff ** 2 * meas) / np.sum(u ** 2 * meas)))
     assert rel < 0.02
 
@@ -91,16 +91,14 @@ def test_picard_of_zero_is_the_linear_part():
     u0 = _gaussian(g, 1e-3)
     cfg = mild.MildConfig(t_max=2.0, n_times=16)
     times = np.geomspace(2e-3, 2.0, 16)
-    zero = mild.Trajectory(
-        times=times,
-        fields=[u0.with_values(np.zeros(g.m)) for _ in times],
-        x_norm=0.0)
+    zero = mild.Trajectory(times=times, values=np.zeros((times.size, g.m)),
+                           like=u0, x_norm=0.0)
     stepped = mild.picard_step(zero, u0, None, params, cfg)
     op = semigroup.SemigroupOp(g, params)
     ref = op.evolve_through(u0, list(times), substeps=cfg.duhamel_substeps)
-    for got, want in zip(stepped.fields, ref):
+    for got, want in zip(stepped.values, ref):
         scale = float(np.max(np.abs(want.values))) or 1.0
-        assert np.allclose(got.values, want.values, atol=1e-12 * scale)
+        assert np.allclose(got, want.values, atol=1e-12 * scale)
 
 
 def test_global_solution_certificate():
@@ -162,10 +160,18 @@ def test_large_data_overflow_is_reported():
 def test_trajectory_validation():
     g = _grid(128)
     f = radial.RadialField(g, np.zeros(g.m), 3.0)
+    two = np.zeros((2, g.m))
     with pytest.raises(ValueError):
-        mild.Trajectory(times=np.array([0.0, 1.0]), fields=[f, f], x_norm=0.0)
+        mild.Trajectory(times=np.array([0.0, 1.0]), values=two, like=f,
+                        x_norm=0.0)
     with pytest.raises(ValueError):
-        mild.Trajectory(times=np.array([1.0, 0.5]), fields=[f, f], x_norm=0.0)
+        mild.Trajectory(times=np.array([1.0, 0.5]), values=two, like=f,
+                        x_norm=0.0)
+    # one row per time, each on like's grid
+    for bad in (np.zeros((3, g.m)), np.zeros((2, g.m - 1)), np.zeros(g.m)):
+        with pytest.raises(ValueError, match="shape"):
+            mild.Trajectory(times=np.array([0.5, 1.0]), values=bad, like=f,
+                            x_norm=0.0)
 
 
 @pytest.mark.parametrize("dimension", [3.0, 2.6])
@@ -187,6 +193,7 @@ def test_norms_on_cached_grid_measures_are_bitwise_the_formula(dimension):
         assert [radial.lq_norm(like.with_values(v), q) for v in vals] == want
         traj = mild._wrap(like, times, vals, 0.0, q)
         assert traj.x_norm == max(want)
+        assert radial.lq_norm(traj, q) == want
         zero = mild._wrap(like, times, [0.0 * v for v in vals], 0.0, q)
         assert mild.x_distance(traj, zero, 0.0, q) == max(want)
 
@@ -194,26 +201,37 @@ def test_norms_on_cached_grid_measures_are_bitwise_the_formula(dimension):
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("dimension", [3.0, 2.6])
 def test_one_pass_norms_are_lq_norm_bit_for_bit(dimension):
-    # one |V|^q r^(N-1) pass over the stacked rows, then a 1-D dot per
-    # row: the same bits as lq_norm row by row
+    # lq_norm on a stack of rows takes one |V|^q r^(N-1) pass, then a 1-D
+    # dot per row: the same bits as lq_norm row by row
     g = _grid(512)
     rng = np.random.default_rng(11)
     like = radial.RadialField(g, np.zeros(g.m), dimension)
     rows = rng.standard_normal((32, g.m)) * 10.0 ** rng.uniform(-3, 3, (32, 1))
-    for q in (1.0, 2.0, 4.0, 4.86):
+    times = np.geomspace(0.01, 1.0, 32)
+    stack = mild.Trajectory(times, rows.copy(), like, 0.0)
+    for q in (1.0, 2.0, 4.0, 4.86, math.inf):
         want = [radial.lq_norm(like.with_values(v), q) for v in rows]
-        assert mild._norms(rows, like, q) == want
-    # a row whose norm overflows is the solver's Overflow, with no warning
+        assert radial.lq_norm(stack, q) == want
+        assert stack.norms(q).tolist() == want
+    # a row whose norm overflows is inf, and the solver's Overflow in
+    # Trajectory.norms, with no warning
     rows[5] = 1e300
+    stack = mild.Trajectory(times, rows, like, 0.0)
+    got = radial.lq_norm(stack, 4.0)
+    assert got[5] == math.inf and all(map(math.isfinite, got[:5] + got[6:]))
+    assert radial.lq_norm(like.with_values(rows[5]), 4.0) == math.inf
     with pytest.raises(Overflow):
-        mild._norms(rows, like, 4.0)
+        stack.norms(4.0)
 
 
 def test_x_distance_demands_common_grid():
     g = _grid(128)
     f = radial.RadialField(g, np.zeros(g.m), 3.0)
-    a = mild.Trajectory(times=np.array([0.5, 1.0]), fields=[f, f], x_norm=0.0)
-    b = mild.Trajectory(times=np.array([0.5, 2.0]), fields=[f, f], x_norm=0.0)
+    two = np.zeros((2, g.m))
+    a = mild.Trajectory(times=np.array([0.5, 1.0]), values=two, like=f,
+                        x_norm=0.0)
+    b = mild.Trajectory(times=np.array([0.5, 2.0]), values=two, like=f,
+                        x_norm=0.0)
     with pytest.raises(ValueError):
         mild.x_distance(a, b, 0.5, 2.0)
 
@@ -230,8 +248,8 @@ def test_config_validation():
 def test_csv_row_builders():
     g = _grid(128)
     f = radial.RadialField(g, np.ones(g.m), 3.0)
-    traj = mild.Trajectory(times=np.array([0.5, 1.0]), fields=[f, f],
-                           x_norm=1.0)
+    traj = mild.Trajectory(times=np.array([0.5, 1.0]),
+                           values=np.ones((2, g.m)), like=f, x_norm=1.0)
     rows = mild.trajectory_csv_rows(traj, r=2.0, mu=0.25)
     assert len(rows) == 2
     assert len(rows[0]) == len(mild.TRAJECTORY_CSV_COLUMNS)
@@ -328,7 +346,7 @@ def _global_run(nsub):
     sol = mild.solve_global_small(_gaussian(g, 1e-3), _bump(g, 1e-3),
                                   _params(), cfg)
     assert sol.converged
-    return np.array([f.values for f in sol.trajectory.fields])
+    return np.array(sol.trajectory.values)
 
 
 def _local_run(nsub):
@@ -338,7 +356,7 @@ def _local_run(nsub):
     sol = mild.solve_local_Lq(_gaussian(g, 0.5), _bump(g, 0.5), params,
                               q=4.0, horizon_guess=2.0, cfg=cfg)
     assert sol.converged
-    return np.array([f.values for f in sol.trajectory.fields])
+    return np.array(sol.trajectory.values)
 
 
 @pytest.mark.parametrize("run", [_global_run, _local_run],
