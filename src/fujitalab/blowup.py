@@ -187,7 +187,7 @@ def integrate_nonlinear(u0: RadialField, w: Optional[RadialField],
         # aim the next estimate at 0.8: err = c dt^2, with c extrapolated
         # from its last two values at half weight; a rung is 2^(1/2) in err
         e = max(err, 1e-3)
-        c_now = e / (dt * dt)
+        c_now = e / max(dt * dt, 1e-300)    # finite for dt below 1e-150 too
         rungs = math.floor(2.0 * math.log2(
             0.8 / e * ((c_prev or c_now) / c_now) ** 0.5))
         if err > 1.0:

@@ -177,7 +177,8 @@ def _run_mild_solve(cfg: ExperimentConfig, out_dir: str) -> None:
     comments = ["params: " + cfg.describe(),
                 "metric: r=%.10g mu=%.10g" % (sol.r, sol.mu),
                 "converged: %s after %d iterations, x_norm=%.10g"
-                % (sol.converged, len(sol.diffs), sol.trajectory.x_norm)]
+                % (sol.converged, len(sol.diffs),
+                   sol.trajectory.x_norm(sol.mu, sol.r))]
     traj_path = os.path.join(out_dir, "mild_trajectory.csv")
     _write_csv(traj_path, TRAJECTORY_CSV_COLUMNS,
                trajectory_csv_rows(sol.trajectory, sol.r, sol.mu), comments)

@@ -30,8 +30,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .capacity import RampProfile, _profile_power_integral
-from .errors import (HypothesisViolation, NotContracting, NoValidT,
-                     NumericalFailure, Overflow)
+from .errors import NotContracting, NoValidT, NumericalFailure, Overflow
 from .exponents import (ProblemParams, _power_integral, derived_weights,
                         local_alpha, require_admissible_q)
 from .radial import RadialField, lq_norm, sphere_area
@@ -72,17 +71,13 @@ class MildConfig:
 
 
 class Trajectory:
-    """Snapshots at increasing positive times plus their sup-metric.
+    """Snapshots at increasing positive times.
 
     ``values`` has one row per time, on the grid and in the dimension of
     ``like``, so lq_norm(trajectory, q) gives the norm of every row.
-    x_norm records sup_j times[j]^mu * ||values[j]||_{L^r} for whatever
-    (mu, r) the producing solver used; difference trajectories are
-    measured with the same weights through x_distance.
     """
 
-    def __init__(self, times: np.ndarray, values, like: RadialField,
-                 x_norm: float):
+    def __init__(self, times: np.ndarray, values, like: RadialField):
         t = np.asarray(times, dtype=float)
         if t.ndim != 1 or t.size == 0:
             raise ValueError("times must be a nonempty 1-d array")
@@ -92,7 +87,7 @@ class Trajectory:
         if v.shape != (t.size, like.grid.m):
             raise ValueError("need values of shape (%d, %d), got %s"
                              % (t.size, like.grid.m, v.shape))
-        self.times, self.values, self.x_norm = t, v, x_norm
+        self.times, self.values = t, v
         self.grid, self.dimension = like.grid, like.dimension
 
     def norms(self, q: float) -> np.ndarray:
@@ -102,30 +97,23 @@ class Trajectory:
             raise Overflow("an L^%g norm overflowed" % q)
         return np.array(out)
 
+    def x_norm(self, mu: float, r: float) -> float:
+        """The X-norm sup_j times[j]^mu ||values[j]||_{L^r}."""
+        out = 0.0
+        for t, n in zip(self.times, self.norms(r)):
+            out = max(out, t ** mu * n)
+        return out
+
 
 def x_distance(a: Trajectory, b: Trajectory, mu: float, r: float) -> float:
     """sup_j t_j^mu ||a_j - b_j||_{L^r} over the common time grid."""
     if a.times.size != b.times.size or np.any(a.times != b.times):
         raise ValueError("trajectories live on different time grids")
-    return _wrap(a, a.times, a.values - b.values, mu, r).x_norm
+    return Trajectory(a.times, a.values - b.values, a).x_norm(mu, r)
 
 
 def _time_grid(t_max: float, n_times: int) -> np.ndarray:
     return np.geomspace(1e-3 * t_max, t_max, n_times)
-
-
-def _metric_for(params: ProblemParams, cfg: MildConfig) -> Tuple[float, float]:
-    """(mu, r) of the contraction metric, window-derived when unset.
-
-    Outside the global theory (empty window) the fallback (0, 2) turns the
-    X-norm into a plain sup of L^2 norms, which keeps the forcing and
-    trajectory reports meaningful for diagnostics.
-    """
-    try:
-        weights = derived_weights(params, cfg.r)
-    except HypothesisViolation:
-        return 0.0, 2.0
-    return weights.mu, weights.r
 
 
 # ---------------------------------------------------------------------------
@@ -185,14 +173,6 @@ def _linear_values(op: SemigroupOp, u0: RadialField,
     return op.march(u0.values, times, nsub, source)
 
 
-def _wrap(like, times: np.ndarray, vals, mu: float, r: float) -> Trajectory:
-    """vals as a trajectory, its x_norm sup_j t_j^mu ||vals[j]||_{L^r}."""
-    traj = Trajectory(times, vals, like, 0.0)
-    for t, n in zip(traj.times, traj.norms(r)):
-        traj.x_norm = max(traj.x_norm, t ** mu * n)
-    return traj
-
-
 # ---------------------------------------------------------------------------
 # public operations
 # ---------------------------------------------------------------------------
@@ -203,11 +183,10 @@ def duhamel_forcing(w: RadialField, params: ProblemParams,
     """Forcing response H(t) on the given times by substep quadrature."""
     cfg = cfg if cfg is not None else MildConfig()
     times = np.asarray(t_grid, dtype=float)
-    mu, r = _metric_for(params, cfg)
     zero = w.with_values(np.zeros_like(w.values))
     vals = _linear_values(SemigroupOp(w.grid, params), zero, w, params, times,
                           cfg.duhamel_substeps)
-    return _wrap(w, times, vals, mu, r)
+    return Trajectory(times, vals, w)
 
 
 def picard_step(u_n: Trajectory, u0: RadialField, w: Optional[RadialField],
@@ -218,26 +197,30 @@ def picard_step(u_n: Trajectory, u0: RadialField, w: Optional[RadialField],
     """One fixed-point application G(u) = S(t) u0 + F(u) + H.
 
     linear may carry a precomputed S(t) u0 + H trajectory on the same time
-    grid to avoid recomputing it on every iteration.  Raises Overflow when
-    any output value exceeds the divergence guard.
+    grid to avoid recomputing it on every iteration.  The head-cell
+    exponent defaults to -p mu, mu from metric = (mu, r) or else from
+    derived_weights(params, cfg.r), which raises EmptyWindow outside the
+    global theory.  Raises Overflow when any output value exceeds the
+    divergence guard.
     """
     cfg = cfg if cfg is not None else MildConfig()
     times = u_n.times
     op = SemigroupOp(u0.grid, params)
-    mu, r = metric if metric is not None else _metric_for(params, cfg)
-    theta = head_theta if head_theta is not None else -params.p * mu
+    if head_theta is None:
+        mu = metric[0] if metric else derived_weights(params, cfg.r).mu
+        head_theta = -params.p * mu
     if linear is None:
         lin_vals = _linear_values(op, u0, w, params, times,
                                   cfg.duhamel_substeps)
     else:
         lin_vals = linear.values
     out = lin_vals + _nonlinear_values(op, u_n.values, params, times,
-                                       cfg.duhamel_substeps, theta)
+                                       cfg.duhamel_substeps, head_theta)
     worst = float(np.max(np.abs(out)))
     if worst > OVERFLOW_GUARD:
         raise Overflow("iterate reached %g, beyond the %g guard"
                        % (worst, OVERFLOW_GUARD))
-    return _wrap(u0, times, out, mu, r)
+    return Trajectory(times, out, u0)
 
 
 def _iterate(linear: Trajectory, u0: RadialField, w: Optional[RadialField],
@@ -251,13 +234,13 @@ def _iterate(linear: Trajectory, u0: RadialField, w: Optional[RadialField],
     """
     mu, r = metric
     u_prev = linear
-    diffs = [linear.x_norm]          # iterate 1 against the zero iterate 0
+    diffs = [linear.x_norm(mu, r)]   # iterate 1 against the zero iterate 0
     ratios: List[float] = []
     if diffs[0] < cfg.picard_tol:
         return u_prev, diffs, ratios, True
     for _ in range(1, cfg.max_picard):
         u_next = picard_step(u_prev, u0, w, params, cfg, linear=linear,
-                             head_theta=head_theta, metric=metric)
+                             head_theta=head_theta)
         d = x_distance(u_next, u_prev, mu, r)
         ratios.append(d / diffs[-1])
         diffs.append(d)
@@ -301,7 +284,7 @@ def solve_global_small(u0: RadialField, w: Optional[RadialField],
     times = _time_grid(cfg.t_max, cfg.n_times)
     op = SemigroupOp(u0.grid, params)
     lin_vals = _linear_values(op, u0, w, params, times, cfg.duhamel_substeps)
-    linear = _wrap(u0, times, lin_vals, mu, r)
+    linear = Trajectory(times, lin_vals, u0)
     u, diffs, ratios, converged = _iterate(linear, u0, w, params, cfg,
                                            -params.p * mu, (mu, r))
     return GlobalSolution(u, diffs, ratios, converged, r, mu)
@@ -350,7 +333,7 @@ def solve_local_Lq(u0: RadialField, w: Optional[RadialField],
     probe_times = _time_grid(horizon_guess, cfg.n_times)
 
     def probe_norms(vals, times=probe_times):
-        return Trajectory(times, vals, u0, 0.0).norms(q)
+        return Trajectory(times, vals, u0).norms(q)
 
     h_probe = None
     if w is not None and np.any(w.values != 0.0):
@@ -365,7 +348,7 @@ def solve_local_Lq(u0: RadialField, w: Optional[RadialField],
             raise NumericalFailure(
                 "the L^%g norms of the nonzero linear response underflow to "
                 "0 on the probe times up to %g" % (q, horizon_guess))
-        traj = _wrap(u0, probe_times, np.zeros_like(lin_probe), 0.0, q)
+        traj = Trajectory(probe_times, np.zeros_like(lin_probe), u0)
         return LocalSolution(traj, horizon_guess, q, 0.0, 0.0, 0.0,
                              0.0, cfg.picard_tol, [0.0], [], True)
     radius = 2.0 * m0
@@ -410,7 +393,7 @@ def solve_local_Lq(u0: RadialField, w: Optional[RadialField],
 
     times = _time_grid(t_end, cfg.n_times)
     lin_vals = _linear_values(op, u0, w, params, times, nsub)
-    linear = _wrap(u0, times, lin_vals, 0.0, q)
+    linear = Trajectory(times, lin_vals, u0)
     u, diffs, ratios, converged = _iterate(linear, u0, w, params, cfg, 0.0,
                                            (0.0, q))
 

@@ -513,6 +513,25 @@ def test_horizon_beyond_the_step_budget_exits_4(tmp_path, capsys, command,
     assert "than the budget of 1000000" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, text", [
+    ("transform-check", "N = 3\nsigma1 = -1\np = 3\nu0 = gaussian(0, 1, 0.5)\n"
+                        "grid_m = 32\nn_snapshots = 3\nt_end = %s\n" % t)
+    for t in ("1e-150", "1e-160", "1e-162", "1e-200", "1e-300", "5e-324")
+] + [
+    ("blowup-scan", "N = 3\nrho = -0.5\np_lo = 1.5\np_hi = 2.5\n"
+                    "amplitude = 1\nt_max = 1e-200\ngrid_m = 32\n"),
+], ids=["transform-1e-150", "transform-1e-160", "transform-1e-162",
+        "transform-1e-200", "transform-1e-300", "transform-5e-324",
+        "scan-1e-200"])
+@pytest.mark.filterwarnings("error")
+def test_tiny_horizon_keeps_the_contract(tmp_path, command, text):
+    # steps below dt = 1e-150 square to a subnormal or to 0, which the
+    # step controller's error constant e / dt^2 must survive
+    cfg = _write(tmp_path, "tiny.cfg", text)
+    rc = cli.main([command, "--config", cfg, "--out", str(tmp_path)])
+    assert rc in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_NUMERICAL)
+
+
 def test_import_and_closed_form_commands_load_no_scipy(tmp_path):
     # scipy.linalg is bound at the first factorisation, and nothing else in
     # the package needs scipy: importing the CLI and running the two

@@ -7,7 +7,7 @@ from scipy import integrate
 from scipy.linalg import solve_banded
 
 from fujitalab import capacity, cli, mild, radial, semigroup
-from fujitalab.errors import Inadmissible, Overflow
+from fujitalab.errors import EmptyWindow, Inadmissible, Overflow
 from fujitalab.exponents import ProblemParams, derived_weights
 
 
@@ -36,7 +36,8 @@ def test_forcing_response_vanishes_without_forcing():
     g = _grid(128)
     w = radial.RadialField(g, np.zeros(g.m), 3.0)
     traj = mild.duhamel_forcing(w, _params(), np.geomspace(0.01, 1.0, 12))
-    assert traj.x_norm == 0.0
+    weights = derived_weights(_params())
+    assert traj.x_norm(weights.mu, weights.r) == 0.0
     assert all(np.all(v == 0.0) for v in traj.values)
 
 
@@ -92,7 +93,7 @@ def test_picard_of_zero_is_the_linear_part():
     cfg = mild.MildConfig(t_max=2.0, n_times=16)
     times = np.geomspace(2e-3, 2.0, 16)
     zero = mild.Trajectory(times=times, values=np.zeros((times.size, g.m)),
-                           like=u0, x_norm=0.0)
+                           like=u0)
     stepped = mild.picard_step(zero, u0, None, params, cfg)
     op = semigroup.SemigroupOp(g, params)
     ref = op.evolve_through(u0, list(times), substeps=cfg.duhamel_substeps)
@@ -109,12 +110,47 @@ def test_global_solution_certificate():
     assert sol.converged
     assert len(sol.diffs) >= 2
     assert all(r < 0.5 for r in sol.ratios)
-    assert sol.trajectory.x_norm > 0.0
+    assert sol.trajectory.x_norm(sol.mu, sol.r) > 0.0
     # applying the map once more must move the iterate less than 2 tol
     again = mild.picard_step(sol.trajectory, _gaussian(g, 1e-3),
                              _bump(g, 1e-3), params, cfg)
     resid = mild.x_distance(again, sol.trajectory, sol.mu, sol.r)
     assert resid < 2.0 * cfg.picard_tol
+
+
+def test_one_norm_pass_per_picard_step(monkeypatch):
+    # the first distance is the linear part's X-norm; each later step
+    # takes its norms once, in x_distance
+    calls = []
+    orig = mild.lq_norm
+
+    def lq_norm(*args):
+        calls.append(None)
+        return orig(*args)
+
+    monkeypatch.setattr(mild, "lq_norm", lq_norm)
+    g = _grid(256)
+    cfg = mild.MildConfig(t_max=2.0, n_times=32)
+    sol = mild.solve_global_small(_gaussian(g, 1e-3), _bump(g, 1e-3),
+                                  _params(), cfg)
+    assert sol.ratios and len(calls) == 1 + len(sol.ratios)
+
+
+def test_forcing_and_picard_step_need_no_metric():
+    # p = 1.5 leaves the window empty: the forcing response needs no
+    # metric, and a Picard step needs one only for its head exponent
+    params = _params(p=1.5, s2=0.0)
+    g = _grid(128)
+    times = np.geomspace(0.01, 1.0, 12)
+    u0, w = _gaussian(g, 1e-3), _bump(g, 1e-3)
+    forced = mild.duhamel_forcing(w, params, times)
+    assert forced.values.shape == (times.size, g.m)
+    assert np.any(forced.values != 0.0)
+    with pytest.raises(EmptyWindow):
+        mild.picard_step(forced, u0, w, params)
+    stepped = mild.picard_step(forced, u0, w, params, head_theta=0.0)
+    assert np.all(stepped.times == times)
+    assert np.all(np.isfinite(stepped.values))
 
 
 def test_contraction_tightens_as_data_shrink():
@@ -162,16 +198,13 @@ def test_trajectory_validation():
     f = radial.RadialField(g, np.zeros(g.m), 3.0)
     two = np.zeros((2, g.m))
     with pytest.raises(ValueError):
-        mild.Trajectory(times=np.array([0.0, 1.0]), values=two, like=f,
-                        x_norm=0.0)
+        mild.Trajectory(times=np.array([0.0, 1.0]), values=two, like=f)
     with pytest.raises(ValueError):
-        mild.Trajectory(times=np.array([1.0, 0.5]), values=two, like=f,
-                        x_norm=0.0)
+        mild.Trajectory(times=np.array([1.0, 0.5]), values=two, like=f)
     # one row per time, each on like's grid
     for bad in (np.zeros((3, g.m)), np.zeros((2, g.m - 1)), np.zeros(g.m)):
         with pytest.raises(ValueError, match="shape"):
-            mild.Trajectory(times=np.array([0.5, 1.0]), values=bad, like=f,
-                            x_norm=0.0)
+            mild.Trajectory(times=np.array([0.5, 1.0]), values=bad, like=f)
 
 
 @pytest.mark.parametrize("dimension", [3.0, 2.6])
@@ -191,10 +224,10 @@ def test_norms_on_cached_grid_measures_are_bitwise_the_formula(dimension):
                  * float(np.abs(v) ** q * g.nodes ** (dimension - 1.0)
                          @ cells)) ** (1.0 / q) for v in vals]
         assert [radial.lq_norm(like.with_values(v), q) for v in vals] == want
-        traj = mild._wrap(like, times, vals, 0.0, q)
-        assert traj.x_norm == max(want)
+        traj = mild.Trajectory(times, vals, like)
+        assert traj.x_norm(0.0, q) == max(want)
         assert radial.lq_norm(traj, q) == want
-        zero = mild._wrap(like, times, [0.0 * v for v in vals], 0.0, q)
+        zero = mild.Trajectory(times, [0.0 * v for v in vals], like)
         assert mild.x_distance(traj, zero, 0.0, q) == max(want)
 
 
@@ -208,7 +241,7 @@ def test_one_pass_norms_are_lq_norm_bit_for_bit(dimension):
     like = radial.RadialField(g, np.zeros(g.m), dimension)
     rows = rng.standard_normal((32, g.m)) * 10.0 ** rng.uniform(-3, 3, (32, 1))
     times = np.geomspace(0.01, 1.0, 32)
-    stack = mild.Trajectory(times, rows.copy(), like, 0.0)
+    stack = mild.Trajectory(times, rows.copy(), like)
     for q in (1.0, 2.0, 4.0, 4.86, math.inf):
         want = [radial.lq_norm(like.with_values(v), q) for v in rows]
         assert radial.lq_norm(stack, q) == want
@@ -216,7 +249,7 @@ def test_one_pass_norms_are_lq_norm_bit_for_bit(dimension):
     # a row whose norm overflows is inf, and the solver's Overflow in
     # Trajectory.norms, with no warning
     rows[5] = 1e300
-    stack = mild.Trajectory(times, rows, like, 0.0)
+    stack = mild.Trajectory(times, rows, like)
     got = radial.lq_norm(stack, 4.0)
     assert got[5] == math.inf and all(map(math.isfinite, got[:5] + got[6:]))
     assert radial.lq_norm(like.with_values(rows[5]), 4.0) == math.inf
@@ -228,10 +261,8 @@ def test_x_distance_demands_common_grid():
     g = _grid(128)
     f = radial.RadialField(g, np.zeros(g.m), 3.0)
     two = np.zeros((2, g.m))
-    a = mild.Trajectory(times=np.array([0.5, 1.0]), values=two, like=f,
-                        x_norm=0.0)
-    b = mild.Trajectory(times=np.array([0.5, 2.0]), values=two, like=f,
-                        x_norm=0.0)
+    a = mild.Trajectory(times=np.array([0.5, 1.0]), values=two, like=f)
+    b = mild.Trajectory(times=np.array([0.5, 2.0]), values=two, like=f)
     with pytest.raises(ValueError):
         mild.x_distance(a, b, 0.5, 2.0)
 
@@ -249,7 +280,7 @@ def test_csv_row_builders():
     g = _grid(128)
     f = radial.RadialField(g, np.ones(g.m), 3.0)
     traj = mild.Trajectory(times=np.array([0.5, 1.0]),
-                           values=np.ones((2, g.m)), like=f, x_norm=1.0)
+                           values=np.ones((2, g.m)), like=f)
     rows = mild.trajectory_csv_rows(traj, r=2.0, mu=0.25)
     assert len(rows) == 2
     assert len(rows[0]) == len(mild.TRAJECTORY_CSV_COLUMNS)
@@ -396,7 +427,7 @@ def test_local_zero_data_runs_the_full_horizon():
     u0 = radial.RadialField(g, np.zeros(g.m), 3.0)
     sol = mild.solve_local_Lq(u0, None, params, q=4.0, horizon_guess=0.7)
     assert sol.t_end == pytest.approx(0.7)
-    assert sol.trajectory.x_norm == 0.0
+    assert sol.trajectory.x_norm(0.0, sol.q) == 0.0
     assert sol.converged
 
 
@@ -474,7 +505,7 @@ def test_local_demo_keeps_its_horizon(local_demo):
 def test_global_demo_keeps_its_certificate(tmp_path_factory):
     sol = _demo_run(tmp_path_factory, "solve_global_small",
                     "mild_solve.cfg")[0]
-    assert sol.trajectory.x_norm == 0.0007392269520796437
+    assert sol.trajectory.x_norm(sol.mu, sol.r) == 0.0007392269520796437
     assert sol.diffs == [0.0007392268989013923, 7.748301623719887e-11]
 
 
