@@ -174,14 +174,15 @@ def _run_mild_solve(cfg: ExperimentConfig, out_dir: str) -> None:
                           max_picard=cfg.options["max_picard"],
                           duhamel_substeps=cfg.options["duhamel_substeps"])
     sol = solve_global_small(u0, w, cfg.params, mcfg)
+    rows = trajectory_csv_rows(sol.trajectory, sol.r, sol.mu)
+    # the X-norm is the max of the weighted_norm column, as Trajectory.x_norm
+    x_norm = max(0.0, *(row[2] for row in rows))
     comments = ["params: " + cfg.describe(),
                 "metric: r=%.10g mu=%.10g" % (sol.r, sol.mu),
                 "converged: %s after %d iterations, x_norm=%.10g"
-                % (sol.converged, len(sol.diffs),
-                   sol.trajectory.x_norm(sol.mu, sol.r))]
+                % (sol.converged, len(sol.diffs), x_norm)]
     traj_path = os.path.join(out_dir, "mild_trajectory.csv")
-    _write_csv(traj_path, TRAJECTORY_CSV_COLUMNS,
-               trajectory_csv_rows(sol.trajectory, sol.r, sol.mu), comments)
+    _write_csv(traj_path, TRAJECTORY_CSV_COLUMNS, rows, comments)
     conv_path = os.path.join(out_dir, "mild_convergence.csv")
     _write_csv(conv_path, CONVERGENCE_CSV_COLUMNS,
                convergence_csv_rows(sol.diffs, sol.ratios), comments)

@@ -6,7 +6,7 @@ from scipy import integrate
 
 from fujitalab import capacity
 from fujitalab.errors import ConditionViolation, PoorFit, QuadratureFailure
-from fujitalab.exponents import ProblemParams
+from fujitalab.exponents import ProblemParams, critical_forced
 from fujitalab.radial import sphere_area
 
 
@@ -71,6 +71,87 @@ def test_sign_split_bisects_to_adjacent_floats():
     edges = capacity._sign_split(lambda x: x - 1.0 / 3.0, 0.0, 1.0)
     assert len(edges) == 3 and (edges[0], edges[2]) == (0.0, 1.0)
     assert abs(edges[1] - 1.0 / 3.0) <= math.ulp(1.0 / 3.0)
+
+
+def _one_point_split(core, lo, hi):
+    # the reference bisection: one core call on one point per step
+    probes = np.linspace(lo, hi, 129)
+    vals = np.asarray(core(probes), dtype=float)
+    edges = [lo]
+    for i in range(len(probes) - 1):
+        a, b = probes[i], probes[i + 1]
+        fa, fb = vals[i], vals[i + 1]
+        if fa == 0.0 or fa * fb >= 0.0:
+            continue
+        mid = 0.5 * (a + b)
+        while a < mid < b:
+            fm = float(core(np.array([mid]))[0])
+            if fa * fm <= 0.0:
+                b = mid
+            else:
+                a, fa = mid, fm
+            mid = 0.5 * (a + b)
+        edges.append(mid)
+    edges.append(hi)
+    return tuple(edges)
+
+
+def _log_core(n_dim, kappa, big_l):
+    # the core of log_space_capacity
+    P = capacity.LOG_PHI
+    return lambda s: ((2.0 * kappa - 1.0) * P.d1(s) * P.d1(s) / big_l ** 2
+                      + P(s) * P.d2(s) / big_l ** 2
+                      + (n_dim - 2.0) * P(s) * P.d1(s) / big_l)
+
+
+def _sweep_cores(count, seed):
+    # space cores on tuples drawn like the capacity_sweep benchmark domain
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.choice([2, 3, 4]))
+        s1, s2 = rng.uniform(-0.5, 0.5, 2)
+        rho = rng.uniform(-0.6, 0.5)
+        p_star = critical_forced(_params(p=2.0, rho=rho, s1=s1, s2=s2, n=n))
+        p = 1.0 + rng.uniform(0.3, 0.8) * (min(p_star, 4.0) - 1.0)
+        yield capacity._space_core(capacity.PHI, float(n), p / (p - 1.0))
+
+
+def test_batched_split_is_the_one_point_bisection_bit_for_bit():
+    # the batched passes reach the same split points as one core call per
+    # step, from at most 8 calls per sign change after the probe scan
+    cases = [(core, 1.0, 2.0) for core in _sweep_cores(200, 1)]
+    cases += [(_log_core(n, kappa, big_l), 0.0, 1.0) for n in (3, 4, 5)
+              for kappa in (1.5, 2.0, 3.0) for big_l in (2.5, 10.0, 100.0, 345.0)]
+    cases.append((lambda x: x - 1.0 / 3.0, 0.0, 1.0))
+    # on ends off the dyadic grid a midpoint can round, so the tree must
+    # round as the walk does
+    cases.append((lambda x: x - 1.0 / 3.0, 0.1, 0.7))
+    roots = 0
+    for core, lo, hi in cases:
+        calls = []
+
+        def counted(x):
+            calls.append(np.size(x))
+            return core(x)
+
+        edges = capacity._sign_split(counted, lo, hi)
+        assert edges == _one_point_split(core, lo, hi)
+        assert calls[0] == 129 and len(calls) - 1 <= 8 * (len(edges) - 2)
+        roots += len(edges) - 2
+    # every case has one sign change but two LOG_PHI cores, which have none
+    assert roots == len(cases) - 2
+
+
+@pytest.mark.parametrize("core, n_edges", [
+    (lambda x: (x - 0.3) * (x - 0.7), 4),       # two roots in one ramp
+    (lambda x: x - 0.5, 2),                     # 0 at a probe node: no split
+    (lambda x: (x - 0.5) * (x - 0.5001), 2),    # two roots in one probe interval
+    (lambda x: x - 1e-3, 3),                    # a root in the first interval
+    (lambda x: x - (1.0 - 1e-3), 3),            # a root in the last interval
+])
+def test_batched_split_walks_like_the_reference_on_edge_cases(core, n_edges):
+    edges = capacity._sign_split(core, 0.0, 1.0)
+    assert edges == _one_point_split(core, 0.0, 1.0) and len(edges) == n_edges
 
 
 # ---------------------------------------------------------------------------

@@ -509,6 +509,34 @@ def test_global_demo_keeps_its_certificate(tmp_path_factory):
     assert sol.diffs == [0.0007392268989013923, 7.748301623719887e-11]
 
 
+def test_mild_solve_takes_the_final_norms_once(tmp_path, monkeypatch):
+    # the comment line's x_norm is read off the CSV rows' weighted_norm
+    # column, so the CLI adds one norm pass to the solver's, not two
+    solving, calls = [False], {True: 0, False: 0}
+    orig_norm, orig_solve = mild.lq_norm, cli.solve_global_small
+
+    def lq_norm(*args):
+        calls[solving[0]] += 1
+        return orig_norm(*args)
+
+    def solve(*args, **kwargs):
+        solving[0] = True
+        try:
+            return orig_solve(*args, **kwargs)
+        finally:
+            solving[0] = False
+
+    monkeypatch.setattr(mild, "lq_norm", lq_norm)
+    monkeypatch.setattr(cli, "solve_global_small", solve)
+    cfg = os.path.join(os.path.dirname(__file__), os.pardir, "demos",
+                       "configs", "mild_solve.cfg")
+    assert cli.main(["mild-solve", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert calls[True] > 0 and calls[False] == 1
+    with open(tmp_path / "mild_trajectory.csv") as fh:
+        text = fh.read()
+    assert "x_norm=%.10g" % 0.0007392269520796437 in text
+
+
 def test_local_demo_stays_within_its_work_budget(local_demo):
     # 1,412 RadialFields when every stored time of every iterate was one;
     # the solver now builds a handful, the CLI's own the rest
