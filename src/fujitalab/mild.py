@@ -13,7 +13,7 @@ and a local-in-time solver working in plain C([0,T]; L^q) (mu = 0, r = q).
 
 Every time integral is one SemigroupOp.march across a log-spaced grid of
 stored times, each interval cut into equal slices, each slice one TR-BDF2
-step with a constant source; an interval's sources are one array.
+step with a constant source, weighed by a plan built once per grid.
 A slice weighs the forcing by the exact integral of s^rho over it, so the
 singularity at s = 0 (rho < 0) does not cap the order at 1 + rho; the
 nonlinear source on the cell touching t = 0 follows the power law
@@ -120,57 +120,64 @@ def _time_grid(t_max: float, n_times: int) -> np.ndarray:
 # quadrature engine
 # ---------------------------------------------------------------------------
 
-def _nonlinear_values(op: SemigroupOp, u_vals: np.ndarray,
-                      params: ProblemParams, times: np.ndarray, nsub: int,
-                      head_theta: float) -> np.ndarray:
-    """March the nonlinear integral F[u] across the stored times.
+class _Plan:
+    """The weights of slice k of interval j of one time grid, built once.
 
-    On the head cell (0, t_1], t_1 = times[0], the source is modelled as
-    (s/t_1)^head_theta g(t_1): the self-similar profile of the weighted
-    construction (head_theta = -p mu > -1) or a frozen constant (0) for
-    the local theory, integrated exactly as a forcing.  Interior slices
-    interpolate u log-linearly in time between stored snapshots, all
-    slices of an interval in one (nsub, m) array.
+    c[j, k] weighs F[u]'s source: h, or on the head cell (0, t_1] the
+    exact integral of (s/t_1)^head_theta, the self-similar profile of the
+    weighted construction (head_theta = -p mu > -1) or a frozen constant
+    (0) for the local theory.  frac[j, k] interpolates u log-linearly in
+    time, 1 on the head cell; forcing is the march source (r^(-s1) w, the
+    integral of s^rho over each slice), or None when w is zero.
     """
-    if head_theta <= -1.0:
-        raise ValueError("head cell diverges for exponent %g" % head_theta)
-    wgt = op.weight(params.sigma2 - params.sigma1)
-    p, t1, ks = params.p, times[0], range(nsub)
 
-    def source(j, t_prev, h):       # called by the march, overflow ignored
-        if j == 0:
-            vals, c = u_vals[0], np.array(
-                [t1 * _power_integral(k * h / t1, (k + 1) * h / t1,
-                                      head_theta + 1.0) for k in ks])
-        else:
-            span = math.log(times[j] / t_prev)
-            frac = np.array([math.log((t_prev + (k + 0.5) * h) / t_prev)
-                             / span for k in ks])[:, None]
-            vals = (1.0 - frac) * u_vals[j - 1] + frac * u_vals[j]
-            c = np.full(nsub, h)
-        g = wgt * np.abs(vals) ** p
-        if not np.isfinite(g).all():
-            raise Overflow("the source r^(s2-s1) |u|^p overflowed")
-        return g, c
+    def __init__(self, op: SemigroupOp, times: np.ndarray, nsub: int,
+                 w: Optional[RadialField], head_theta: float):
+        if head_theta <= -1.0:
+            raise ValueError("head cell diverges for exponent %g" % head_theta)
+        if not (times.size and times[0] > 0.0 and np.all(np.diff(times) > 0)):
+            raise ValueError("stored times must be positive and increasing")
+        self.op, self.times, self.nsub, ks = op, times, nsub, range(nsub)
+        starts = [0.0] + list(times[:-1])
+        hs = [(t - a) / nsub for a, t in zip(starts, times)]
+        t1, h0 = times[0], hs[0]
+        head = [t1 * _power_integral(k * h0 / t1, (k + 1) * h0 / t1,
+                                     head_theta + 1.0) for k in ks]
+        self.c = np.array([head] + [[h] * nsub for h in hs[1:]])
+        self.frac = np.ones((times.size, nsub))
+        for j in range(1, times.size):
+            a, h, span = starts[j], hs[j], math.log(times[j] / starts[j])
+            self.frac[j] = [math.log((a + (k + 0.5) * h) / a) / span
+                            for k in ks]
+        self.forcing = None
+        if w is not None and np.any(w.values != 0.0):
+            e = op.params.rho + 1.0
+            self.forcing = (op.time_weight * w.values, np.array(
+                [[_power_integral(a + k * h, a + (k + 1) * h, e) for k in ks]
+                 for a, h in zip(starts, hs)]))
 
-    return op.march(np.zeros_like(u_vals[0]), times, nsub, source)
+
+def _nonlinear_values(plan: _Plan, u_vals: np.ndarray) -> np.ndarray:
+    """March the nonlinear integral F[u] across the plan's stored times,
+    the source r^(s2-s1) |u|^p of every slice formed in one pass, with u
+    interpolated as (1 - frac) u_{j-1} + frac u_j (u_1 on the head cell)."""
+    op, prm = plan.op, plan.op.params
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = plan.frac[:, :, None] * u_vals[:, None]
+        g[1:] += (1.0 - plan.frac[1:, :, None]) * u_vals[:-1, None]
+        np.abs(g, out=g)
+        g **= prm.p
+        g *= op.weight(prm.sigma2 - prm.sigma1)
+    if not np.isfinite(g).all():
+        raise Overflow("the source r^(s2-s1) |u|^p overflowed")
+    return op.march(np.zeros_like(u_vals[0]), plan.times, plan.nsub,
+                    (g, plan.c))
 
 
-def _linear_values(op: SemigroupOp, u0: RadialField,
-                   w: Optional[RadialField], params: ProblemParams,
-                   times: np.ndarray, nsub: int) -> np.ndarray:
-    """S(t) u0 + H(t) at the stored times, as one (n_times, m) array: one
-    march from u0 whose source r^(-s1) w each slice weighs by the exact
-    integral of s^rho over it, or without a source when w is zero."""
-    source = None
-    if w is not None and np.any(w.values != 0.0):
-        src, e = op.time_weight * w.values, params.rho + 1.0
-
-        def source(j, t_prev, h):
-            return src, np.array([_power_integral(t_prev + k * h,
-                                                  t_prev + (k + 1) * h, e)
-                                  for k in range(nsub)])
-    return op.march(u0.values, times, nsub, source)
+def _linear_values(plan: _Plan, values: np.ndarray) -> np.ndarray:
+    """S(t) values + H(t) at the plan's stored times, as one (n_times, m)
+    array: one march, without a source when w is zero."""
+    return plan.op.march(values, plan.times, plan.nsub, plan.forcing)
 
 
 # ---------------------------------------------------------------------------
@@ -182,65 +189,61 @@ def duhamel_forcing(w: RadialField, params: ProblemParams,
                     cfg: Optional[MildConfig] = None) -> Trajectory:
     """Forcing response H(t) on the given times by substep quadrature."""
     cfg = cfg if cfg is not None else MildConfig()
-    times = np.asarray(t_grid, dtype=float)
-    zero = w.with_values(np.zeros_like(w.values))
-    vals = _linear_values(SemigroupOp(w.grid, params), zero, w, params, times,
-                          cfg.duhamel_substeps)
-    return Trajectory(times, vals, w)
+    plan = _Plan(SemigroupOp(w.grid, params), np.asarray(t_grid, dtype=float),
+                 cfg.duhamel_substeps, w, 0.0)
+    vals = _linear_values(plan, np.zeros_like(w.values))
+    return Trajectory(plan.times, vals, w)
 
 
 def picard_step(u_n: Trajectory, u0: RadialField, w: Optional[RadialField],
                 params: ProblemParams, cfg: Optional[MildConfig] = None,
                 linear: Optional[Trajectory] = None,
                 head_theta: Optional[float] = None,
-                metric: Optional[Tuple[float, float]] = None) -> Trajectory:
+                metric: Optional[Tuple[float, float]] = None,
+                plan: Optional[_Plan] = None) -> Trajectory:
     """One fixed-point application G(u) = S(t) u0 + F(u) + H.
 
     linear may carry a precomputed S(t) u0 + H trajectory on the same time
-    grid to avoid recomputing it on every iteration.  The head-cell
-    exponent defaults to -p mu, mu from metric = (mu, r) or else from
-    derived_weights(params, cfg.r), which raises EmptyWindow outside the
-    global theory.  Raises Overflow when any output value exceeds the
-    divergence guard.
+    grid, and plan its slice weights, to avoid recomputing them on every
+    iteration.  A plan built here takes the head-cell exponent -p mu, mu
+    from metric = (mu, r) or else from derived_weights(params, cfg.r),
+    which raises EmptyWindow outside the global theory, unless head_theta
+    is given.  Raises Overflow when any output exceeds the divergence guard.
     """
     cfg = cfg if cfg is not None else MildConfig()
-    times = u_n.times
-    op = SemigroupOp(u0.grid, params)
-    if head_theta is None:
-        mu = metric[0] if metric else derived_weights(params, cfg.r).mu
-        head_theta = -params.p * mu
-    if linear is None:
-        lin_vals = _linear_values(op, u0, w, params, times,
-                                  cfg.duhamel_substeps)
-    else:
-        lin_vals = linear.values
-    out = lin_vals + _nonlinear_values(op, u_n.values, params, times,
-                                       cfg.duhamel_substeps, head_theta)
+    if plan is None:
+        if head_theta is None:
+            mu = metric[0] if metric else derived_weights(params, cfg.r).mu
+            head_theta = -params.p * mu
+        plan = _Plan(SemigroupOp(u0.grid, params), u_n.times,
+                     cfg.duhamel_substeps, w if linear is None else None,
+                     head_theta)
+    lin = _linear_values(plan, u0.values) if linear is None else linear.values
+    out = lin + _nonlinear_values(plan, u_n.values)
     worst = float(np.max(np.abs(out)))
     if worst > OVERFLOW_GUARD:
         raise Overflow("iterate reached %g, beyond the %g guard"
                        % (worst, OVERFLOW_GUARD))
-    return Trajectory(times, out, u0)
+    return Trajectory(u_n.times, out, u0)
 
 
 def _iterate(linear: Trajectory, u0: RadialField, w: Optional[RadialField],
-             params: ProblemParams, cfg: MildConfig, head_theta: float,
-             metric: Tuple[float, float]
+             params: ProblemParams, cfg: MildConfig, plan: _Plan,
+             metric: Tuple[float, float], first: float
              ) -> Tuple[Trajectory, List[float], List[float], bool]:
-    """Picard iteration from the linear part G(0) in the metric (mu, r).
+    """Picard iteration in the metric (mu, r) from G(0), of X-norm first.
 
     Returns the last iterate, the distances of consecutive iterates, their
     ratios and whether the last distance fell below picard_tol.
     """
     mu, r = metric
-    u_prev = linear
-    diffs = [linear.x_norm(mu, r)]   # iterate 1 against the zero iterate 0
+    u_prev, diffs = linear, [first]
     ratios: List[float] = []
     if diffs[0] < cfg.picard_tol:
         return u_prev, diffs, ratios, True
     for _ in range(1, cfg.max_picard):
         u_next = picard_step(u_prev, u0, w, params, cfg, linear=linear,
-                             head_theta=head_theta)
+                             plan=plan)
         d = x_distance(u_next, u_prev, mu, r)
         ratios.append(d / diffs[-1])
         diffs.append(d)
@@ -281,12 +284,12 @@ def solve_global_small(u0: RadialField, w: Optional[RadialField],
     cfg = cfg if cfg is not None else MildConfig()
     weights = derived_weights(params, cfg.r)
     mu, r = weights.mu, weights.r
-    times = _time_grid(cfg.t_max, cfg.n_times)
-    op = SemigroupOp(u0.grid, params)
-    lin_vals = _linear_values(op, u0, w, params, times, cfg.duhamel_substeps)
-    linear = Trajectory(times, lin_vals, u0)
-    u, diffs, ratios, converged = _iterate(linear, u0, w, params, cfg,
-                                           -params.p * mu, (mu, r))
+    plan = _Plan(SemigroupOp(u0.grid, params),
+                 _time_grid(cfg.t_max, cfg.n_times), cfg.duhamel_substeps, w,
+                 -params.p * mu)
+    linear = Trajectory(plan.times, _linear_values(plan, u0.values), u0)
+    u, diffs, ratios, converged = _iterate(linear, u0, w, params, cfg, plan,
+                                           (mu, r), linear.x_norm(mu, r))
     return GlobalSolution(u, diffs, ratios, converged, r, mu)
 
 
@@ -327,21 +330,19 @@ def solve_local_Lq(u0: RadialField, w: Optional[RadialField],
         raise ValueError("horizon_guess must be positive")
     cfg = cfg if cfg is not None else MildConfig()
     alpha = local_alpha(params, q)
-    nsub = cfg.duhamel_substeps
     op = SemigroupOp(u0.grid, params)
 
-    probe_times = _time_grid(horizon_guess, cfg.n_times)
+    # its forcing weights raise Overflow before any march if T^(rho+1) does
+    probe = _Plan(op, _time_grid(horizon_guess, cfg.n_times),
+                  cfg.duhamel_substeps, w, 0.0)
+    probe_times = probe.times
 
     def probe_norms(vals, times=probe_times):
         return Trajectory(times, vals, u0).norms(q)
 
-    h_probe = None
-    if w is not None and np.any(w.values != 0.0):
-        # Overflow before any probe unless T^(rho+1) and its integral fit
-        _power_integral(0.0, horizon_guess, params.rho + 1.0)
-        zero = u0.with_values(np.zeros_like(u0.values))
-        h_probe = _linear_values(op, zero, w, params, probe_times, nsub)
-    lin_probe = _linear_values(op, u0, w, params, probe_times, nsub)
+    h_probe = (None if probe.forcing is None
+               else _linear_values(probe, np.zeros_like(u0.values)))
+    lin_probe = _linear_values(probe, u0.values)
     m0 = float(np.max(probe_norms(lin_probe)))
     if m0 == 0.0:
         if np.any(u0.values != 0.0) or h_probe is not None:
@@ -353,14 +354,12 @@ def solve_local_Lq(u0: RadialField, w: Optional[RadialField],
                              0.0, cfg.picard_tol, [0.0], [], True)
     radius = 2.0 * m0
 
-    f_probe = _nonlinear_values(op, lin_probe, params, probe_times, nsub, 0.0)
+    f_probe = _nonlinear_values(probe, lin_probe)
     c1 = max(n / (t ** (1.0 - alpha) * m0 ** params.p)
              for t, n in zip(probe_times, probe_norms(f_probe)))
-    f_norm = 0.0
-    c2 = 0.0
+    f_norm = c2 = 0.0
     if h_probe is not None:
-        f_norm = float(probe_norms([op.time_weight * w.values],
-                                   probe_times[:1])[0])
+        f_norm = float(probe_norms([probe.forcing[0]], probe_times[:1])[0])
         with np.errstate(all="ignore"):
             c2 = float(np.max([n / (f_norm * t ** (params.rho + 1.0))
                                for t, n in zip(probe_times,
@@ -391,14 +390,14 @@ def solve_local_Lq(u0: RadialField, w: Optional[RadialField],
                 hi = mid
         t_end = lo
 
-    times = _time_grid(t_end, cfg.n_times)
-    lin_vals = _linear_values(op, u0, w, params, times, nsub)
-    linear = Trajectory(times, lin_vals, u0)
-    u, diffs, ratios, converged = _iterate(linear, u0, w, params, cfg, 0.0,
-                                           (0.0, q))
+    plan = _Plan(op, _time_grid(t_end, cfg.n_times), cfg.duhamel_substeps, w,
+                 0.0)
+    linear = Trajectory(plan.times, _linear_values(plan, u0.values), u0)
+    lin_trace = linear.norms(q)
+    u, diffs, ratios, converged = _iterate(linear, u0, w, params, cfg, plan,
+                                           (0.0, q), float(np.max(lin_trace)))
 
     trace = u.norms(q)
-    lin_trace = linear.norms(q)
     jump = float(np.max(np.abs(np.diff(trace))))
     scheme_tol = max(float(np.max(np.abs(np.diff(lin_trace)))),
                      cfg.picard_tol)

@@ -18,8 +18,8 @@ L = W^-1 T, T symmetric and W = r^(N-1+s1) cells, a solve is one of the
 positive definite W - a T, L D L^T-factored once per step size (LAPACK
 pttrf, bound at the first factorisation) and reused (pttrs).  Every
 application of exp(tL) is one SemigroupOp.march across stored times,
-which returns them stacked as one array, with an optional source for
-Duhamel integrals asked for once per interval.  A solve carries
+which returns them stacked as one array; a Duhamel source is given as
+arrays, a weight and a source row per step.  A solve carries
 NaN and inf through; a march checks finiteness once per stored time, the
 direct integrator once per trial step.
 
@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -166,16 +166,15 @@ class SemigroupOp:
     @np.errstate(over="ignore", invalid="ignore")
     def march(self, values: np.ndarray, times: Sequence[float],
               substeps: Optional[int] = None,
-              source: Optional[Callable] = None) -> np.ndarray:
+              source: Optional[tuple] = None) -> np.ndarray:
         """values marched to each of the increasing positive times, with
         ``substeps`` equal TR-BDF2 steps (two solves each) per interval,
         as one (len(times),) + values.shape array.
 
-        source(j, t_prev, h), when given, is called once for interval j,
-        which starts at t_prev, with the step width h.  It returns (g, c):
-        the array c of the ``substeps`` weights and g, one row or one per
-        step, and step k carries the constant source (c[k] / h) g[k].
-        That enters as
+        source, when given, is a pair (g, c) of arrays: c[j, k] weighs step
+        k of interval j, and g is one row for every step or one row per
+        step, g[j, k].  Step k of interval j, of width h, carries the
+        constant source (c[j, k] / h) g[j, k].  That enters as
         c (A^-2 / sqrt2 + (1 - 1/sqrt2) A^-1) g; A^-1 is a nonnegative
         matrix, so a rough nonnegative source cannot ring.  Raises
         StepFailure when a value at a stored time is not finite.
@@ -189,8 +188,9 @@ class SemigroupOp:
         for j, t in enumerate(ts):
             h = (t - t_prev) / n
             if source is not None:
-                g, c = source(j, t_prev, h)
-                s = (_STAGE * c)[:, None] * g
+                g, c = source
+                g = g if g.ndim == values.ndim else g[j]
+                s = (_STAGE * c[j])[:, None] * g
             for k in range(n):
                 u = self._step(u, h, None if source is None else s[k])
             if not np.isfinite(u).all():

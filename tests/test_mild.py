@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 
@@ -85,6 +86,36 @@ def test_forcing_response_against_direct_march():
 # ---------------------------------------------------------------------------
 # fixed-point iteration
 # ---------------------------------------------------------------------------
+
+def test_plan_weighs_each_slice_by_its_scalar_formula():
+    # the plan's arrays hold the per-slice scalar expressions, so F[u] is a
+    # hand loop of march steps over them, bit for bit, head cell included
+    params, g = _params(), _grid(128)
+    op = semigroup.SemigroupOp(g, params)
+    times, nsub, theta = np.geomspace(0.01, 1.0, 9), 3, -0.4
+    plan = mild._Plan(op, times, nsub, _bump(g, 1.0), theta)
+    u = np.random.default_rng(5).standard_normal((times.size, g.m))
+    got = mild._nonlinear_values(plan, u)
+    wgt = op.weight(params.sigma2 - params.sigma1)
+    acc, t_prev, t1 = np.zeros(g.m), 0.0, times[0]
+    for j, t in enumerate(times):
+        h = (t - t_prev) / nsub
+        for k in range(nsub):
+            w_k = mild._power_integral(t_prev + k * h, t_prev + (k + 1) * h,
+                                       params.rho + 1.0)
+            assert plan.forcing[1][j, k] == w_k
+            if j == 0:
+                c, vals = t1 * mild._power_integral(
+                    k * h / t1, (k + 1) * h / t1, theta + 1.0), u[0]
+            else:
+                frac = (math.log((t_prev + (k + 0.5) * h) / t_prev)
+                        / math.log(t / t_prev))
+                c, vals = h, (1.0 - frac) * u[j - 1] + frac * u[j]
+            src = wgt * np.abs(vals) ** params.p
+            acc = op._step(acc, h, src * (semigroup._STAGE * c))
+        assert np.array_equal(got[j], acc)
+        t_prev = t
+
 
 def test_picard_of_zero_is_the_linear_part():
     params = _params()
@@ -456,28 +487,28 @@ def test_local_rejects_inadmissible_index():
 # ---------------------------------------------------------------------------
 
 def _demo_run(tmp_path_factory, command, name):
-    """Run a demo config through the CLI; returns the solution, the number
-    of RadialFields built and, per march, (source calls, stored times)."""
+    """Run a demo config through the CLI; returns the solution, the numbers
+    of RadialFields built, of marches and of _power_integral calls in mild,
+    and the output directory."""
     cfg = os.path.join(os.path.dirname(__file__), os.pardir, "demos",
                        "configs", name)
-    got, built, marches = {}, [], []
+    got, built, marches, powers = {}, [], [], []
     solver = getattr(cli, command)
     post_init = radial.RadialField.__post_init__
     march = semigroup.SemigroupOp.march
+    power = mild._power_integral
 
     def counted_field(self):
         built.append(None)
         post_init(self)
 
-    def counted_march(self, values, times, substeps=None, source=None):
-        calls = [0]
-        if source is not None:
-            def counted(*args):
-                calls[0] += 1
-                return source(*args)
-        marches.append((calls, len(times)))
-        return march(self, values, times, substeps,
-                     None if source is None else counted)
+    def counted_march(*args, **kwargs):
+        marches.append(None)
+        return march(*args, **kwargs)
+
+    def counted_power(*args):
+        powers.append(None)
+        return power(*args)
 
     def kept(*args, **kwargs):
         got["sol"] = solver(*args, **kwargs)
@@ -487,10 +518,11 @@ def _demo_run(tmp_path_factory, command, name):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(radial.RadialField, "__post_init__", counted_field)
         mp.setattr(semigroup.SemigroupOp, "march", counted_march)
+        mp.setattr(mild, "_power_integral", counted_power)
         mp.setattr(cli, command, kept)
         mode = name[:-len(".cfg")].replace("_", "-")
         assert cli.main([mode, "--config", cfg, "--out", str(out)]) == 0
-    return got["sol"], len(built), [(c[0], n) for c, n in marches]
+    return got["sol"], len(built), len(marches), len(powers), out
 
 
 @pytest.fixture(scope="module")
@@ -498,13 +530,17 @@ def local_demo(tmp_path_factory):
     return _demo_run(tmp_path_factory, "solve_local_Lq", "local_solve.cfg")
 
 
+@pytest.fixture(scope="module")
+def global_demo(tmp_path_factory):
+    return _demo_run(tmp_path_factory, "solve_global_small", "mild_solve.cfg")
+
+
 def test_local_demo_keeps_its_horizon(local_demo):
     assert repr(local_demo[0].t_end) == "0.8976819785776684"
 
 
-def test_global_demo_keeps_its_certificate(tmp_path_factory):
-    sol = _demo_run(tmp_path_factory, "solve_global_small",
-                    "mild_solve.cfg")[0]
+def test_global_demo_keeps_its_certificate(global_demo):
+    sol = global_demo[0]
     assert sol.trajectory.x_norm(sol.mu, sol.r) == 0.0007392269520796437
     assert sol.diffs == [0.0007392268989013923, 7.748301623719887e-11]
 
@@ -540,6 +576,33 @@ def test_mild_solve_takes_the_final_norms_once(tmp_path, monkeypatch):
 def test_local_demo_stays_within_its_work_budget(local_demo):
     # 1,412 RadialFields when every stored time of every iterate was one;
     # the solver now builds a handful, the CLI's own the rest
-    _, built, marches = local_demo
+    sol, built, marches = local_demo[:3]
     assert built <= 400
-    assert marches and all(calls <= n for calls, n in marches)
+    # the probe's forcing, linear and nonlinear parts, the final linear
+    # part, then one march per Picard step
+    assert 0 < marches <= 3 + 1 + len(sol.ratios)
+
+
+def test_local_demo_weighs_each_slice_once_per_grid(local_demo):
+    # the probe grid and the final grid: 64 stored times of 4 slices, each
+    # weighing the forcing, plus the 4 head-cell slices of F[u]; Picard
+    # steps reuse the final grid's weights
+    sol, powers = local_demo[0], local_demo[3]
+    assert len(sol.ratios) >= 2
+    assert powers == 2 * (64 * 4 + 4)
+
+
+_DEMO_CSV_SHA256 = {
+    "local_trajectory.csv": "f4797b8c770e8e9a",
+    "mild_trajectory.csv": "52efd52ea0167d05",
+    "mild_convergence.csv": "70b33a0792eafddf",
+}
+
+
+def test_demo_csvs_keep_their_bytes(local_demo, global_demo):
+    # the mild-solve and local-solve CSVs are pinned byte for byte
+    got = {}
+    for out in (local_demo[-1], global_demo[-1]):
+        for path in out.iterdir():
+            got[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+    assert got == _DEMO_CSV_SHA256

@@ -211,7 +211,7 @@ def test_duhamel_slice_matches_the_tr_bdf2_stages(s1):
     src = np.where(r < 1.0, 1.0, 0.0) * r ** (-0.5)
     h, c = 0.05, 0.3
     ref = _tr_bdf2(op, acc, h, _STAGE * c * src)
-    got = op.march(acc, [h], 1, lambda *_: (src, np.array([c])))[0]
+    got = op.march(acc, [h], 1, (src, np.array([[c]])))[0]
     assert np.allclose(got, ref, rtol=1e-12, atol=1e-12 * np.max(np.abs(ref)))
 
 
@@ -223,8 +223,7 @@ def test_duhamel_slice_of_a_rough_source_is_nonnegative(s1):
     r = op.grid.nodes
     src = np.where(r < 1.0, 1.0, 0.0) * r ** (-0.5)
     for h in (1e-4, 1e-2, 1.0):
-        out = op.march(np.zeros(op.grid.m), [h], 1,
-                       lambda *_: (src, np.array([h])))[0]
+        out = op.march(np.zeros(op.grid.m), [h], 1, (src, np.array([[h]])))[0]
         assert np.all(out >= 0.0)
 
 
@@ -234,8 +233,7 @@ def test_duhamel_slice_beyond_float_range_is_a_step_failure(acc_scale, c):
     op = _op(0.0, m=64)
     ones = np.ones(op.grid.m)
     with pytest.raises(StepFailure):
-        op.march(acc_scale * ones, [0.01], 1,
-                 lambda *_: (100.0 * ones, np.array([c])))
+        op.march(acc_scale * ones, [0.01], 1, (100.0 * ones, np.array([[c]])))
 
 
 @pytest.mark.parametrize("s1", [-0.5, 0.0, 0.5])
@@ -246,36 +244,34 @@ def test_march_with_a_zero_source_is_the_march_without_one(s1):
     fld = radial.field_from_callable(op.grid, radial.bump_profile(1.0, 1.0), 3.0)
     zero = np.zeros(op.grid.m)
     times = [0.01, 0.05, 0.2]
+    hs = np.diff([0.0] + times) / 4
     plain = op.march(fld.values, times, 4)
-    sourced = op.march(fld.values, times, 4,
-                       lambda j, t0, h: (zero, np.full(4, h)))
+    sourced = op.march(fld.values, times, 4, (zero, np.outer(hs, np.ones(4))))
     for a, b in zip(plain, sourced):
         assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("s1", [-0.5, 0.0, 0.5])
 def test_march_with_one_source_row_per_step_is_the_hand_loop(s1):
-    # the march asks for an interval's source once and scales every step's
-    # row in one operation; that must be _step with (_STAGE c[k]) g[k], bit
-    # for bit
+    # the march scales every step's row of an interval in one operation;
+    # that must be _step with (_STAGE c[j, k]) g[j, k], bit for bit
     op = _op(s1)
     r = op.grid.nodes
     fld = radial.field_from_callable(op.grid, radial.bump_profile(1.0, 1.0), 3.0)
     times = [0.01, 0.05, 0.2]
     n = 3
     rows = np.array([np.exp(-(k + 1.0) * r) * r ** (-0.5) for k in range(n)])
+    hs = np.diff([0.0] + times) / n
+    g = np.array([(j + 1.0) * rows for j in range(len(times))])
+    c = np.array([[0.3 * h, h, 2.0 * h] for h in hs])
 
-    def source(j, t_prev, h):
-        return (j + 1.0) * rows, np.array([0.3 * h, h, 2.0 * h])
-
-    got = op.march(fld.values, times, n, source)
+    got = op.march(fld.values, times, n, (g, c))
     assert got.shape == (len(times), op.grid.m)
     u, t_prev = fld.values, 0.0
     for j, t in enumerate(times):
         h = (t - t_prev) / n
-        g, c = source(j, t_prev, h)
         for k in range(n):
-            u = op._step(u, h, g[k] * (_STAGE * c[k]))
+            u = op._step(u, h, g[j, k] * (_STAGE * c[j, k]))
         assert np.array_equal(got[j], u)
         t_prev = t
 
