@@ -174,7 +174,8 @@ def _run_mild_solve(cfg: ExperimentConfig, out_dir: str) -> None:
                           max_picard=cfg.options["max_picard"],
                           duhamel_substeps=cfg.options["duhamel_substeps"])
     sol = solve_global_small(u0, w, cfg.params, mcfg)
-    rows = trajectory_csv_rows(sol.trajectory, sol.r, sol.mu)
+    rows = trajectory_csv_rows(sol.trajectory, sol.trajectory.norms(sol.r),
+                               sol.mu)
     # the X-norm is the max of the weighted_norm column, as Trajectory.x_norm
     x_norm = max(0.0, *(row[2] for row in rows))
     comments = ["params: " + cfg.describe(),
@@ -305,7 +306,7 @@ def _run_local_solve(cfg: ExperimentConfig, out_dir: str) -> None:
     sol = solve_local_Lq(u0, w, cfg.params, q, cfg.options["horizon"], mcfg)
     path = os.path.join(out_dir, "local_trajectory.csv")
     _write_csv(path, TRAJECTORY_CSV_COLUMNS,
-               trajectory_csv_rows(sol.trajectory, sol.q, 0.0),
+               trajectory_csv_rows(sol.trajectory, sol.trace, 0.0),
                ["params: " + cfg.describe(),
                 "existence horizon: T=%.10g of guess %.10g"
                 % (sol.t_end, cfg.options["horizon"]),

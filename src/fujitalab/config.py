@@ -90,7 +90,9 @@ _SCHEMAS: Dict[str, Dict[str, KeySpec]] = {
         "r": KeySpec("float", 0.0, "contraction index; 0 = window midpoint"),
         "picard_tol": KeySpec("float", 1e-10, "fixed point tolerance"),
         "max_picard": KeySpec("int", 20, "iteration cap"),
-        "duhamel_substeps": KeySpec("int", 4, "slices per stored interval"),
+        "duhamel_substeps": KeySpec("int", 4, "slices per stored interval "
+                                    "of the linear part; F[u] takes half, "
+                                    "at least one"),
     },
     "blowup-scan": {
         **_GRID,

@@ -13,7 +13,9 @@ and a local-in-time solver working in plain C([0,T]; L^q) (mu = 0, r = q).
 
 Every time integral is one SemigroupOp.march across a log-spaced grid of
 stored times, each interval cut into equal slices, each slice one TR-BDF2
-step with a constant source, weighed by a plan built once per grid.
+step with a constant source, weighed by a plan built once per grid.  The
+linear part takes all duhamel_substeps slices per interval, F[u], marched
+again on every Picard step, half of them (at least one).
 A slice weighs the forcing by the exact integral of s^rho over it, so the
 singularity at s = 0 (rho < 0) does not cap the order at 1 + rho; the
 nonlinear source on the cell touching t = 0 follows the power law
@@ -48,6 +50,9 @@ class MildConfig:
     time weight mu follows from it.  t_max is the horizon surrogate of the
     global construction; stored times are log-spaced on [1e-3 t_max, t_max]
     with n_times points, since the t^mu weight cannot be evaluated at t = 0.
+    duhamel_substeps slices each stored interval of the linear march
+    S(t) u0 + H; the nonlinear integral F[u] takes half of them, at least
+    one.
     """
 
     r: Optional[float] = None
@@ -81,7 +86,7 @@ class Trajectory:
         t = np.asarray(times, dtype=float)
         if t.ndim != 1 or t.size == 0:
             raise ValueError("times must be a nonempty 1-d array")
-        if t[0] <= 0.0 or np.any(np.diff(t) <= 0.0):
+        if not (t[0] > 0.0 and np.all(np.diff(t) > 0.0)):
             raise ValueError("times must be positive and strictly increasing")
         v = np.asarray(values, dtype=float)
         if v.shape != (t.size, like.grid.m):
@@ -123,12 +128,15 @@ def _time_grid(t_max: float, n_times: int) -> np.ndarray:
 class _Plan:
     """The weights of slice k of interval j of one time grid, built once.
 
-    c[j, k] weighs F[u]'s source: h, or on the head cell (0, t_1] the
-    exact integral of (s/t_1)^head_theta, the self-similar profile of the
-    weighted construction (head_theta = -p mu > -1) or a frozen constant
-    (0) for the local theory.  frac[j, k] interpolates u log-linearly in
-    time, 1 on the head cell; forcing is the march source (r^(-s1) w, the
-    integral of s^rho over each slice), or None when w is zero.
+    F[u] takes max(1, nsub // 2) slices per interval, the linear march all
+    nsub: the fixed point's slice error comes from the linear march, and
+    F[u] is marched again on every Picard step.  c[j, k] weighs F[u]'s
+    source: h, or on the head cell (0, t_1] the exact integral of
+    (s/t_1)^head_theta, the self-similar profile of the weighted
+    construction (head_theta = -p mu > -1) or a frozen constant (0) for
+    the local theory.  frac[j, k] interpolates u log-linearly in time, 1 on
+    the head cell; forcing is the linear march's source (r^(-s1) w, the
+    integral of s^rho over each of its nsub slices), or None when w is zero.
     """
 
     def __init__(self, op: SemigroupOp, times: np.ndarray, nsub: int,
@@ -137,24 +145,26 @@ class _Plan:
             raise ValueError("head cell diverges for exponent %g" % head_theta)
         if not (times.size and times[0] > 0.0 and np.all(np.diff(times) > 0)):
             raise ValueError("stored times must be positive and increasing")
-        self.op, self.times, self.nsub, ks = op, times, nsub, range(nsub)
+        self.op, self.times, self.nsub = op, times, nsub
         starts = [0.0] + list(times[:-1])
-        hs = [(t - a) / nsub for a, t in zip(starts, times)]
+        nf = max(1, nsub // 2)
+        hs = [(t - a) / nf for a, t in zip(starts, times)]
         t1, h0 = times[0], hs[0]
         head = [t1 * _power_integral(k * h0 / t1, (k + 1) * h0 / t1,
-                                     head_theta + 1.0) for k in ks]
-        self.c = np.array([head] + [[h] * nsub for h in hs[1:]])
-        self.frac = np.ones((times.size, nsub))
+                                     head_theta + 1.0) for k in range(nf)]
+        self.c = np.array([head] + [[h] * nf for h in hs[1:]])
+        self.frac = np.ones((times.size, nf))
         for j in range(1, times.size):
             a, h, span = starts[j], hs[j], math.log(times[j] / starts[j])
             self.frac[j] = [math.log((a + (k + 0.5) * h) / a) / span
-                            for k in ks]
+                            for k in range(nf)]
         self.forcing = None
         if w is not None and np.any(w.values != 0.0):
             e = op.params.rho + 1.0
+            widths = [(t - a) / nsub for a, t in zip(starts, times)]
             self.forcing = (op.time_weight * w.values, np.array(
-                [[_power_integral(a + k * h, a + (k + 1) * h, e) for k in ks]
-                 for a, h in zip(starts, hs)]))
+                [[_power_integral(a + k * h, a + (k + 1) * h, e)
+                  for k in range(nsub)] for a, h in zip(starts, widths)]))
 
 
 def _nonlinear_values(plan: _Plan, u_vals: np.ndarray) -> np.ndarray:
@@ -170,7 +180,7 @@ def _nonlinear_values(plan: _Plan, u_vals: np.ndarray) -> np.ndarray:
         g *= op.weight(prm.sigma2 - prm.sigma1)
     if not np.isfinite(g).all():
         raise Overflow("the source r^(s2-s1) |u|^p overflowed")
-    return op.march(np.zeros_like(u_vals[0]), plan.times, plan.nsub,
+    return op.march(np.zeros_like(u_vals[0]), plan.times, plan.c.shape[1],
                     (g, plan.c))
 
 
@@ -308,6 +318,7 @@ class LocalSolution:
     diffs: List[float]
     ratios: List[float]
     converged: bool
+    trace: np.ndarray     # the L^q norm of every stored time
 
 
 def solve_local_Lq(u0: RadialField, w: Optional[RadialField],
@@ -351,7 +362,8 @@ def solve_local_Lq(u0: RadialField, w: Optional[RadialField],
                 "0 on the probe times up to %g" % (q, horizon_guess))
         traj = Trajectory(probe_times, np.zeros_like(lin_probe), u0)
         return LocalSolution(traj, horizon_guess, q, 0.0, 0.0, 0.0,
-                             0.0, cfg.picard_tol, [0.0], [], True)
+                             0.0, cfg.picard_tol, [0.0], [], True,
+                             np.zeros(probe_times.size))
     radius = 2.0 * m0
 
     f_probe = _nonlinear_values(probe, lin_probe)
@@ -406,7 +418,7 @@ def solve_local_Lq(u0: RadialField, w: Optional[RadialField],
             "L^q trace jumps by %g, beyond 5x the scheme modulus %g"
             % (jump, scheme_tol))
     return LocalSolution(u, t_end, q, radius, c1, c2, jump,
-                         scheme_tol, diffs, ratios, converged)
+                         scheme_tol, diffs, ratios, converged, trace)
 
 
 # ---------------------------------------------------------------------------
@@ -515,10 +527,12 @@ TRAJECTORY_CSV_COLUMNS = ["t", "Lr_norm", "weighted_norm", "max_value"]
 CONVERGENCE_CSV_COLUMNS = ["iteration", "x_norm_diff", "ratio"]
 
 
-def trajectory_csv_rows(traj: Trajectory, r: float, mu: float) -> List[list]:
+def trajectory_csv_rows(traj: Trajectory, norms: Sequence[float],
+                        mu: float) -> List[list]:
+    """One row per stored time; norms holds the L^r norm of each."""
     peaks = np.max(np.abs(traj.values), axis=1)
     return [[float(t), float(n), float(t ** mu * n), float(peak)]
-            for t, n, peak in zip(traj.times, traj.norms(r), peaks)]
+            for t, n, peak in zip(traj.times, norms, peaks)]
 
 
 def convergence_csv_rows(diffs: Sequence[float],
