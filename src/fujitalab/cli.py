@@ -6,14 +6,15 @@ Usage:
 
 The command may also live inside the config (``command = ...``); a
 command given on the command line wins.  Exit codes: 0 on success, 2
-for configuration problems, 3 when the parameter tuple violates a
-hypothesis of the theory (reported before any computation starts), 4
-when a computation ran but failed its own quality gates.
+for configuration problems (an unreadable config or an output directory
+that cannot be made among them), 3 when the parameter tuple violates a
+hypothesis of the theory (both reported before any computation starts),
+4 when a computation ran but failed its own quality gates.
 
-Every CSV artifact starts with ``# params: ...`` comment lines that
-record the full resolved configuration, then a header row.  Files are
-UTF-8 with LF line endings, comma separated, ``.`` decimal point.
-Identical configs produce byte-identical outputs.
+One writer stamps every CSV artifact: a ``# params: ...`` line with the
+full resolved configuration, the command's own ``#`` notes, then a
+header row.  Files are UTF-8 with LF line endings, comma separated,
+``.`` decimal point.  Identical configs produce byte-identical outputs.
 """
 
 import argparse
@@ -22,7 +23,7 @@ import math
 import os
 import sys
 from contextlib import contextmanager
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -51,17 +52,24 @@ EXIT_NUMERICAL = 4
 _LOG10_MAX = math.log10(sys.float_info.max)
 
 
-def _write_csv(path: str, columns: Sequence[str], rows: Sequence[Sequence],
-               comments: Sequence[str]) -> None:
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
+def _write_csv(cfg: ExperimentConfig, out_dir: str, name: str,
+               columns: Sequence[str], rows: Sequence[Sequence],
+               notes: Sequence[str] = ()) -> str:
+    """Write ``out_dir/name``: the ``# params:`` record, one comment line
+    per note, the header and the rows.  Returns the path."""
+    path = os.path.join(out_dir, name)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        for line in comments:
+        for line in ("params: " + cfg.describe(), *notes):
             fh.write("# %s\n" % line)
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
         writer.writerows(rows)
+    return path
+
+
+def _fit_line(label: str, fit) -> str:
+    return ("%s: fitted=%.10g theory=%.10g r_squared=%.8f"
+            % (label, fit.fitted, fit.theory, fit.r_squared))
 
 
 @contextmanager
@@ -83,9 +91,12 @@ def _grid_for(cfg: ExperimentConfig) -> RadialGrid:
                                  r_min=(None if r_min == 0.0 else r_min))
 
 
-def _field(cfg: ExperimentConfig, key: str, grid: RadialGrid) -> RadialField:
-    profile = cfg.options[key].build()
-    return field_from_callable(grid, profile, float(cfg.params.N))
+def _inputs(cfg: ExperimentConfig) -> Tuple[RadialField, RadialField]:
+    """The u0 and w fields of a config on its grid."""
+    grid = _grid_for(cfg)
+    return tuple(field_from_callable(grid, cfg.options[key].build(),
+                                     float(cfg.params.N))
+                 for key in ("u0", "w"))
 
 
 # ---------------------------------------------------------------------------
@@ -95,9 +106,8 @@ def _field(cfg: ExperimentConfig, key: str, grid: RadialGrid) -> RadialField:
 def _run_exponents(cfg: ExperimentConfig, out_dir: str) -> None:
     r = cfg.options["r"]
     report = build_report(cfg.params, None if r == 0.0 else r)
-    path = os.path.join(out_dir, "exponents.csv")
-    _write_csv(path, REPORT_CSV_COLUMNS, [report_csv_row(report)],
-               ["params: " + cfg.describe()])
+    path = _write_csv(cfg, out_dir, "exponents.csv", REPORT_CSV_COLUMNS,
+                      [report_csv_row(report)])
     sys.stdout.write(report_text(report))
     print("wrote %s" % path)
 
@@ -109,9 +119,7 @@ def _run_transform_check(cfg: ExperimentConfig, out_dir: str) -> None:
         raise ConfigError("the residual's v_tau needs n_snapshots >= 3, "
                           "got %d" % n_snap)
     with _building():
-        grid = _grid_for(cfg)
-        u0 = _field(cfg, "u0", grid)
-        w = _field(cfg, "w", grid)
+        u0, w = _inputs(cfg)
         w_profile = cfg.options["w"].build()
         t_end = cfg.options["t_end"]
         samples = list(np.linspace(t_end / n_snap, t_end, n_snap))
@@ -124,19 +132,17 @@ def _run_transform_check(cfg: ExperimentConfig, out_dir: str) -> None:
     fields = [f for _, f in out.snapshots]
     residuals = residual_check(times, fields, w_profile, cfg.params)
     rows = [[times[k + 1], res] for k, res in enumerate(residuals)]
-    path = os.path.join(out_dir, "transform_check.csv")
-    _write_csv(path, ["t", "residual_sup"], rows,
-               ["params: " + cfg.describe(),
-                "transform: theta=%.12g sbar=%.12g nbar=%.12g lambda=%.12g"
-                % (tp.theta, tp.sbar, tp.nbar, tp.lam),
-                "run status: %s" % out.status])
+    path = _write_csv(
+        cfg, out_dir, "transform_check.csv", ["t", "residual_sup"], rows,
+        ["transform: theta=%.12g sbar=%.12g nbar=%.12g lambda=%.12g"
+         % (tp.theta, tp.sbar, tp.nbar, tp.lam),
+         "run status: %s" % out.status])
     print("wrote %s (max residual %.3e)" % (path, max(residuals)))
 
 
 def _run_semigroup_check(cfg: ExperimentConfig, out_dir: str) -> None:
-    a, b = cfg.options["lq_a"], cfg.options["lq_b"]
-    gamma = cfg.options["gamma"]
     opts = cfg.options
+    a, b, gamma = opts["lq_a"], opts["lq_b"], opts["gamma"]
     if not (0.0 < opts["t_lo"] < opts["t_hi"] and opts["n_times"] >= 3):
         raise ConfigError("a slope fit needs 0 < t_lo < t_hi, n_times >= 3")
     with _building():
@@ -149,13 +155,10 @@ def _run_semigroup_check(cfg: ExperimentConfig, out_dir: str) -> None:
     label = ("L^%g -> L^%g smoothing" % (a, b) if gamma == 0.0 else
              "weighted (gamma=%g) L^%g -> L^%g smoothing" % (gamma, a, b))
     rows = [[float(t), float(n)] for t, n in zip(fit.x, fit.y)]
-    path = os.path.join(out_dir, "semigroup_check.csv")
-    _write_csv(path, ["t", "norm"], rows,
-               ["params: " + cfg.describe(),
-                "check: %s" % label,
-                "fit: fitted=%.10g theory=%.10g r_squared=%.8f rel_err=%.4g"
-                % (fit.fitted, fit.theory, fit.r_squared,
-                   fit.relative_error)])
+    path = _write_csv(
+        cfg, out_dir, "semigroup_check.csv", ["t", "norm"], rows,
+        ["check: %s" % label,
+         _fit_line("fit", fit) + " rel_err=%.4g" % fit.relative_error])
     print("wrote %s (slope %.6g vs theory %.6g)"
           % (path, fit.fitted, fit.theory))
 
@@ -165,9 +168,7 @@ def _run_mild_solve(cfg: ExperimentConfig, out_dir: str) -> None:
     # hypothesis gate before any compute
     weights = derived_weights(cfg.params, None if r == 0.0 else r)
     with _building():
-        grid = _grid_for(cfg)
-        u0 = _field(cfg, "u0", grid)
-        w = _field(cfg, "w", grid)
+        u0, w = _inputs(cfg)
         mcfg = MildConfig(r=weights.r, t_max=cfg.options["t_max"],
                           n_times=cfg.options["n_times"],
                           picard_tol=cfg.options["picard_tol"],
@@ -178,15 +179,14 @@ def _run_mild_solve(cfg: ExperimentConfig, out_dir: str) -> None:
                                sol.mu)
     # the X-norm is the max of the weighted_norm column, as Trajectory.x_norm
     x_norm = max(0.0, *(row[2] for row in rows))
-    comments = ["params: " + cfg.describe(),
-                "metric: r=%.10g mu=%.10g" % (sol.r, sol.mu),
-                "converged: %s after %d iterations, x_norm=%.10g"
-                % (sol.converged, len(sol.diffs), x_norm)]
-    traj_path = os.path.join(out_dir, "mild_trajectory.csv")
-    _write_csv(traj_path, TRAJECTORY_CSV_COLUMNS, rows, comments)
-    conv_path = os.path.join(out_dir, "mild_convergence.csv")
-    _write_csv(conv_path, CONVERGENCE_CSV_COLUMNS,
-               convergence_csv_rows(sol.diffs, sol.ratios), comments)
+    notes = ["metric: r=%.10g mu=%.10g" % (sol.r, sol.mu),
+             "converged: %s after %d iterations, x_norm=%.10g"
+             % (sol.converged, len(sol.diffs), x_norm)]
+    traj_path = _write_csv(cfg, out_dir, "mild_trajectory.csv",
+                           TRAJECTORY_CSV_COLUMNS, rows, notes)
+    conv_path = _write_csv(cfg, out_dir, "mild_convergence.csv",
+                           CONVERGENCE_CSV_COLUMNS,
+                           convergence_csv_rows(sol.diffs, sol.ratios), notes)
     print("wrote %s and %s (converged=%s)" % (traj_path, conv_path,
                                               sol.converged))
 
@@ -214,15 +214,12 @@ def _run_blowup_scan(cfg: ExperimentConfig, out_dir: str) -> None:
                             bracket_width=cfg.options["bracket_width"])
     rows = [[row.p, row.outcome, row.t_star_or_tmax, row.max_norm]
             for row in report.rows]
-    path = os.path.join(out_dir, "blowup_scan.csv")
-    _write_csv(path, SCAN_CSV_COLUMNS, rows,
-               ["params: " + cfg.describe(),
-                "amplitude: %.10g%s" % (amp,
-                                        " (calibrated)" if calibrated else ""),
-                "bracket: [%.10g, %.10g], theory p*=%.10g"
-                % (report.bracket[0], report.bracket[1],
-                   report.p_star_theory),
-                "note: %s" % report.note])
+    path = _write_csv(
+        cfg, out_dir, "blowup_scan.csv", SCAN_CSV_COLUMNS, rows,
+        ["amplitude: %.10g%s" % (amp, " (calibrated)" if calibrated else ""),
+         "bracket: [%.10g, %.10g], theory p*=%.10g"
+         % (report.bracket[0], report.bracket[1], report.p_star_theory),
+         "note: %s" % report.note])
     print("wrote %s (bracket [%.5g, %.5g], theory p*=%.5g)"
           % (path, report.bracket[0], report.bracket[1],
              report.p_star_theory))
@@ -230,10 +227,7 @@ def _run_blowup_scan(cfg: ExperimentConfig, out_dir: str) -> None:
 
 def _run_capacity_fit(cfg: ExperimentConfig, out_dir: str) -> None:
     radii = list(cfg.options["radii"])
-    path = os.path.join(out_dir, "capacity_fit.csv")
-    comments = ["params: " + cfg.describe()]
     log_case = cfg.options["log_case"]
-    write = _write_report_log if log_case else _write_report_fit
     m = cfg.options["t_exponent"]
     try:
         if log_case:
@@ -242,79 +236,61 @@ def _run_capacity_fit(cfg: ExperimentConfig, out_dir: str) -> None:
             report = capacity_exponent_fit(
                 cfg.params, radii, t_exponent=(None if m == 0.0 else m))
     except PoorFit as exc:
-        write(path, exc.report, comments, poor=str(exc))
+        _write_capacity(cfg, out_dir, exc.report,
+                        "QUALITY GATE FAILED: %s" % exc)
         raise
-    write(path, report, comments)
+    path = _write_capacity(cfg, out_dir, report)
     what, fit = (("log slope", report.fit) if log_case
                  else ("time slope", report.time_fit))
     print("wrote %s (%s %.6g vs theory %.6g)"
           % (path, what, fit.fitted, fit.theory))
 
 
-def _write_report_fit(path: str, report, comments: List[str],
-                      poor: Optional[str] = None) -> None:
-    extra = [
-        "T rule: T = R^%.10g" % report.t_exponent,
-        "time fit: fitted=%.10g theory=%.10g r_squared=%.8f"
-        % (report.time_fit.fitted, report.time_fit.theory,
-           report.time_fit.r_squared),
-        "space fit: fitted=%.10g theory=%.10g r_squared=%.8f"
-        % (report.space_fit.fitted, report.space_fit.theory,
-           report.space_fit.r_squared),
-        "combined fit: fitted=%.10g theory=%.10g r_squared=%.8f"
-        % (report.combined_fit.fitted, report.combined_fit.theory,
-           report.combined_fit.r_squared),
-        "nonexistence predicted: %s; fitted slopes negative: %s"
-        % (report.nonexistence_predicted, report.slopes_negative),
-    ]
-    if poor:
-        extra.append("QUALITY GATE FAILED: %s" % poor)
-    rows = []
-    for k, big_r in enumerate(report.radii):
-        rows.append([float(big_r), float(big_r) ** report.t_exponent,
-                     float(report.time_raw[k]), float(report.space_raw[k]),
-                     report.time_fit.fitted, report.time_fit.theory])
-    _write_csv(path, FIT_CSV_COLUMNS, rows, comments + extra)
-
-
-def _write_report_log(path: str, report, comments: List[str],
-                      poor: Optional[str] = None) -> None:
-    extra = ["log-cutoff critical-case fit in log(log R)",
-             "fit: fitted=%.10g theory=%.10g r_squared=%.8f"
-             % (report.fit.fitted, report.fit.theory,
-                report.fit.r_squared)]
-    if poor:
-        extra.append("QUALITY GATE FAILED: %s" % poor)
-    rows = [[float(r), float(v), report.fit.fitted, report.fit.theory]
-            for r, v in zip(report.radii, report.values)]
-    _write_csv(path, ["R", "I_space", "fitted_slope", "theory_slope"],
-               rows, comments + extra)
+def _write_capacity(cfg: ExperimentConfig, out_dir: str, report,
+                    *gate: str) -> str:
+    if cfg.options["log_case"]:
+        columns = ["R", "I_space", "fitted_slope", "theory_slope"]
+        rows = [[float(r), float(v), report.fit.fitted, report.fit.theory]
+                for r, v in zip(report.radii, report.values)]
+        notes = ["log-cutoff critical-case fit in log(log R)",
+                 _fit_line("fit", report.fit)]
+    else:
+        columns = FIT_CSV_COLUMNS
+        rows = [[float(big_r), float(big_r) ** report.t_exponent,
+                 float(report.time_raw[k]), float(report.space_raw[k]),
+                 report.time_fit.fitted, report.time_fit.theory]
+                for k, big_r in enumerate(report.radii)]
+        notes = ["T rule: T = R^%.10g" % report.t_exponent,
+                 _fit_line("time fit", report.time_fit),
+                 _fit_line("space fit", report.space_fit),
+                 _fit_line("combined fit", report.combined_fit),
+                 "nonexistence predicted: %s; fitted slopes negative: %s"
+                 % (report.nonexistence_predicted, report.slopes_negative)]
+    return _write_csv(cfg, out_dir, "capacity_fit.csv", columns, rows,
+                      notes + list(gate))
 
 
 def _run_local_solve(cfg: ExperimentConfig, out_dir: str) -> None:
     q = cfg.options["q"]
     require_admissible_q(cfg.params, q)   # hypothesis gate before compute
     with _building():
-        grid = _grid_for(cfg)
-        u0 = _field(cfg, "u0", grid)
-        w = _field(cfg, "w", grid)
+        u0, w = _inputs(cfg)
         mcfg = MildConfig(picard_tol=cfg.options["picard_tol"],
                           max_picard=cfg.options["max_picard"],
                           n_times=cfg.options["n_times"])
         if not cfg.options["horizon"] > 0.0:
             raise ValueError("horizon must be positive")
     sol = solve_local_Lq(u0, w, cfg.params, q, cfg.options["horizon"], mcfg)
-    path = os.path.join(out_dir, "local_trajectory.csv")
-    _write_csv(path, TRAJECTORY_CSV_COLUMNS,
-               trajectory_csv_rows(sol.trajectory, sol.trace, 0.0),
-               ["params: " + cfg.describe(),
-                "existence horizon: T=%.10g of guess %.10g"
-                % (sol.t_end, cfg.options["horizon"]),
-                "ball radius: %.10g, probe constants C1=%.10g C2=%.10g"
-                % (sol.radius, sol.c1, sol.c2),
-                "trace continuity: max jump %.6g vs scheme modulus %.6g"
-                % (sol.continuity_jump, sol.scheme_tol),
-                "converged: %s" % sol.converged])
+    path = _write_csv(
+        cfg, out_dir, "local_trajectory.csv", TRAJECTORY_CSV_COLUMNS,
+        trajectory_csv_rows(sol.trajectory, sol.trace, 0.0),
+        ["existence horizon: T=%.10g of guess %.10g"
+         % (sol.t_end, cfg.options["horizon"]),
+         "ball radius: %.10g, probe constants C1=%.10g C2=%.10g"
+         % (sol.radius, sol.c1, sol.c2),
+         "trace continuity: max jump %.6g vs scheme modulus %.6g"
+         % (sol.continuity_jump, sol.scheme_tol),
+         "converged: %s" % sol.converged])
     print("wrote %s (T=%.6g)" % (path, sol.t_end))
 
 
@@ -353,6 +329,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             raise ConfigError("--config is required")
         cfg = load_config(args.config, args.command)
         out_dir = args.out if args.out else cfg.out_dir
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError("cannot make output directory %s: %s"
+                              % (out_dir, exc))
         _DISPATCH[cfg.command](cfg, out_dir)
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)

@@ -28,9 +28,6 @@ from .exponents import ProblemParams
 from .radial import (bump_profile, gaussian_profile, powerlaw_profile,
                      zero_profile)
 
-COMMANDS = ("exponents", "transform-check", "semigroup-check", "mild-solve",
-            "blowup-scan", "capacity-fit", "local-solve")
-
 _REQUIRED = object()
 
 
@@ -51,6 +48,9 @@ _COMMON: Dict[str, KeySpec] = {
     "rho": KeySpec("float", 0.0, "time exponent of the forcing"),
     "p": KeySpec("float", 2.0, "nonlinearity power"),
 }
+
+# the problem tuple, in the order of ProblemParams and of describe()
+_PARAMS = ("N", "sigma1", "sigma2", "rho", "p")
 
 _GRID: Dict[str, KeySpec] = {
     "grid_m": KeySpec("int", 512, "radial nodes"),
@@ -123,6 +123,12 @@ _SCHEMAS: Dict[str, Dict[str, KeySpec]] = {
         "max_picard": KeySpec("int", 20, "iteration cap"),
     },
 }
+
+COMMANDS = tuple(_SCHEMAS)
+
+
+def _schema(command: str) -> Dict[str, KeySpec]:
+    return {**_COMMON, **_SCHEMAS[command]}
 
 
 @dataclass(frozen=True)
@@ -232,15 +238,11 @@ class ExperimentConfig:
 
     def describe(self) -> str:
         """Deterministic one-line record of every resolved setting."""
-        parts = ["command=%s" % self.command,
-                 "N=%g" % self.params.N,
-                 "sigma1=%g" % self.params.sigma1,
-                 "sigma2=%g" % self.params.sigma2,
-                 "rho=%g" % self.params.rho,
-                 "p=%g" % self.params.p]
-        for key in sorted(self.options):
-            parts.append("%s=%s" % (key, self.options[key]))
-        return " ".join(parts)
+        return " ".join(
+            ["command=%s" % self.command]
+            + ["%s=%g" % (key, getattr(self.params, key)) for key in _PARAMS]
+            + ["%s=%s" % (key, self.options[key])
+               for key in sorted(self.options)])
 
 
 def build_config(raw: Dict[str, str],
@@ -253,8 +255,7 @@ def build_config(raw: Dict[str, str],
     if command not in COMMANDS:
         raise ConfigError("unknown command %r; expected one of %s"
                           % (command, list(COMMANDS)))
-    schema = dict(_COMMON)
-    schema.update(_SCHEMAS[command])
+    schema = _schema(command)
 
     unknown = sorted(set(raw) - set(schema))
     if unknown:
@@ -274,9 +275,7 @@ def build_config(raw: Dict[str, str],
 
     # every key is coerced, so a config error outranks a hypothesis failure
     try:
-        params = ProblemParams(N=typed.pop("N"), sigma1=typed.pop("sigma1"),
-                               sigma2=typed.pop("sigma2"),
-                               rho=typed.pop("rho"), p=typed.pop("p"))
+        params = ProblemParams(**{key: typed.pop(key) for key in _PARAMS})
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError("bad problem parameters: %s" % exc)
     typed.pop("command", None)
@@ -290,7 +289,7 @@ def load_config(path: str,
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError("cannot read config %s: %s" % (path, exc))
     return build_config(parse_text(text), command_override)
 
@@ -300,8 +299,7 @@ def schema_help() -> str:
     lines = []
     for command in COMMANDS:
         lines.append("[%s]" % command)
-        schema = dict(_COMMON)
-        schema.update(_SCHEMAS[command])
+        schema = _schema(command)
         for key in sorted(schema):
             spec = schema[key]
             default = ("required" if spec.default is _REQUIRED

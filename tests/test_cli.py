@@ -1,4 +1,5 @@
 import glob
+import hashlib
 import os
 import subprocess
 import sys
@@ -17,6 +18,10 @@ def _write(tmp_path, name, text):
     return str(path)
 
 
+def _sha256(data):
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
 def _read_csv(path):
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
@@ -29,6 +34,16 @@ BASE = "N = 3\nsigma1 = 0\nsigma2 = 0\nrho = -0.5\np = 3\n"
 
 DEMO_CONFIGS = sorted(glob.glob(os.path.join(
     os.path.dirname(__file__), os.pardir, "demos", "configs", "*.cfg")))
+
+# sha256 prefixes of the demo CSVs; test_mild.py pins the mild-solve and
+# local-solve ones
+DEMO_CSV_SHA256 = {
+    "blowup_scan.csv": "798685e8f8d95810",
+    "capacity_fit.csv": "250fcf15657b02f6",
+    "exponents.csv": "af3af68adfd3f4b7",
+    "semigroup_check.csv": "6c3f7fcb7d83dd4f",
+    "transform_check.csv": "9c123059f5fd6446",
+}
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +151,7 @@ def test_unforced_problem_runs_without_profile_keys(tmp_path):
 
 def test_demo_configs_are_deterministic(tmp_path):
     assert len(DEMO_CONFIGS) == len(cli.COMMANDS) == 7
+    pinned = {}
     for path in DEMO_CONFIGS:
         command = os.path.basename(path)[:-len(".cfg")].replace("_", "-")
         runs = []
@@ -146,6 +162,9 @@ def test_demo_configs_are_deterministic(tmp_path):
             runs.append({name: (out / name).read_bytes()
                          for name in sorted(os.listdir(out))})
         assert runs[0] and runs[0] == runs[1], command
+        pinned.update((name, _sha256(data)) for name, data in runs[0].items()
+                      if name in DEMO_CSV_SHA256)
+    assert pinned == DEMO_CSV_SHA256
 
 
 def test_semigroup_check_command(tmp_path):
@@ -170,7 +189,7 @@ def test_schema_flag(capsys):
 # failure modes map to distinct exit codes
 # ---------------------------------------------------------------------------
 
-def test_config_errors_exit_2(tmp_path):
+def test_config_errors_exit_2(tmp_path, capsys, monkeypatch):
     bad_profile = _write(tmp_path, "bad1.cfg",
                          BASE + "u0 = vortex(1)\nw = zero\n"
                          "t_max = 1\n")
@@ -181,6 +200,23 @@ def test_config_errors_exit_2(tmp_path):
                      "--out", str(tmp_path)]) == cli.EXIT_CONFIG
     assert cli.main(["exponents", "--config", str(tmp_path / "absent.cfg"),
                      "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+    not_utf8 = tmp_path / "latin1.cfg"
+    not_utf8.write_bytes(b"N = 3\n# caf\xe9\n")
+    assert cli.main(["exponents", "--config", str(not_utf8),
+                     "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+    assert "cannot read config" in capsys.readouterr().err
+
+    # an output directory that cannot be made stops the run before compute
+    def no_run(*args):
+        raise AssertionError("a runner started")
+    monkeypatch.setitem(cli._DISPATCH, "exponents", no_run)
+    a_file = _write(tmp_path, "a_file", "")
+    good = _write(tmp_path, "good.cfg", BASE)
+    assert cli.main(["exponents", "--config", good,
+                     "--out", os.path.join(a_file, "sub")]) == cli.EXIT_CONFIG
+    out_is_file = _write(tmp_path, "out.cfg", BASE + "out_dir = %s\n" % a_file)
+    assert cli.main(["exponents", "--config", out_is_file]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.count("cannot make output directory") == 2
 
 
 @pytest.mark.parametrize("command, text", [
@@ -274,6 +310,8 @@ def test_numerical_failures_exit_4_but_write_artifacts(tmp_path):
     comments, data = _read_csv(tmp_path / "capacity_fit.csv")
     assert any("QUALITY GATE FAILED" in c for c in comments)
     assert len(data) == 6
+    assert _sha256((tmp_path / "capacity_fit.csv").read_bytes()) == \
+        "f7696009378b7108"
 
 
 @pytest.mark.filterwarnings("error")
@@ -290,6 +328,8 @@ def test_undefined_r_squared_fails_the_capacity_gate(tmp_path):
     assert any("QUALITY GATE FAILED" in c for c in comments)
     assert any("r_squared=nan" in c for c in comments)
     assert len(data) == 5
+    assert _sha256((tmp_path / "capacity_fit.csv").read_bytes()) == \
+        "e6a4ea8ac6571e96"
 
 
 @pytest.mark.parametrize("text, message", [
