@@ -17,7 +17,7 @@ from .exponents import (ProblemParams, Regime, Weights, build_report,
                         critical_forced, derived_weights, fujita_first,
                         fujita_second, local_alpha, quadratic_f, r_window,
                         report_text, scaling_index)
-from .radial import (RadialField, RadialGrid, bump_profile,
+from .radial import (RadialField, RadialGrid, Trajectory, bump_profile,
                      field_from_callable, gaussian_profile, lq_norm,
                      powerlaw_profile, sphere_area, weighted_integral,
                      zero_profile)
@@ -25,7 +25,7 @@ from .transform import (TransformParams, forcing_W, residual_check,
                         transform_params)
 from .semigroup import (SemigroupOp, SlopeFit, fit_loglog, smoothing_slope,
                         scaling_identity_check, weighted_smoothing_check)
-from .mild import (GlobalSolution, LocalSolution, MildConfig, Trajectory,
+from .mild import (GlobalSolution, LocalSolution, MildConfig,
                    bump_test_function, duhamel_forcing, picard_step,
                    solve_global_small, solve_local_Lq, weak_residual,
                    x_distance)

@@ -256,6 +256,9 @@ def _scan_forcing(grid: RadialGrid, params: ProblemParams,
                               float(params.N))
     meas = grid.nodes ** (float(params.N) - 1.0) * grid.cell_widths()
     mass = float(np.sum(raw.values * meas)) * sphere_area(params.N)
+    if not (mass > 0.0 and math.isfinite(amplitude / mass)):
+        raise HypothesisViolation("a grid from r=%g misses the scan forcing "
+                                  "on r < 1: int w > 0 fails" % grid.nodes[0])
     return raw.with_values(raw.values * (amplitude / mass))
 
 

@@ -20,8 +20,8 @@ A slice weighs the forcing by the exact integral of s^rho over it, so the
 singularity at s = 0 (rho < 0) does not cap the order at 1 + rho; the
 nonlinear source on the cell touching t = 0 follows the power law
 (s/t_1)^theta of the first stored time t_1, weighed the same way.  The
-linear part S(t) u0 + H(t) is one such march from u0.  A trajectory is one
-(n_times, m) array, whose norms radial.lq_norm takes in one pass.
+linear part S(t) u0 + H(t) is one such march from u0.  A radial.Trajectory
+holds one (n_times, m) array, whose norms lq_norm takes in one pass.
 The weak-form residual's test function is made of capacity's ramp profiles.
 """
 
@@ -35,7 +35,7 @@ from .capacity import RampProfile, _profile_power_integral
 from .errors import NotContracting, NoValidT, NumericalFailure, Overflow
 from .exponents import (ProblemParams, _power_integral, derived_weights,
                         local_alpha, require_admissible_q)
-from .radial import RadialField, lq_norm, sphere_area
+from .radial import RadialField, Trajectory, sphere_area
 from .semigroup import SemigroupOp
 
 OVERFLOW_GUARD = 1e30
@@ -73,41 +73,6 @@ class MildConfig:
             raise ValueError("t_max must be positive")
         if self.n_times < 8:
             raise ValueError("n_times must be at least 8")
-
-
-class Trajectory:
-    """Snapshots at increasing positive times.
-
-    ``values`` has one row per time, on the grid and in the dimension of
-    ``like``, so lq_norm(trajectory, q) gives the norm of every row.
-    """
-
-    def __init__(self, times: np.ndarray, values, like: RadialField):
-        t = np.asarray(times, dtype=float)
-        if t.ndim != 1 or t.size == 0:
-            raise ValueError("times must be a nonempty 1-d array")
-        if not (t[0] > 0.0 and np.all(np.diff(t) > 0.0)):
-            raise ValueError("times must be positive and strictly increasing")
-        v = np.asarray(values, dtype=float)
-        if v.shape != (t.size, like.grid.m):
-            raise ValueError("need values of shape (%d, %d), got %s"
-                             % (t.size, like.grid.m, v.shape))
-        self.times, self.values = t, v
-        self.grid, self.dimension = like.grid, like.dimension
-
-    def norms(self, q: float) -> np.ndarray:
-        """L^q norm of every stored time; Overflow where one is inf."""
-        out = lq_norm(self, q)
-        if not all(map(math.isfinite, out)):
-            raise Overflow("an L^%g norm overflowed" % q)
-        return np.array(out)
-
-    def x_norm(self, mu: float, r: float) -> float:
-        """The X-norm sup_j times[j]^mu ||values[j]||_{L^r}."""
-        out = 0.0
-        for t, n in zip(self.times, self.norms(r)):
-            out = max(out, t ** mu * n)
-        return out
 
 
 def x_distance(a: Trajectory, b: Trajectory, mu: float, r: float) -> float:

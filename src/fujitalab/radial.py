@@ -26,9 +26,12 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import Overflow
+
 __all__ = [
     "RadialGrid",
     "RadialField",
+    "Trajectory",
     "lq_norm",
     "weighted_integral",
     "sphere_area",
@@ -51,7 +54,7 @@ def sphere_area(dimension: float) -> float:
 
 @dataclass(frozen=True)
 class RadialGrid:
-    """At least 16 increasing positive nodes; caches cell widths and powers."""
+    """At least 16 increasing positive nodes, and nothing else."""
 
     nodes: np.ndarray
 
@@ -104,30 +107,13 @@ class RadialGrid:
         return self.nodes.size
 
     def cell_widths(self) -> np.ndarray:
-        """Trapezoid weights: half-cells at both ends, midpoint cells inside.
-
-        Computed once per grid and returned read-only.
-        """
-        w = self.__dict__.get("_cells")
-        if w is None:
-            r = self.nodes
-            w = np.empty_like(r)
-            h = np.diff(r)
-            w[0] = 0.5 * h[0]
-            w[-1] = 0.5 * h[-1]
-            w[1:-1] = 0.5 * (h[:-1] + h[1:])
-            w.flags.writeable = False
-            object.__setattr__(self, "_cells", w)
+        """Trapezoid weights: half-cells at both ends, midpoint cells inside."""
+        h = np.diff(self.nodes)
+        w = np.empty_like(self.nodes)
+        w[0] = 0.5 * h[0]
+        w[-1] = 0.5 * h[-1]
+        w[1:-1] = 0.5 * (h[:-1] + h[1:])
         return w
-
-    def power(self, a: float) -> np.ndarray:
-        """r^a at the nodes, read-only; the last exponent asked for is kept."""
-        kept = self.__dict__.get("_power")
-        if kept is None or kept[0] != a:
-            kept = (a, self.nodes ** a)
-            kept[1].flags.writeable = False
-            object.__setattr__(self, "_power", kept)
-        return kept[1]
 
 
 @dataclass(frozen=True)
@@ -156,12 +142,47 @@ class RadialField:
         return replace(self, values=np.asarray(values, dtype=float))
 
 
+class Trajectory:
+    """Snapshots at increasing positive times.
+
+    ``values`` has one row per time, on the grid and in the dimension of
+    ``like``, so lq_norm(trajectory, q) gives the norm of every row.
+    """
+
+    def __init__(self, times: np.ndarray, values, like: RadialField):
+        t = np.asarray(times, dtype=float)
+        if t.ndim != 1 or t.size == 0:
+            raise ValueError("times must be a nonempty 1-d array")
+        if not (t[0] > 0.0 and np.all(np.diff(t) > 0.0)):
+            raise ValueError("times must be positive and strictly increasing")
+        v = np.asarray(values, dtype=float)
+        if v.shape != (t.size, like.grid.m):
+            raise ValueError("need values of shape (%d, %d), got %s"
+                             % (t.size, like.grid.m, v.shape))
+        self.times, self.values = t, v
+        self.grid, self.dimension = like.grid, like.dimension
+
+    def norms(self, q: float) -> np.ndarray:
+        """L^q norm of every stored time; Overflow where one is inf."""
+        out = lq_norm(self, q)
+        if not all(map(math.isfinite, out)):
+            raise Overflow("an L^%g norm overflowed" % q)
+        return np.array(out)
+
+    def x_norm(self, mu: float, r: float) -> float:
+        """The X-norm sup_j times[j]^mu ||values[j]||_{L^r}."""
+        out = 0.0
+        for t, n in zip(self.times, self.norms(r)):
+            out = max(out, t ** mu * n)
+        return out
+
+
 def lq_norm(fld: RadialField, q: float):
     """L^q norm of a radial field, measure r^(N-1) dr, by trapezoid quadrature.
 
-    Values stacked one profile per row (a mild.Trajectory) give the list
-    of row norms, each the bits of its 1-D norm: a 1-D dot per row, as a
-    2-D matmul may sum in another order.  q = inf returns max |u|; a norm
+    Values stacked one profile per row (a Trajectory) give the list of row
+    norms, each the bits of its 1-D norm: a 1-D dot per row, as a 2-D
+    matmul may sum in another order.  q = inf returns max |u|; a norm
     that overflows is inf, with no warning.  For the conserved weighted
     mass use weighted_integral.
     """
@@ -171,16 +192,17 @@ def lq_norm(fld: RadialField, q: float):
     if math.isinf(q):
         return v.max(axis=-1, initial=0.0).tolist()
     with np.errstate(over="ignore"):
-        dens = v ** q * fld.grid.power(fld.dimension - 1.0)
+        v **= q
+        v *= fld.grid.nodes ** (fld.dimension - 1.0)
     cells, area = fld.grid.cell_widths(), sphere_area(fld.dimension)
     out = [(area * float(row @ cells)) ** (1.0 / q)
-           for row in np.atleast_2d(dens)]
+           for row in np.atleast_2d(v)]
     return out if v.ndim > 1 else out[0]
 
 
 def weighted_integral(fld: RadialField, weight: float = 0.0) -> float:
     """Signed integral omega_{N-1} int u(r) r^(N-1+weight) dr (no absolute value)."""
-    dens = fld.values * fld.grid.power(fld.dimension - 1.0 + weight)
+    dens = fld.values * fld.grid.nodes ** (fld.dimension - 1.0 + weight)
     return sphere_area(fld.dimension) * float(dens @ fld.grid.cell_widths())
 
 

@@ -39,13 +39,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import ConditionViolation, Overflow, StepFailure
 from .exponents import ProblemParams
-from .radial import RadialField, RadialGrid, lq_norm
+from .radial import RadialField, RadialGrid, Trajectory, lq_norm
 
 __all__ = [
     "SemigroupOp",
@@ -87,7 +87,7 @@ class SemigroupOp:
         cond_gh = (r[-1] + 0.5 * h_gh) ** (n - 1.0) / h_gh
 
         # the grid's trapezoid cells, the last one widened to the ghost
-        cells = self.grid.cell_widths().copy()
+        cells = self.grid.cell_widths()
         cells[-1] = 0.5 * (h[-1] + h_gh)
 
         self.time_weight = self.weight(-self.params.sigma1)
@@ -215,11 +215,11 @@ class SemigroupOp:
         return self.march(values, [t], substeps)[0]
 
     def evolve_through(self, source: RadialField, t_list: Sequence[float],
-                       substeps: Optional[int] = None) -> List[RadialField]:
-        """Fields at increasing positive times t_list, marched incrementally
-        with ``substeps`` TR-BDF2 steps per interval."""
-        return [source.with_values(v)
-                for v in self.march(source.values, t_list, substeps)]
+                       substeps: Optional[int] = None) -> Trajectory:
+        """The Trajectory of source at increasing positive times t_list,
+        marched incrementally with ``substeps`` TR-BDF2 steps per interval."""
+        return Trajectory(t_list, self.march(source.values, t_list, substeps),
+                          source)
 
 
 # ---------------------------------------------------------------------------
@@ -310,8 +310,7 @@ def weighted_smoothing_check(op: SemigroupOp, q1: float, q2: float,
     a_depth = op.params.diffusion_depth
     theory = -(n / a_depth) * (1.0 / q1 - 1.0 / q2) - gamma / a_depth
     weighted = source.with_values(source.values * op.weight(-gamma))
-    fields = op.evolve_through(weighted, t_list)
-    norms = np.array([lq_norm(f, q2) for f in fields])
+    norms = np.array(lq_norm(op.evolve_through(weighted, t_list), q2))
     return SlopeFit.from_loglog(t_list, norms, theory)
 
 

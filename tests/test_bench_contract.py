@@ -85,6 +85,22 @@ def test_tracer_sees_the_norms_of_the_mild_path(tmp_path):
     assert tracer.by_label()["radial.lq_norm"]["calls"] > 0
 
 
+def test_tracer_counts_one_norm_pass_per_smoothing_check(tmp_path):
+    # the smoothing check takes the norms of its whole trajectory in one
+    # radial.lq_norm call, not one per stored time
+    tracer = _load("tracer").Tracer()
+    cfg = os.path.join(os.path.dirname(__file__), os.pardir, "demos",
+                       "configs", "semigroup_check.cfg")
+    tracer.install()
+    try:
+        code = fujitalab.cli.main(["semigroup-check", "--config", cfg,
+                                   "--out", str(tmp_path)])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    assert tracer.by_label()["radial.lq_norm"]["calls"] == 1
+
+
 def test_layer_units_run_on_the_package():
     # picard_step(..., linear=, head_theta=, metric=) and
     # duhamel_forcing(w, params, times, cfg) as the benchmark calls them

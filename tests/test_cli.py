@@ -284,6 +284,26 @@ def test_calibration_preconditions_exit_3(tmp_path, tuple_):
     assert not (tmp_path / "blowup_scan.csv").exists()
 
 
+@pytest.mark.parametrize("amplitude", [0, 1], ids=["calibrated", "given"])
+@pytest.mark.parametrize("r_min", [0.9993, 1, 2])
+def test_grid_that_misses_the_scan_forcing_exits_3(tmp_path, monkeypatch,
+                                                   r_min, amplitude):
+    # the scan forcing is a bump on r < 1: a grid from r_min >= 1 gives it
+    # zero mass, and one from just below 1 a subnormal mass whose inverse
+    # overflows; either way int w > 0 fails, before any run
+    from fujitalab import blowup
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+    monkeypatch.setattr(blowup, "integrate_nonlinear", no_run)
+    cfg = _write(tmp_path, "miss.cfg", BASE + (
+        "p_lo = 1.5\np_hi = 2.5\namplitude = %g\ngrid_m = 64\n"
+        "grid_r_max = 30\ngrid_r_min = %r\n" % (amplitude, r_min)))
+    rc = cli.main(["blowup-scan", "--config", cfg, "--out", str(tmp_path)])
+    assert rc == cli.EXIT_HYPOTHESIS
+    assert not (tmp_path / "blowup_scan.csv").exists()
+
+
 def test_negative_amplitude_exits_2_before_any_run(tmp_path, capsys,
                                                   monkeypatch):
     def no_run(*args, **kwargs):

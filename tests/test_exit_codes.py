@@ -76,7 +76,7 @@ COMMON = {
 GRID = {
     "grid_m": _int(16, 48, odd=(8,)),
     "grid_r_max": _float(1.0, 40.0),
-    "grid_r_min": _float(1e-3, 0.5),
+    "grid_r_min": _float(1e-3, 2.0),
 }
 
 SCHEMAS = {

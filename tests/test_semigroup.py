@@ -42,9 +42,9 @@ def test_no_spurious_flux_at_the_axis():
 def test_march_preserves_positivity():
     op = _op(-0.5)
     fld = radial.field_from_callable(op.grid, radial.bump_profile(1.0, 1.0), 3.0)
-    out = op.evolve_through(fld, [0.5])[0]
-    assert np.all(out.values >= -1e-15)
-    assert float(np.max(out.values)) < 1.0     # maximum principle
+    out = op.evolve_through(fld, [0.5]).values[0]
+    assert np.all(out >= -1e-15)
+    assert float(np.max(out)) < 1.0     # maximum principle
 
 
 def test_sup_norm_never_grows():
@@ -145,10 +145,10 @@ def test_evolve_through_tracks_apply():
     def worst(substeps):
         through = op.evolve_through(fld, stops, substeps=substeps)
         errs = []
-        for t, got in zip(stops, through):
+        for t, got in zip(stops, through.values):
             ref = op.apply(fld, t, substeps=substeps)
             scale = float(np.max(np.abs(ref.values)))
-            errs.append(float(np.max(np.abs(got.values - ref.values))) / scale)
+            errs.append(float(np.max(np.abs(got - ref.values))) / scale)
         return max(errs)
 
     coarse, fine = worst(16), worst(64)
@@ -169,7 +169,7 @@ def test_march_is_second_order_from_t0_on_rough_data(s1):
     meas = g.nodes ** 2 * g.cell_widths()
 
     def err(n):
-        got = op.evolve_through(fld, [1.0], substeps=n)[0].values
+        got = op.evolve_through(fld, [1.0], substeps=n).values[0]
         return math.sqrt(float(np.sum((got - exact) ** 2 * meas)
                                / np.sum(exact ** 2 * meas)))
 
@@ -352,6 +352,27 @@ def test_weighted_smoothing_shift():
         op, 2.0, 4.0, 0.5, src, np.geomspace(1.0, 10.0, 9))
     assert weighted.theory == pytest.approx(plain.theory - 0.5 / 2.0, rel=1e-12)
     assert weighted.relative_error < 0.10
+
+
+def test_weighted_smoothing_takes_its_norms_in_one_pass(monkeypatch):
+    # one lq_norm call on the evolved trajectory, each of whose norms is
+    # the bits of the 1-D norm of its row
+    op = _op(0.0, m=512)
+    src = radial.field_from_callable(op.grid, radial.powerlaw_profile(1.5), 3.0)
+    times = np.geomspace(1.0, 10.0, 9)
+    calls, orig = [], semigroup.lq_norm
+
+    def lq_norm(*args):
+        calls.append(args)
+        return orig(*args)
+
+    monkeypatch.setattr(semigroup, "lq_norm", lq_norm)
+    fit = semigroup.weighted_smoothing_check(op, 2.0, 4.0, 0.5, src, times)
+    assert len(calls) == 1
+    weighted = src.with_values(src.values * op.weight(-0.5))
+    rows = op.march(weighted.values, times)
+    want = [orig(weighted.with_values(v), 4.0) for v in rows]
+    assert fit.y.tolist() == want
 
 
 def test_smoothing_rejects_invalid_pairs():
