@@ -77,6 +77,18 @@ class BlowupConfig:
                              % (self.blowup_norm_cap, sup0))
         return sup0
 
+    def snapshot_times(self, times: Sequence[float]) -> List[float]:
+        """The requested times in (0, t_max], sorted.  ValueError when one
+        lies within the step floor max(dt_min, 1e-12) of 0 or of the time
+        before it, where two snapshots would hold the same field."""
+        wanted = sorted(float(s) for s in times if 0.0 < float(s) <= self.t_max)
+        floor = max(self.dt_min, 1e-12)
+        for a, b in zip([0.0] + wanted, wanted):
+            if b - a < floor:
+                raise ValueError("snapshot time %g lies within %g of %g, "
+                                 "closer than the step floor" % (b, floor, a))
+        return wanted
+
 
 @dataclass
 class SolveOutcome:
@@ -110,7 +122,9 @@ def integrate_nonlinear(u0: RadialField, w: Optional[RadialField],
     non-finite.  A predictive PI controller (Gustafsson 1994) sets dt on
     the ladder dt_init 2^(k/4), k <= 32, climbing two or more rungs at a
     time, so most steps reuse the last factors; the first step is dt_init.
-    The step is clamped at each requested snapshot time.  An overflowing
+    The step is clamped at each requested snapshot time; ValueError is
+    raised before any step when two of them, or the first and 0, lie
+    closer than the step floor (BlowupConfig.snapshot_times).  An overflowing
     trial is a rejected step, so numpy's overflow warnings are off; an
     overflowing weight or forcing raises Overflow.  NumericalFailure is
     raised up front when t_max needs more than 10^6 steps at the top
@@ -136,8 +150,7 @@ def integrate_nonlinear(u0: RadialField, w: Optional[RadialField],
     rows[0] = power_weight * np.abs(u) ** params.p
     coef, src, mag = np.zeros(3), np.empty(u.size), np.empty(u.size)
 
-    requested = [] if sample_times is None else list(sample_times)
-    wanted = sorted(float(s) for s in requested if 0.0 < float(s) <= cfg.t_max)
+    wanted = cfg.snapshot_times([] if sample_times is None else sample_times)
     snapshots: List[Tuple[float, RadialField]] = []
     if sample_times is not None and any(float(s) == 0.0 for s in sample_times):
         snapshots.append((0.0, u0.with_values(u.copy())))

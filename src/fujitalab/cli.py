@@ -126,6 +126,7 @@ def _run_transform_check(cfg: ExperimentConfig, out_dir: str) -> None:
         run_cfg = BlowupConfig(dt_init=cfg.options["dt_init"],
                                t_max=1.05 * t_end)
         run_cfg.start_norm(u0)     # a datum at or above the cap: config error
+        run_cfg.snapshot_times(samples)    # snapshots closer than a step too
     out = integrate_nonlinear(u0, w, cfg.params, run_cfg,
                               sample_times=samples)
     times = [t for t, _ in out.snapshots]

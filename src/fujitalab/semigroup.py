@@ -15,13 +15,13 @@ and second order from t = 0 on rough data, with no start-up rule.  Its
 trapezoid and BDF2 stages both solve with A = I - a L, a = (1 - 1/sqrt2) h:
 y = A^-1 u, then u <- A^-1 (alpha y - sqrt2 u), alpha = 1 + sqrt2.  With
 L = W^-1 T, T symmetric and W = r^(N-1+s1) cells, a solve is one of the
-positive definite W - a T, L D L^T-factored once per step size (LAPACK
-pttrf, bound at the first factorisation) and reused (pttrs).  Every
-application of exp(tL) is one SemigroupOp.march across stored times,
-which returns them stacked as one array; a Duhamel source is given as
-arrays, a weight and a source row per step.  A solve carries
-NaN and inf through; a march checks finiteness once per stored time, the
-direct integrator once per trial step.
+positive definite W - a T, L D L^T-factored at most twice per step size
+(LAPACK pttrf, bound at the first factorisation) and reused (pttrs).
+Every application of exp(tL) is one SemigroupOp.march across stored
+times, which returns them stacked as one array; a Duhamel source is given
+as arrays, a weight and a source row per step.  A solve carries NaN and
+inf through; a march checks finiteness once, over all its stored times,
+the direct integrator once per trial step.
 
 The module also carries the three certification studies used by the
 acceptance experiments:
@@ -69,7 +69,8 @@ class SemigroupOp:
 
     The operator owns the radial weights of the equation (``weight``).  Its
     generator and ``time_weight`` = r^(-s1) are assembled once at
-    construction; the factors of W - dt T are kept for the last dt.
+    construction; the factors of W - dt T are kept for the last dt and
+    for every dt met a second time.
     """
 
     grid: RadialGrid
@@ -102,7 +103,8 @@ class SemigroupOp:
         tdi = -np.append(0.0, cond) - np.append(cond, cond_gh)
         self._w, self._tdi, self._cond = w, tdi, cond
         self._ldl_dt: Optional[float] = None
-        self._ldl: Tuple[np.ndarray, ...] = ()
+        self._ldl: Sequence[np.ndarray] = ()
+        self._seen, self._kept = set(), {}   # dts met, factors of repeats
 
     def weight(self, a: float) -> np.ndarray:
         """r^a at the nodes; raises Overflow, not a numpy warning, where a
@@ -130,21 +132,26 @@ class SemigroupOp:
     def implicit_solve(self, rhs: np.ndarray, dt: float) -> np.ndarray:
         """Solve (I - dt L) x = rhs as (W - dt T) x = W rhs.
 
-        A dt other than the last one is factored first and its L D L^T
-        factors replace the kept ones.  rhs is not modified.  Raises
-        StepFailure when W - dt T is not positive definite; a non-finite
-        rhs gives a non-finite x, which the caller checks.
+        A dt other than the last one takes its kept L D L^T factors or is
+        factored, and a dt met before keeps them.  rhs is not modified.
+        Raises StepFailure when W - dt T is not positive definite; a
+        non-finite rhs gives a non-finite x, which the caller checks.
         """
         global dpttrf, dpttrs
         if dt != self._ldl_dt:
-            if dpttrf is None:
-                from scipy.linalg.lapack import dpttrf, dpttrs
-            *ldl, info = dpttrf(*self.step_matrix_banded(dt), overwrite_d=1,
-                                overwrite_e=1)
-            if info != 0:
-                raise StepFailure("step matrix W - dt T is not positive "
-                                  "definite at dt=%g" % dt)
-            self._ldl, self._ldl_dt = tuple(ldl), dt
+            ldl = self._kept.get(dt)
+            if ldl is None:
+                if dpttrf is None:
+                    from scipy.linalg.lapack import dpttrf, dpttrs
+                *ldl, info = dpttrf(*self.step_matrix_banded(dt),
+                                    overwrite_d=1, overwrite_e=1)
+                if info != 0:
+                    raise StepFailure("step matrix W - dt T is not positive "
+                                      "definite at dt=%g" % dt)
+                if dt in self._seen:
+                    self._kept[dt] = ldl
+                self._seen.add(dt)
+            self._ldl, self._ldl_dt = ldl, dt
         x, _ = dpttrs(*self._ldl, self._w * rhs, overwrite_b=1)
         return x
 
@@ -177,7 +184,8 @@ class SemigroupOp:
         constant source (c[j, k] / h) g[j, k].  That enters as
         c (A^-2 / sqrt2 + (1 - 1/sqrt2) A^-1) g; A^-1 is a nonnegative
         matrix, so a rough nonnegative source cannot ring.  Raises
-        StepFailure when a value at a stored time is not finite.
+        StepFailure, after the last interval, naming the first stored time
+        with a value that is not finite.
         """
         n = _SUBSTEPS if substeps is None else int(substeps)
         ts = list(times)
@@ -185,18 +193,22 @@ class SemigroupOp:
             raise ValueError("a march needs substeps >= 1 and positive, "
                              "strictly increasing times")
         out, u, t_prev = np.empty((len(ts),) + values.shape), values, 0.0
+        if source is not None:      # weights, and rows per step, scaled once
+            g, sc = source[0], _STAGE * source[1]
+            per_step = g.ndim != values.ndim
+            g = sc[..., None] * g if per_step else g
         for j, t in enumerate(ts):
             h = (t - t_prev) / n
             if source is not None:
-                g, c = source
-                g = g if g.ndim == values.ndim else g[j]
-                s = (_STAGE * c[j])[:, None] * g
+                s = g[j] if per_step else sc[j][:, None] * g
             for k in range(n):
                 u = self._step(u, h, None if source is None else s[k])
-            if not np.isfinite(u).all():
-                raise StepFailure("a march left the float range by t=%g" % t)
             out[j] = u
             t_prev = t
+        finite = np.isfinite(out.reshape(len(ts), -1)).all(axis=1)
+        if not finite.all():
+            raise StepFailure("a march left the float range by t=%g"
+                              % ts[int(np.argmin(finite))])
         return out
 
     def apply(self, fld: RadialField, t: float,

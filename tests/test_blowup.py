@@ -203,6 +203,41 @@ def test_snapshots_taken_at_requested_times():
     assert got == pytest.approx(times, abs=1e-9)
 
 
+@pytest.mark.parametrize("times", [
+    [1e-21, 2e-21, 3e-21],          # every time within the floor of 0
+    [0.0, 0.25, 0.25 + 5e-11],      # two times within the floor of each other
+    [0.5, 0.25, 0.25],              # a repeated time, requested out of order
+], ids=["near-zero", "near-pair", "repeat"])
+def test_snapshots_closer_than_the_step_floor_are_rejected(times,
+                                                           monkeypatch):
+    # a step is at least dt_min = 1e-10 long, so such times would all be
+    # taken by one step and share its field: ValueError before any step
+    def no_step(*args):
+        raise AssertionError("a step was taken")
+    monkeypatch.setattr(semigroup.SemigroupOp, "_step", no_step)
+    g = _grid()
+    u0 = radial.field_from_callable(g, radial.gaussian_profile(0.0, 1.0, 0.1), 3.0)
+    with pytest.raises(ValueError, match="closer than the step floor"):
+        blowup.integrate_nonlinear(u0, None, _params(p=3.0),
+                                   blowup.BlowupConfig(t_max=1.0),
+                                   sample_times=times)
+
+
+def test_snapshots_one_step_floor_apart_hold_their_own_fields():
+    # times exactly dt_min apart are kept, each with its own field
+    g = _grid()
+    u0 = radial.field_from_callable(g, radial.gaussian_profile(0.0, 1.0, 0.1), 3.0)
+    cfg = blowup.BlowupConfig(dt_init=1e-3, dt_min=2.0 ** -20, t_max=1.0)
+    times = [0.25, 0.25 + 2.0 ** -20, 0.5]
+    assert cfg.snapshot_times(times + [2.0, 0.0]) == times
+    out = blowup.integrate_nonlinear(u0, None, _params(p=3.0), cfg,
+                                     sample_times=times)
+    got = [t for t, _ in out.snapshots]
+    assert got == pytest.approx(times, abs=1e-12)
+    first, second = (f.values for _, f in out.snapshots[:2])
+    assert not np.array_equal(first, second)
+
+
 def test_norm_cap_must_exceed_initial_datum():
     g = _grid()
     u0 = radial.field_from_callable(g, radial.gaussian_profile(0.0, 1.0, 10.0), 3.0)

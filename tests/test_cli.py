@@ -387,6 +387,28 @@ def test_datum_above_the_blowup_cap_exits_2(tmp_path):
     assert not (tmp_path / "transform_check.csv").exists()
 
 
+@pytest.mark.filterwarnings("error")
+def test_snapshots_closer_than_the_step_floor_exit_2(tmp_path, monkeypatch,
+                                                     capsys):
+    # t_end = 1e-20 puts all 9 snapshot times within the step floor
+    # dt_min = 1e-10 of 0: one step would give them one field and a
+    # residual of about 1e9, so it is a config error before any run
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+    monkeypatch.setattr(cli, "integrate_nonlinear", no_run)
+    demo = os.path.join(os.path.dirname(__file__), os.pardir, "demos",
+                        "configs", "transform_check.cfg")
+    with open(demo, encoding="utf-8") as fh:
+        text = fh.read().replace("t_end = 0.5", "t_end = 1e-20")
+    assert "t_end = 1e-20" in text
+    cfg = _write(tmp_path, "close.cfg", text)
+    rc = cli.main(["transform-check", "--config", cfg,
+                   "--out", str(tmp_path)])
+    assert rc == cli.EXIT_CONFIG
+    assert "closer than the step floor" in capsys.readouterr().err
+    assert not (tmp_path / "transform_check.csv").exists()
+
+
 def test_overflowing_nonlinearity_exits_4_without_traceback(tmp_path):
     # the norms of a datum of size 1e120 overflow, and so does |u0|^3: the
     # solver must stop there with a numerical failure, neither with an

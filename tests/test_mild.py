@@ -508,16 +508,20 @@ def test_local_rejects_inadmissible_index():
 
 def _demo_run(tmp_path_factory, command, name):
     """Run a demo config through the CLI; returns the solution, the numbers
-    of RadialFields built, of marches, of _power_integral calls in mild and
-    of TR-BDF2 steps, and the output directory."""
+    of RadialFields built, of marches, of _power_integral calls in mild, of
+    TR-BDF2 steps, of factorisations and of solves, and the output
+    directory."""
     cfg = os.path.join(os.path.dirname(__file__), os.pardir, "demos",
                        "configs", name)
     got, built, marches, powers, steps = {}, [], [], [], []
+    factors, solves = [], []
     solver = getattr(cli, command)
     post_init = radial.RadialField.__post_init__
     march = semigroup.SemigroupOp.march
     power = mild._power_integral
     step = semigroup.SemigroupOp._step
+    factor = semigroup.SemigroupOp.step_matrix_banded
+    solve = semigroup.SemigroupOp.implicit_solve
 
     def counted_field(self):
         built.append(None)
@@ -535,6 +539,14 @@ def _demo_run(tmp_path_factory, command, name):
         steps.append(None)
         return step(*args)
 
+    def counted_factor(*args):
+        factors.append(None)
+        return factor(*args)
+
+    def counted_solve(*args):
+        solves.append(None)
+        return solve(*args)
+
     def kept(*args, **kwargs):
         got["sol"] = solver(*args, **kwargs)
         return got["sol"]
@@ -545,11 +557,14 @@ def _demo_run(tmp_path_factory, command, name):
         mp.setattr(semigroup.SemigroupOp, "march", counted_march)
         mp.setattr(mild, "_power_integral", counted_power)
         mp.setattr(semigroup.SemigroupOp, "_step", counted_step)
+        mp.setattr(semigroup.SemigroupOp, "step_matrix_banded",
+                   counted_factor)
+        mp.setattr(semigroup.SemigroupOp, "implicit_solve", counted_solve)
         mp.setattr(cli, command, kept)
         mode = name[:-len(".cfg")].replace("_", "-")
         assert cli.main([mode, "--config", cfg, "--out", str(out)]) == 0
     return (got["sol"], len(built), len(marches), len(powers), len(steps),
-            out)
+            len(factors), len(solves), out)
 
 
 @pytest.fixture(scope="module")
@@ -628,6 +643,14 @@ def test_local_demo_stays_within_its_work_budget(local_demo):
     # probe's and one per Picard step): 2,048 with 9 Picard steps, 3,328
     # when F[u] took all 4 slices
     assert local_demo[4] <= 2048
+
+
+def test_local_demo_factors_each_repeated_width_at_most_twice(local_demo):
+    # F[u]'s 32 slice widths come back in every Picard step's march: the
+    # factors of a width met a second time are kept, so 384 factorisations
+    # serve the 4,096 solves (832 when only the last width's were kept)
+    assert local_demo[5] <= 384
+    assert local_demo[6] <= 4096
 
 
 def test_local_demo_weighs_each_slice_once_per_grid(local_demo):

@@ -1,10 +1,11 @@
 import math
+import os
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from fujitalab import mild, radial, semigroup
+from fujitalab import cli, mild, radial, semigroup
 from fujitalab.errors import ConditionViolation, StepFailure
 from fujitalab.exponents import ProblemParams
 
@@ -64,15 +65,19 @@ def test_sup_norm_never_grows():
 
 @pytest.mark.parametrize("m", [384, 4096])
 def test_implicit_solve_cache_matches_a_fresh_operator_exactly(m):
-    # a repeated dt reuses the kept factors, a new dt replaces them, and a
-    # return to an earlier dt refactors it: every path must give the bits
-    # of a fresh operator's first solve
+    # a repeated dt reuses the last factors, a new dt is factored, a first
+    # return to an earlier dt refactors it and keeps those factors, and a
+    # third meeting takes the kept ones: every path must give the bits of
+    # a fresh operator's first solve
     op = _op(-0.5, m=m)
+    built, factor = [], op.step_matrix_banded
+    op.step_matrix_banded = lambda dt: built.append(dt) or factor(dt)
     rng = np.random.default_rng(m)
-    for dt in (1e-3, 1e-3, 2e-3, 1e-3):
+    for dt in (1e-3, 1e-3, 2e-3, 1e-3, 2e-3, 1e-3):
         rhs = rng.standard_normal(m)
         fresh = _op(-0.5, m=m).implicit_solve(rhs, dt)
         assert np.array_equal(op.implicit_solve(rhs, dt), fresh)
+    assert built == [1e-3, 2e-3, 1e-3, 2e-3]
 
 
 def _extended_solve(op, rhs, dt):
@@ -305,6 +310,42 @@ def test_march_beyond_float_range_is_a_step_failure():
     fld = radial.RadialField(op.grid, np.full(op.grid.m, 1e308), 3.0)
     with pytest.raises(StepFailure):
         op.apply(fld, 1e-6, substeps=1)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("per_step", [False, True])
+def test_march_names_the_first_stored_time_beyond_float_range(per_step):
+    # only the second interval's source overflows; the march goes on to the
+    # third stored time, then names the second, with no numpy warning
+    op = _op(0.0, m=64)
+    ones = np.ones(op.grid.m)
+    g = 1e300 * ones
+    if per_step:
+        g = np.broadcast_to(g, (3, 2, op.grid.m))
+    c = np.array([[0.0, 0.0], [1e10, 1e10], [0.0, 0.0]])
+    with pytest.raises(StepFailure, match=r"by t=0\.02$"):
+        op.march(ones, [0.01, 0.02, 0.03], 2, (g, c))
+
+
+def test_semigroup_demo_factors_each_step_size_once_and_keeps_none(tmp_path,
+                                                                    monkeypatch):
+    # the smoothing check meets each of its 9 step sizes in one interval
+    # only, so no factors are kept beyond the last ones
+    built, ops = [], []
+    factor = semigroup.SemigroupOp.step_matrix_banded
+
+    def counted(self, dt):
+        built.append(dt)
+        ops.append(self)
+        return factor(self, dt)
+
+    monkeypatch.setattr(semigroup.SemigroupOp, "step_matrix_banded", counted)
+    cfg = os.path.join(os.path.dirname(__file__), os.pardir, "demos",
+                       "configs", "semigroup_check.cfg")
+    assert cli.main(["semigroup-check", "--config", cfg,
+                     "--out", str(tmp_path)]) == 0
+    assert len(built) == 9
+    assert ops and all(op._kept == {} for op in ops)
 
 
 # ---------------------------------------------------------------------------
