@@ -7,16 +7,19 @@ every march takes (SemigroupOp._step), fed the reaction extrapolated to
 mid-step and the forcing, whose time factor is integrated exactly and
 without cancellation over the step, so rho close to -1 costs nothing in
 accuracy.  The extrapolation doubles as the error estimate that sets the
-step on a geometric ladder, whose repeated rungs reuse factorisations.
+step on a geometric ladder, whose repeated rungs reuse factorisations;
+a calibration and a scan each share one operator across their runs, so a
+rung factored in one run is reused by the next.
 
 Blow-up cannot be observed, only diagnosed: we declare it when the sup
 norm passes a large cap, or when the step size collapses below
 dt_min while the norm keeps climbing.  The amplitude calibration reads
-only outcomes, so its probes stop at a far lower cap (1e3) and skip the
-type-I tail; the scan's runs, whose t* and peak are reported, keep the
-full one.  Reaching the horizon with bounded norm is reported as Global.
-Everything in between stays Inconclusive; these labels are numerical
-evidence at a finite horizon, not theorems.
+only outcomes, so its probes start at 4 dt_init and stop at a far lower
+cap (1e3), skipping the type-I tail; the scan's runs, whose t* and peak
+are reported, keep dt_init and the full cap.  Reaching the horizon with
+bounded norm is reported as Global.  Everything in between stays
+Inconclusive; these labels are numerical evidence at a finite horizon,
+not theorems.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ _RUNGS = 4                  # rungs of the step ladder dt_init 2^(k/4) per doubl
 _TOP_RUNG = 32              # the largest step is dt_init 2^(32/4) = 256 dt_init
 _T_TARGET = 10.0            # horizon of the calibration's ignition probes
 _IGNITION = 1e3             # norm cap of every calibration probe
+_PROBE_STEP = 4.0           # first step of every calibration probe, in dt_init
 _AMP_START = 0.125          # first amplitude the calibration tries
 _MAX_DOUBLINGS = 16         # most doublings, then halvings, of that amplitude
 
@@ -107,7 +111,8 @@ class SolveOutcome:
 @np.errstate(over="ignore", invalid="ignore")
 def integrate_nonlinear(u0: RadialField, w: Optional[RadialField],
                         params: ProblemParams, cfg: BlowupConfig,
-                        sample_times: Optional[Sequence[float]] = None) -> SolveOutcome:
+                        sample_times: Optional[Sequence[float]] = None,
+                        op: Optional[SemigroupOp] = None) -> SolveOutcome:
     """March the full nonlinear problem and classify the outcome.
 
     A step of size dt from t_n is one TR-BDF2 step (SemigroupOp._step)
@@ -130,13 +135,23 @@ def integrate_nonlinear(u0: RadialField, w: Optional[RadialField],
     raised up front when t_max needs more than 10^6 steps at the top
     rung, and when a run would attempt more than 10^6 steps, with the
     partial SolveOutcome as its ``outcome``.
+
+    ``op`` is the operator to step with, built from (u0.grid, params) when
+    not given.  It reads only N and sigma1 from its params, so runs that
+    differ in p, sigma2 or rho may share one and reuse its factors;
+    ValueError when its grid, N or sigma1 differ from the run's.
     """
     dt_top = cfg.dt_init * 2.0 ** (_TOP_RUNG / _RUNGS)
     if cfg.t_max / dt_top > _STEP_BUDGET:
         raise NumericalFailure("t_max=%g needs more steps of at most %g "
                                "than the budget of %d"
                                % (cfg.t_max, dt_top, _STEP_BUDGET))
-    op = SemigroupOp(u0.grid, params)
+    if op is None:
+        op = SemigroupOp(u0.grid, params)
+    elif (op.grid is not u0.grid or op.params.N != params.N
+          or op.params.sigma1 != params.sigma1):
+        raise ValueError("the operator's grid, N or sigma1 differ from "
+                         "the run's")
     sup0 = cfg.start_norm(u0)
     u = u0.values.astype(float).copy()
 
@@ -275,11 +290,11 @@ def _scan_forcing(grid: RadialGrid, params: ProblemParams,
     return raw.with_values(raw.values * (amplitude / mass))
 
 
-def _run_at_p(params: ProblemParams, p: float, grid: RadialGrid,
-              w: RadialField, cfg: BlowupConfig) -> SolveOutcome:
-    pp = replace(params, p=p)
-    u0 = RadialField(grid, np.zeros(grid.m), float(pp.N))
-    return integrate_nonlinear(u0, w, pp, cfg)
+def _run_at_p(op: SemigroupOp, p: float, w: RadialField,
+              cfg: BlowupConfig) -> SolveOutcome:
+    pp = replace(op.params, p=p)
+    u0 = RadialField(op.grid, np.zeros(op.grid.m), float(pp.N))
+    return integrate_nonlinear(u0, w, pp, cfg, op=op)
 
 
 def scan_threshold(params_base: ProblemParams, p_range: Tuple[float, float],
@@ -302,11 +317,12 @@ def scan_threshold(params_base: ProblemParams, p_range: Tuple[float, float],
         raise ValueError("need 1 < p_lo < p_hi and bracket_width > 0")
     g = grid if grid is not None else _default_scan_grid()
     w = _scan_forcing(g, params_base, forcing_amp)
+    op = SemigroupOp(g, params_base)
 
     rows: List[ScanRow] = []
 
     def classify(p: float) -> bool:
-        out = _run_at_p(params_base, p, g, w, cfg)
+        out = _run_at_p(op, p, w, cfg)
         t_rep = out.t_star if out.status == BLOWN_UP else out.t_end
         rows.append(ScanRow(p=p, outcome=out.status,
                             t_star_or_tmax=float(t_rep), max_norm=out.max_norm))
@@ -350,10 +366,16 @@ def calibrate_amplitude(params_base: ProblemParams, cfg: BlowupConfig,
     is read, never its t* or peak, so a probe counts as blown up once its
     sup norm passes 1e3 (or the config's cap, if lower), about 800 times
     the largest peak of a Global run in the demo and benchmark scans
-    (1.29); the scan's own runs keep the full cap.  NoBracket is raised when the two requirements cannot be
-    met together, and HypothesisViolation, before any probe, unless
-    1 < p* - 1/2 < p* + 1/2 (p* infinite, at most 3/2, or so large that
-    the probes round together).
+    (1.29), and it steps from 4 dt_init on the same ladder of rungs; the
+    scan's own runs keep dt_init and the full cap.  A supercritical probe
+    near the large-data ignition can blow up at 4 dt_init yet stay Global
+    at dt_init; the calibration then halves once more, to an amplitude
+    that met both requirements at dt_init too in every measured case.
+    All probes share one operator.  NoBracket
+    is raised when the two requirements cannot be met together, and
+    HypothesisViolation, before any probe, unless 1 < p* - 1/2 < p* + 1/2
+    (p* infinite, at most 3/2, or so large that the probes round
+    together).
     """
     p_star = critical_forced(params_base)
     if not math.isfinite(p_star):
@@ -363,12 +385,14 @@ def calibrate_amplitude(params_base: ProblemParams, cfg: BlowupConfig,
         raise HypothesisViolation("calibration needs 1 < p* - 1/2 < p* + 1/2, "
                                   "got %g and %g" % (p_sub, p_sup))
     g = grid if grid is not None else _default_scan_grid()
-    probe_cfg = replace(cfg, blowup_norm_cap=min(cfg.blowup_norm_cap, _IGNITION))
+    probe_cfg = replace(cfg, dt_init=_PROBE_STEP * cfg.dt_init,
+                        blowup_norm_cap=min(cfg.blowup_norm_cap, _IGNITION))
     fast_cfg = replace(probe_cfg, t_max=min(_T_TARGET, cfg.t_max))
+    op = SemigroupOp(g, params_base)
 
     def status(p: float, amp: float, horizon_cfg: BlowupConfig) -> str:
         w = _scan_forcing(g, params_base, amp)
-        return _run_at_p(params_base, p, g, w, horizon_cfg).status
+        return _run_at_p(op, p, w, horizon_cfg).status
 
     amp = _AMP_START
     for _ in range(_MAX_DOUBLINGS):

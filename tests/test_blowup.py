@@ -331,15 +331,65 @@ def test_calibration_reads_the_same_outcomes_at_the_full_cap(
     assert blowup.calibrate_amplitude(params, cfg) == amp
 
 
+# the weighted tuple of test_scan_straddles_threshold_in_weighted_case
+_WEIGHTED_TUPLE = (-1.0, -0.5, -0.5)
+
+
+@pytest.mark.parametrize("s1, s2, rho",
+                         _CALIBRATION_TUPLES + [_WEIGHTED_TUPLE])
+def test_calibration_picks_the_same_amplitude_at_dt_init(
+        s1, s2, rho, monkeypatch):
+    # a probe steps from 4 dt_init; stepped from dt_init it must pick the
+    # same amplitude
+    params = _params(s1=s1, s2=s2, rho=rho)
+    cfg = blowup.BlowupConfig(dt_init=5e-3, t_max=50.0)
+    amp = blowup.calibrate_amplitude(params, cfg)
+    monkeypatch.setattr(blowup, "_PROBE_STEP", 1.0)
+    assert blowup.calibrate_amplitude(params, cfg) == amp
+
+
+def test_scan_rows_are_the_same_with_one_operator_per_run(monkeypatch):
+    # runs that share an operator reuse its factors; runs with a fresh
+    # operator each must give the same amplitude and rows, bit for bit
+    params = _params()
+    cfg = blowup.BlowupConfig(dt_init=5e-3, t_max=50.0)
+    amp = blowup.calibrate_amplitude(params, cfg)
+    shared = blowup.scan_threshold(params, (1.25, 3.0), amp, cfg).rows
+    original = blowup._run_at_p
+
+    def fresh(op, p, w, cfg):
+        return original(semigroup.SemigroupOp(op.grid, op.params), p, w, cfg)
+
+    monkeypatch.setattr(blowup, "_run_at_p", fresh)
+    assert blowup.calibrate_amplitude(params, cfg) == amp
+    assert blowup.scan_threshold(params, (1.25, 3.0), amp, cfg).rows == shared
+
+
+def test_a_shared_operator_must_match_the_run():
+    grid = _grid(64)
+    u0 = radial.RadialField(grid, np.zeros(grid.m), 3.0)
+    cfg = blowup.BlowupConfig(dt_init=5e-3, t_max=0.1)
+    for other in (_params(s1=-0.5), ProblemParams(N=4, sigma1=0.0, sigma2=0.0,
+                                                  rho=-0.5, p=2.0)):
+        with pytest.raises(ValueError, match="operator"):
+            blowup.integrate_nonlinear(u0, None, _params(), cfg,
+                                       op=semigroup.SemigroupOp(grid, other))
+    # an equal grid that is another object is not the run's grid either
+    with pytest.raises(ValueError, match="operator"):
+        blowup.integrate_nonlinear(
+            u0, None, _params(), cfg,
+            op=semigroup.SemigroupOp(_grid(64), _params()))
+
+
 def test_calibration_runs_no_probe_twice(monkeypatch):
     # the igniting amplitude stays global at p* + 1/2, so nothing is
     # halved and p* - 1/2, which already blew up there, is not run again
     runs = []
     original = blowup.integrate_nonlinear
 
-    def counted(u0, w, params, cfg, *args):
+    def counted(u0, w, params, cfg, *args, **kwargs):
         runs.append((params.p, float(w.values.max())))
-        return original(u0, w, params, cfg, *args)
+        return original(u0, w, params, cfg, *args, **kwargs)
 
     monkeypatch.setattr(blowup, "integrate_nonlinear", counted)
     s1, s2, rho = _CALIBRATION_TUPLES[2]
@@ -357,7 +407,7 @@ def test_scan_stops_when_the_bracket_reaches_float_spacing(monkeypatch):
     # bisection stops once the midpoint is an end of the bracket
     runs = []
 
-    def instant(params, p, grid, w, cfg):
+    def instant(op, p, w, cfg):
         runs.append(p)
         if len(runs) > 200:     # the run cap: fail instead of bisecting on
             raise RuntimeError("still bisecting after 200 runs")
@@ -375,30 +425,50 @@ def test_scan_stops_when_the_bracket_reaches_float_spacing(monkeypatch):
 
 @pytest.fixture(scope="module")
 def demo_scan(tmp_path_factory):
-    """The demo blowup-scan config through the CLI: (attempted steps, rows)."""
-    attempts = []
+    """The demo blowup-scan config through the CLI: (attempted steps, rows,
+    operators built in blowup, factorisations)."""
+    attempts, builds, factored = [], [], []
     original = semigroup.SemigroupOp._step
+    build = semigroup.SemigroupOp
+    factor = semigroup.SemigroupOp.step_matrix_banded
 
     def counted(self, *args):
         attempts.append(None)
         return original(self, *args)
+
+    def built(*args):
+        builds.append(None)
+        return build(*args)
+
+    def factored_once(self, dt):
+        factored.append(dt)
+        return factor(self, dt)
 
     cfg = os.path.join(os.path.dirname(__file__), os.pardir, "demos",
                        "configs", "blowup_scan.cfg")
     out = tmp_path_factory.mktemp("demo_scan")
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(semigroup.SemigroupOp, "_step", counted)
+        mp.setattr(semigroup.SemigroupOp, "step_matrix_banded", factored_once)
+        mp.setattr(blowup, "SemigroupOp", built)
         assert cli.main(["blowup-scan", "--config", cfg, "--out", str(out)]) == 0
     lines = (out / "blowup_scan.csv").read_text(encoding="utf-8").splitlines()
     rows = [l.split(",") for l in lines if not l.startswith("#")][1:]
-    return len(attempts), rows
+    return len(attempts), rows, len(builds), len(factored)
 
 
 def test_demo_scan_stays_within_its_step_budget(demo_scan):
     # every attempted IMEX step, rejected ones included, of the calibration
-    # and the scan: 1,287 with the probes capped at 1e3, 1,628 when they
-    # run to the scan's 1e8 cap
-    assert demo_scan[0] <= 1300
+    # and the scan: 992 with the probes stepping from 4 dt_init, 1,287 when
+    # they stepped from dt_init (both with the probes capped at 1e3)
+    assert demo_scan[0] <= 992
+
+
+def test_demo_scan_shares_one_operator_per_calibration_and_scan(demo_scan):
+    # one operator for the calibration, one for the scan; its kept factors
+    # serve every run: 228 factorisations, 406 with a fresh one per run
+    assert demo_scan[2] == 2
+    assert demo_scan[3] <= 230
 
 
 def test_demo_scan_keeps_its_blowup_time(demo_scan):
