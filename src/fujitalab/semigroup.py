@@ -19,9 +19,12 @@ positive definite W - a T, L D L^T-factored at most twice per step size
 (LAPACK pttrf, bound at the first factorisation) and reused (pttrs).
 Every application of exp(tL) is one SemigroupOp.march across stored
 times, which returns them stacked as one array; a Duhamel source is given
-as arrays, a weight and a source row per step.  A solve carries NaN and
-inf through; a march checks finiteness once, over all its stored times,
-the direct integrator once per trial step.
+as arrays, a weight and a source row per step.  A march that does not name
+its step count takes 16 steps to its first stored time and sizes each
+later interval by the time it starts at, so no step is longer than 1/16
+of that time: the error is set where the march leaves rough data.  A
+solve carries NaN and inf through; a march checks finiteness once, over
+all its stored times, the direct integrator once per trial step.
 
 The module also carries the three certification studies used by the
 acceptance experiments:
@@ -56,7 +59,8 @@ __all__ = [
     "scaling_identity_check",
 ]
 
-_SUBSTEPS = 16      # equal steps of a march that does not name its count
+_SUBSTEPS = 16      # a march that does not name its count: steps to its
+                    # first stored time, and most per later interval
 _STAGE = 1.0 - math.sqrt(0.5)   # a / h: both TR-BDF2 stages solve with I - a L
 _ALPHA, _SQRT2 = 1.0 + math.sqrt(2.0), math.sqrt(2.0)
 _TINY, _HUGE = float(np.finfo(float).tiny), float(np.finfo(float).max)
@@ -178,30 +182,44 @@ class SemigroupOp:
         ``substeps`` equal TR-BDF2 steps (two solves each) per interval,
         as one (len(times),) + values.shape array.
 
+        With substeps None, the interval from 0 takes 16 equal steps and
+        the interval from t_prev to t takes ceil(16 (t - t_prev) / t_prev)
+        of them, at most 16: no step is longer than t_prev / 16.  A count
+        that is not a whole number raises ValueError.
+
         source, when given, is a pair (g, c) of arrays: c[j, k] weighs step
         k of interval j, and g is one row for every step or one row per
         step, g[j, k].  Step k of interval j, of width h, carries the
         constant source (c[j, k] / h) g[j, k].  That enters as
         c (A^-2 / sqrt2 + (1 - 1/sqrt2) A^-1) g; A^-1 is a nonnegative
-        matrix, so a rough nonnegative source cannot ring.  Raises
-        StepFailure, after the last interval, naming the first stored time
-        with a value that is not finite.
+        matrix, so a rough nonnegative source cannot ring.  A march with a
+        source names its substeps.  Raises StepFailure, after the last
+        interval, naming the first stored time with a value that is not
+        finite.
         """
+        if substeps is not None and not float(substeps).is_integer():
+            raise ValueError("a march needs a whole number of substeps, got %r"
+                             % (substeps,))
         n = _SUBSTEPS if substeps is None else int(substeps)
         ts = list(times)
         if n < 1 or not ts or not all(b > a for a, b in zip([0.0] + ts, ts)):
             raise ValueError("a march needs substeps >= 1 and positive, "
                              "strictly increasing times")
+        if substeps is None and source is not None:
+            raise ValueError("a march with a source names its substeps")
         out, u, t_prev = np.empty((len(ts),) + values.shape), values, 0.0
         if source is not None:      # weights, and rows per step, scaled once
             g, sc = source[0], _STAGE * source[1]
             per_step = g.ndim != values.ndim
             g = sc[..., None] * g if per_step else g
         for j, t in enumerate(ts):
-            h = (t - t_prev) / n
+            dt, nj = t - t_prev, n
+            if substeps is None and dt < t_prev:    # no step over t_prev / n
+                nj = math.ceil(n * (dt / t_prev))
+            h = dt / nj
             if source is not None:
                 s = g[j] if per_step else sc[j][:, None] * g
-            for k in range(n):
+            for k in range(nj):
                 u = self._step(u, h, None if source is None else s[k])
             out[j] = u
             t_prev = t
@@ -213,7 +231,8 @@ class SemigroupOp:
 
     def apply(self, fld: RadialField, t: float,
               substeps: Optional[int] = None) -> RadialField:
-        """Evolve a field by time t >= 0 with equal TR-BDF2 steps."""
+        """Evolve a field by time t >= 0 with ``substeps`` equal TR-BDF2
+        steps, 16 when None (one interval from 0, see march)."""
         if t < 0.0:
             raise ValueError("cannot evolve backwards, t=%g" % t)
         if t == 0.0:
@@ -229,7 +248,9 @@ class SemigroupOp:
     def evolve_through(self, source: RadialField, t_list: Sequence[float],
                        substeps: Optional[int] = None) -> Trajectory:
         """The Trajectory of source at increasing positive times t_list,
-        marched incrementally with ``substeps`` TR-BDF2 steps per interval."""
+        marched incrementally with ``substeps`` TR-BDF2 steps per interval;
+        with None, each interval after the first is sized by the time it
+        starts at (see march)."""
         return Trajectory(t_list, self.march(source.values, t_list, substeps),
                           source)
 

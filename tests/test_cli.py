@@ -41,7 +41,7 @@ DEMO_CSV_SHA256 = {
     "blowup_scan.csv": "798685e8f8d95810",
     "capacity_fit.csv": "250fcf15657b02f6",
     "exponents.csv": "af3af68adfd3f4b7",
-    "semigroup_check.csv": "6c3f7fcb7d83dd4f",
+    "semigroup_check.csv": "f14a20b15fa004a3",
     "transform_check.csv": "9c123059f5fd6446",
 }
 

@@ -161,6 +161,98 @@ def test_evolve_through_tracks_apply():
     assert fine < coarse / 8
 
 
+def _step_widths(op, monkeypatch):
+    # the width of every TR-BDF2 step a march takes, from its two solves
+    widths, solve = [], op.implicit_solve
+
+    def counted(rhs, dt):
+        widths.append(dt / _STAGE)
+        return solve(rhs, dt)
+
+    monkeypatch.setattr(op, "implicit_solve", counted)
+    return widths
+
+
+def test_default_march_sizes_later_intervals_by_their_start(monkeypatch):
+    # 16 steps on (0, 1]; each later interval of ratio 10^(1/8) takes
+    # ceil(16 (t - t_prev) / t_prev) = 6, so no step exceeds t_prev / 16
+    op = _op(-0.5, m=64)
+    fld = radial.field_from_callable(op.grid, radial.bump_profile(1.0, 1.0), 3.0)
+    times = np.geomspace(1.0, 10.0, 9)
+    widths = _step_widths(op, monkeypatch)
+    op.march(fld.values, times)
+    want = [1.0 / 16] * 16
+    for t_prev, t in zip(times, times[1:]):
+        want += [(t - t_prev) / 6] * 6
+    assert widths[::2] == pytest.approx(want, rel=1e-12)
+    assert len(widths) == 2 * 64
+
+    widths.clear()      # ratio 2 and more keep 16 steps
+    op.march(fld.values, [1.0, 2.0, 5.0])
+    assert widths[::2] == pytest.approx([1.0 / 16] * 16 + [1.0 / 16] * 16
+                                        + [3.0 / 16] * 16, rel=1e-12)
+
+    widths.clear()      # a named count holds on every interval
+    op.march(fld.values, times, np.int64(3))
+    assert len(widths) == 2 * 3 * len(times)
+
+
+def test_default_march_keeps_the_first_stored_time():
+    op = _op(-0.5, m=256)
+    fld = radial.field_from_callable(op.grid, radial.powerlaw_profile(1.5), 3.0)
+    first = op.march(fld.values, np.geomspace(1.0, 10.0, 9))[0]
+    assert np.array_equal(first, op.apply(fld, 1.0).values)
+    assert np.array_equal(first, op.march(fld.values, [1.0], 16)[0])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("times,fails", [
+    ([0.5, math.inf], True), ([1e-300, 1e300], False), ([0.5, 1e308], True)])
+def test_default_march_counts_steps_on_extreme_times(times, fails):
+    # an interval as long as its start keeps 16 steps, so no step count is
+    # formed from an infinite ratio
+    op = _op(0.0, m=64)
+    fld = radial.field_from_callable(op.grid, radial.bump_profile(1.0, 1.0), 3.0)
+    if fails:
+        with pytest.raises(StepFailure):
+            op.march(fld.values, times)
+    else:
+        assert np.isfinite(op.march(fld.values, times)).all()
+
+
+def _check_norms(op, a, b, gamma, times, substeps):
+    # the norms weighted_smoothing_check fits, at a given step count
+    src = radial.field_from_callable(
+        op.grid, radial.powerlaw_profile(op.params.N / a), 3.0)
+    weighted = src.with_values(src.values * op.weight(-gamma))
+    return np.array(radial.lq_norm(
+        op.evolve_through(weighted, times, substeps), b))
+
+
+@pytest.mark.parametrize("s1,a,b,gamma,r_max", [
+    (-0.5, 2.0, 4.0, 0.0, 80.0), (-1.0, 3.0, 6.0, 0.0, 80.0),
+    (-0.3, 2.0, 4.0, 0.8, 40.0)])
+def test_smoothing_march_error_is_set_at_the_first_stored_time(
+        s1, a, b, gamma, r_max):
+    # against 512 substeps per interval at m = 1024, the norm errors read
+    # 1.2e-4, 1.0e-4 and 4.9e-4 at t = 1 and at most 6.4e-5, 5.6e-5 and
+    # 2.6e-4 later (16 uniform: 5.3e-5, 4.6e-5, 2.1e-4); the slope lies
+    # 3.2e-5, 2.7e-5 and 1.3e-4 from the reference's (16 uniform: 3.9e-5,
+    # 3.3e-5, 1.6e-4)
+    op = _op(s1, r_max=r_max, m=1024)
+    times = np.geomspace(1.0, 10.0, 9)
+    ref = _check_norms(op, a, b, gamma, times, 512)
+    err = np.abs(_check_norms(op, a, b, gamma, times, None) / ref - 1.0)
+    assert err[1:].max() <= err[0]
+
+    def slope_gap(substeps):
+        norms = _check_norms(op, a, b, gamma, times, substeps)
+        return abs(semigroup.fit_loglog(times, norms)[0]
+                   - semigroup.fit_loglog(times, ref)[0])
+
+    assert slope_gap(None) <= slope_gap(16)
+
+
 @pytest.mark.parametrize("s1", [-1.0, 0.0, 1.0])
 def test_march_is_second_order_from_t0_on_rough_data(s1):
     # r^(-3/2) excites the stiff modes (lambda_min is about -2e7 at
@@ -284,6 +376,10 @@ def test_march_with_one_source_row_per_step_is_the_hand_loop(s1):
 _BAD_MARCHES = {
     "apply-zero-substeps": lambda op, fld: op.apply(fld, 1.0, substeps=0),
     "apply-negative-substeps": lambda op, fld: op.apply(fld, 1.0, substeps=-2),
+    "apply-fractional-substeps": lambda op, fld: op.apply(fld, 1.0,
+                                                          substeps=2.5),
+    "march-source-without-substeps": lambda op, fld: op.march(
+        fld.values, [1.0], source=(fld.values, np.ones((1, 16)))),
     "evolve-through-no-times": lambda op, fld: op.evolve_through(fld, []),
     "march-zero-time": lambda op, fld: op.march(fld.values, [0.0, 1.0]),
     "march-nan-time": lambda op, fld: op.march(fld.values, [0.5, math.nan]),
