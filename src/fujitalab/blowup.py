@@ -12,12 +12,14 @@ a calibration and a scan each share one operator across their runs, so a
 rung factored in one run is reused by the next.
 
 Blow-up cannot be observed, only diagnosed: we declare it when the sup
-norm passes a large cap, or when the step size collapses below
-dt_min while the norm keeps climbing.  The amplitude calibration reads
-only outcomes, so its probes start at 4 dt_init and stop at a far lower
-cap (1e3), skipping the type-I tail; the scan's runs, whose t* and peak
-are reported, keep dt_init and the full cap.  Reaching the horizon with
-bounded norm is reported as Global.  Everything in between stays
+norm passes a cap, or when the step size collapses below dt_min while
+the norm keeps climbing.  Past the cap, t* is the singular time of the
+type-I law sup|u| = C (T - t)^(-b) through the run's last accepted
+steps, so a run can stop long before the norm leaves every bound: the
+scan's runs stop at 1e3 by default, as the amplitude calibration's
+probes do, skipping the type-I tail.  The calibration reads only
+outcomes, so its probes also start at 4 dt_init.  Reaching the horizon
+with bounded norm is reported as Global.  Everything in between stays
 Inconclusive; these labels are numerical evidence at a finite horizon,
 not theorems.
 """
@@ -60,7 +62,12 @@ _MAX_DOUBLINGS = 16         # most doublings, then halvings, of that amplitude
 
 @dataclass(frozen=True)
 class BlowupConfig:
-    """Step-size knobs for the direct integrator."""
+    """Step-size knobs for the direct integrator.
+
+    The default blow-up cap of 1e8 serves direct callers and
+    ``transform-check``; ``blowup-scan`` passes its ``norm_cap``, 1e3 by
+    default.
+    """
 
     dt_init: float = 1e-3
     dt_min: float = 1e-10
@@ -124,9 +131,13 @@ def integrate_nonlinear(u0: RadialField, w: Optional[RadialField],
     times the larger of the old and new sup norms it is the error
     estimate, which grows as dt^2.  A trial is rejected when the estimate
     exceeds 1, and at half size when it doubles the sup norm or goes
-    non-finite.  A predictive PI controller (Gustafsson 1994) sets dt on
-    the ladder dt_init 2^(k/4), k <= 32, climbing two or more rungs at a
-    time, so most steps reuse the last factors; the first step is dt_init.
+    non-finite.  A run whose sup norm passes ``cfg.blowup_norm_cap`` is
+    BlownUp at the singular time of the type-I law through its last
+    accepted steps (_singular_time); one whose step collapses below dt_min
+    while the norm climbs is BlownUp at the time it stopped.  A predictive PI controller (Gustafsson 1994)
+    sets dt on the ladder dt_init 2^(k/4), k <= 32, climbing two or more
+    rungs at a time, so most steps reuse the last factors; the first step
+    is dt_init.
     The step is clamped at each requested snapshot time; ValueError is
     raised before any step when two of them, or the first and 0, lie
     closer than the step floor (BlowupConfig.snapshot_times).  An overflowing
@@ -171,13 +182,13 @@ def integrate_nonlinear(u0: RadialField, w: Optional[RadialField],
         snapshots.append((0.0, u0.with_values(u.copy())))
 
     def outcome(status: str, t_star: Optional[float]) -> SolveOutcome:
-        return SolveOutcome(status, t, t_star, max_norm, recent[-1], steps,
-                            min_dt_seen, snapshots)
+        return SolveOutcome(status, t, t_star, max_norm, recent[-1][1],
+                            steps, min_dt_seen, snapshots)
 
     t, k, steps, attempts = 0.0, 0, 0, 0
     min_dt_seen = cfg.dt_init
     max_norm = sup0
-    recent = deque([sup0], maxlen=11)
+    recent = deque([(0.0, sup0)], maxlen=11)    # accepted (t, sup|u|)
     slope_sup, c_prev = 0.0, None       # c = estimate / dt^2
 
     while t < cfg.t_max:
@@ -201,17 +212,18 @@ def integrate_nonlinear(u0: RadialField, w: Optional[RadialField],
 
         # the forcing injection is legitimate growth even from zero data,
         # so it widens the doubling allowance
-        if not math.isfinite(sup) or sup > 2.0 * (recent[-1] + cn * w_sup) + 1e-300:
+        last = recent[-1][1]
+        if not math.isfinite(sup) or sup > 2.0 * (last + cn * w_sup) + 1e-300:
             if dt / 2.0 < cfg.dt_min:
-                grew = sup if math.isfinite(sup) else recent[-1]
-                if len(recent) == recent.maxlen and grew > 10.0 * recent[0]:
+                grew = sup if math.isfinite(sup) else last
+                if len(recent) == recent.maxlen and grew > 10.0 * recent[0][1]:
                     max_norm = max(max_norm, grew)
                     return outcome(BLOWN_UP, t)
                 return outcome(INCONCLUSIVE, None)
             k -= _RUNGS
             continue
         err = 0.5 * dt * dt * slope_sup / (2.0 * cfg.dt_init
-                                           * max(sup, recent[-1], 1e-300))
+                                           * max(sup, last, 1e-300))
         # aim the next estimate at 0.8: err = c dt^2, with c extrapolated
         # from its last two values at half weight; a rung is 2^(1/2) in err
         e = max(err, 1e-3)
@@ -232,7 +244,7 @@ def integrate_nonlinear(u0: RadialField, w: Optional[RadialField],
         u = trial
         t += dt
         steps += 1
-        recent.append(sup)
+        recent.append((t, sup))
         max_norm = max(max_norm, sup)
         c_prev = c_now if err > 0.0 else c_prev
 
@@ -240,11 +252,48 @@ def integrate_nonlinear(u0: RadialField, w: Optional[RadialField],
             snapshots.append((wanted.pop(0), u0.with_values(u.copy())))
 
         if sup > cfg.blowup_norm_cap:
-            return outcome(BLOWN_UP, t)
+            return outcome(BLOWN_UP, _singular_time(recent))
         if rungs < 0 or rungs >= 2:
             k = min(k + min(rungs, _RUNGS), _TOP_RUNG)
 
     return outcome(GLOBAL, None)
+
+
+def _singular_time(history: Sequence[Tuple[float, float]]) -> float:
+    """The time T at which sup = C (T - t)^(-b), b free, goes through the
+    last accepted (t, sup) point and the points 3 and 6 before it.
+
+    Near a type-I singularity sup|u| follows that law (Giga & Kohn 1985),
+    so T extrapolates the blow-up time past a cap the run crosses long
+    before it.  Falls back to the last point's time with fewer than 7
+    points, with sups or times that do not increase from a positive sup,
+    and with growth that does not accelerate, where no finite T fits.
+    With q = (T - t3) / (T - t1) in (0, 1), the law's ratio
+    log(s3/s2) / log(s2/s1) falls monotonically from infinity at q = 0
+    (T = t3) to (t3 - t2) / (t2 - t1) at q = 1 (T infinite); q is
+    bisected to adjacent floats.
+    """
+    t3, s3 = history[-1]
+    if len(history) < 7:
+        return t3
+    (t1, s1), (t2, s2) = history[-7], history[-4]
+    if not (0.0 < s1 < s2 < s3 and t1 < t2 < t3):
+        return t3
+    rise, lift = math.log(s2 / s1), math.log(s3 / s2)
+    d1, span = t2 - t1, t3 - t1
+    if lift / rise <= (t3 - t2) / d1:
+        return t3
+    lo, hi, q = 0.0, 1.0, 0.5
+    while lo < q < hi:
+        # near = (1 - q)(T - t2): near / (q span) = (T - t2) / (T - t3)
+        # and span / near = (T - t1) / (T - t2)
+        near = span - d1 * (1.0 - q)
+        if math.log(near / (q * span)) * rise > lift * math.log(span / near):
+            lo = q          # the law rises faster than the data: T is later
+        else:
+            hi = q
+        q = 0.5 * (lo + hi)
+    return t3 + q * span / (1.0 - q)
 
 
 # --------------------------------------------------------------------------
@@ -367,7 +416,7 @@ def calibrate_amplitude(params_base: ProblemParams, cfg: BlowupConfig,
     sup norm passes 1e3 (or the config's cap, if lower), about 800 times
     the largest peak of a Global run in the demo and benchmark scans
     (1.29), and it steps from 4 dt_init on the same ladder of rungs; the
-    scan's own runs keep dt_init and the full cap.  A supercritical probe
+    scan's own runs keep dt_init and, by default, stop at the same 1e3.  A supercritical probe
     near the large-data ignition can blow up at 4 dt_init yet stay Global
     at dt_init; the calibration then halves once more, to an amplitude
     that met both requirements at dt_init too in every measured case.

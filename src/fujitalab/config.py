@@ -104,7 +104,8 @@ _SCHEMAS: Dict[str, Dict[str, KeySpec]] = {
         "dt_init": KeySpec("float", 5e-3, "initial time step"),
         "dt_min": KeySpec("float", 1e-10, "smallest allowed step"),
         "t_max": KeySpec("float", 50.0, "horizon declared Global"),
-        "norm_cap": KeySpec("float", 1e8, "sup-norm blow-up threshold"),
+        "norm_cap": KeySpec("float", 1e3, "sup-norm blow-up threshold, "
+                                          "past which t* is fitted"),
     },
     "capacity-fit": {
         "radii": KeySpec("floats", help="comma separated R values"),

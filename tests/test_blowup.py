@@ -192,6 +192,35 @@ def test_unweighted_blowup_has_the_type_one_rate():
     assert -2.2 < slope < -1.8
 
 
+_LAW_GAPS = [0.5, 0.31, 0.2, 0.12, 0.09, 0.05, 0.033, 0.02, 0.014, 0.008]
+
+
+def _law(T, b):
+    # sup = C (T - t)^(-b) at unevenly spaced times t = T (1 - gap)
+    return [(T * (1.0 - g), 3.0 * (T * g) ** -b) for g in _LAW_GAPS]
+
+
+@pytest.mark.parametrize("b", [4.0, 1.0, 0.5, 0.7])     # p = 1.25, 2, 3
+@pytest.mark.parametrize("T", [1e-3, 10.0, 23.2])
+def test_singular_time_recovers_an_exact_power_law(b, T):
+    assert abs(blowup._singular_time(_law(T, b)) - T) <= 1e-9 * T
+
+
+def test_singular_time_falls_back_to_the_crossing_time():
+    exact = _law(10.0, 2.0)
+    crossing = exact[-1][0]
+    assert blowup._singular_time(exact[-6:]) == crossing     # 6 points
+    repeated = list(exact)
+    repeated[-4] = (repeated[-4][0], repeated[-7][1])
+    assert blowup._singular_time(repeated) == crossing
+    falling = [(t, 1.0 / s) for t, s in exact]
+    assert blowup._singular_time(falling) == crossing
+    from_zero = [(0.0, 0.0)] + exact[-6:]       # a run from zero data
+    assert blowup._singular_time(from_zero) == crossing
+    linear = [(t, 1.0 + t) for t, _ in exact]   # growth that does not speed up
+    assert blowup._singular_time(linear) == crossing
+
+
 def test_snapshots_taken_at_requested_times():
     g = _grid()
     u0 = radial.field_from_callable(g, radial.gaussian_profile(0.0, 1.0, 0.1), 3.0)
@@ -459,22 +488,40 @@ def demo_scan(tmp_path_factory):
 
 def test_demo_scan_stays_within_its_step_budget(demo_scan):
     # every attempted IMEX step, rejected ones included, of the calibration
-    # and the scan: 992 with the probes stepping from 4 dt_init, 1,287 when
-    # they stepped from dt_init (both with the probes capped at 1e3)
-    assert demo_scan[0] <= 992
+    # and the scan: 777 with the scan's runs stopping at 1e3, 992 when they
+    # ran to 1e8, 1,287 when the probes stepped from dt_init
+    assert demo_scan[0] <= 777
 
 
 def test_demo_scan_shares_one_operator_per_calibration_and_scan(demo_scan):
     # one operator for the calibration, one for the scan; its kept factors
-    # serve every run: 228 factorisations, 406 with a fresh one per run
+    # serve every run: 170 factorisations (228 when the scan's runs ran to
+    # 1e8), 406 with a fresh one per run
     assert demo_scan[2] == 2
-    assert demo_scan[3] <= 230
+    assert demo_scan[3] <= 170
 
 
 def test_demo_scan_keeps_its_blowup_time(demo_scan):
-    # the scan's own runs keep the full cap, so their t* does not move
+    # the scan's runs stop at 1e3 and fit t* to their last steps
     rows = {row[0]: row for row in demo_scan[1]}
-    assert rows["1.25"][1:3] == ["BlownUp", "10.923880185931532"]
+    assert rows["1.25"][1:3] == ["BlownUp", "10.938450167931954"]
+
+
+@pytest.mark.parametrize("p, crossing", [("1.25", 10.923880185931532),
+                                         ("1.6875", 23.19753894102045)])
+def test_demo_scan_fitted_blowup_time_is_as_accurate_as_the_full_cap(
+        demo_scan, p, crossing):
+    # t* fitted at 1e3 lies within 2e-3 relative of the time the run
+    # crossed 1e8 at the same dt_init, and within 1.5% of a dt_init / 16
+    # run.  Measured: 1.3e-3 and 1.2e-6 from the crossing; +0.78% and
+    # +1.10% from the fine run (+0.65% and +1.10% for the crossing); the
+    # demo calibrates to amplitude 4, the one _t_star runs
+    row = {row[0]: row for row in demo_scan[1]}[p]
+    assert row[1] == "BlownUp"
+    t_star = float(row[2])
+    assert abs(t_star - crossing) < 2e-3 * crossing
+    fine = _t_star(float(p), 5e-3 / 16)
+    assert abs(t_star - fine) < 0.015 * fine
 
 
 def test_scan_rows_serialize():

@@ -38,7 +38,7 @@ DEMO_CONFIGS = sorted(glob.glob(os.path.join(
 # sha256 prefixes of the demo CSVs; test_mild.py pins the mild-solve and
 # local-solve ones
 DEMO_CSV_SHA256 = {
-    "blowup_scan.csv": "798685e8f8d95810",
+    "blowup_scan.csv": "907a29a00518d8f1",
     "capacity_fit.csv": "250fcf15657b02f6",
     "exponents.csv": "af3af68adfd3f4b7",
     "semigroup_check.csv": "f14a20b15fa004a3",
