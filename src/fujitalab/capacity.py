@@ -17,10 +17,13 @@ on it).  The same ramp profiles build the test function of the mild
 solver's weak-form residual (mild.weak_residual).  All quadrature is fixed
 composite Simpson on the ramp bands (1024 pairs each, checked against the
 512-pair sum over every other node of the same samples), split at sign
-changes of the integrand core, so runs are deterministic.  Each sign
-change is bisected to machine accuracy from batched core passes over a
-six-level dyadic midpoint tree, about 8 calls where one call per step
-took about 47, at the same split points bit for bit.
+changes of the integrand core, so runs are deterministic.  Each span lies
+in one ramp piece and is evaluated on that piece alone: one jet gives the
+value and both derivatives from the whole profile's own formulas, with
+the same bits, at about two thirds of the cost of a pass over every
+piece.  Each sign change is bisected to machine accuracy from batched
+core passes over a six-level dyadic midpoint tree, about 8 calls where
+one call per step took about 47, at the same split points bit for bit.
 
 A warning on the logarithmic cutoff used at the critical power: its
 capacity is a slowly varying function of log R, and the leading power of
@@ -75,31 +78,62 @@ def _overflow(what: str):
 # quintic smoothstep and piecewise profiles
 # --------------------------------------------------------------------------
 
-def _s5(x: np.ndarray) -> np.ndarray:
-    x = np.clip(x, 0.0, 1.0)
-    return x ** 3 * (10.0 - 15.0 * x + 6.0 * x * x)
+# the quintic smoothstep 10 x^3 - 15 x^4 + 6 x^5 and its first two
+# derivatives, on x in [0, 1]
+
+def _s5(xc: np.ndarray) -> np.ndarray:
+    return xc ** 3 * (10.0 - 15.0 * xc + 6.0 * xc * xc)
 
 
-def _ds5(x: np.ndarray) -> np.ndarray:
-    inside = (x > 0.0) & (x < 1.0)
-    xc = np.where(inside, x, 0.0)
-    return np.where(inside, 30.0 * xc ** 2 * (1.0 - xc) ** 2, 0.0)
+def _ds5(xc: np.ndarray) -> np.ndarray:
+    return 30.0 * xc ** 2 * (1.0 - xc) ** 2
 
 
-def _d2s5(x: np.ndarray) -> np.ndarray:
-    inside = (x > 0.0) & (x < 1.0)
-    xc = np.where(inside, x, 0.0)
-    return np.where(inside, 60.0 * xc * (1.0 - 3.0 * xc + 2.0 * xc ** 2), 0.0)
+def _d2s5(xc: np.ndarray) -> np.ndarray:
+    return 60.0 * xc * (1.0 - 3.0 * xc + 2.0 * xc ** 2)
+
+
+class _Ramp(NamedTuple):
+    """One quintic ramp piece: v_left at lo to v_right at hi."""
+    lo: float
+    hi: float
+    vl: float
+    vr: float
+
+    def _jet(self, x, orders: Sequence[int] = (0, 1, 2)) -> Tuple[np.ndarray, ...]:
+        """The derivatives of the given orders (0, 1 or 2) of the ramp at x.
+
+        xi = (x - lo) / (hi - lo), its clip to [0, 1] and its inside mask
+        0 < xi < 1 are computed once for all orders.  Derivatives vanish
+        outside the open ramp, and at xi = 1 the value is
+        vl + (vr - vl), which is vr exactly for 0/1 plateau values.
+        """
+        x = np.asarray(x, dtype=float)
+        xi = (x - self.lo) / (self.hi - self.lo)
+        if max(orders) > 0:
+            inside = (xi > 0.0) & (xi < 1.0)
+            xc = np.where(inside, xi, 0.0)
+        jet = []
+        for k in orders:
+            if k == 0:
+                jet.append(self.vl + (self.vr - self.vl) * _s5(np.clip(xi, 0.0, 1.0)))
+            else:
+                shape = _ds5 if k == 1 else _d2s5
+                jet.append((self.vr - self.vl) / (self.hi - self.lo) ** k
+                           * np.where(inside, shape(xc), 0.0))
+        return tuple(jet)
 
 
 @dataclass(frozen=True)
 class RampProfile:
     """C^2 profile made of constant plateaus joined by quintic ramps.
 
-    ``intervals`` is a sorted tuple of (lo, hi, v_left, v_right) pieces;
-    a piece with v_left == v_right is a plateau, otherwise a smoothstep
+    ``intervals`` is a tuple of (lo, hi, v_left, v_right) pieces, each
+    starting where the one before ends and at the value it ends with; a
+    piece with v_left == v_right is a plateau, otherwise a smoothstep
     ramp.  ``left`` and ``right`` are the values outside the covered
-    range.  Values and the first two derivatives are vectorized.
+    range, equal to the first v_left and the last v_right.  Values and the
+    first two derivatives are vectorized.
     """
 
     intervals: Tuple[Tuple[float, float, float, float], ...]
@@ -107,41 +141,54 @@ class RampProfile:
     right: float
 
     def __post_init__(self):
-        prev = -math.inf
-        for lo, hi, _, _ in self.intervals:
-            if not (lo >= prev and hi > lo):
-                raise ValueError("profile intervals must be sorted and nonempty")
-            prev = hi
+        if not self.intervals:
+            raise ValueError("a profile needs at least one piece")
+        prev_hi, prev_v = self.intervals[0][0], self.left
+        for lo, hi, vl, vr in self.intervals:
+            if not hi > lo:
+                raise ValueError("profile pieces must be nonempty")
+            if lo != prev_hi:
+                raise ValueError("profile pieces must meet: a piece starts "
+                                 "at %r, not at %r" % (lo, prev_hi))
+            if vl != prev_v:
+                raise ValueError("profile values must not jump: %r meets %r "
+                                 "at %r" % (prev_v, vl, lo))
+            prev_hi, prev_v = hi, vr
+        if self.right != prev_v:
+            raise ValueError("profile values must not jump: %r meets %r "
+                             "at %r" % (prev_v, self.right, prev_hi))
 
     def __call__(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        out = np.where(x < self.intervals[0][0], self.left, self.right)
-        for lo, hi, vl, vr in self.intervals:
-            sel = (x >= lo) & (x < hi)
-            if vl == vr:
-                out = np.where(sel, vl, out)
-            else:
-                out = np.where(sel, vl + (vr - vl) * _s5((x - lo) / (hi - lo)), out)
-        return out
+        return self._evaluate(x, 0)
 
     def d1(self, x) -> np.ndarray:
-        return self._derivative(x, _ds5, 1)
+        return self._evaluate(x, 1)
 
     def d2(self, x) -> np.ndarray:
-        return self._derivative(x, _d2s5, 2)
+        return self._evaluate(x, 2)
 
-    def _derivative(self, x, shape: Callable, order: int) -> np.ndarray:
+    def _jet(self, x) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return self(x), self.d1(x), self.d2(x)
+
+    def _evaluate(self, x, order: int) -> np.ndarray:
+        """The derivative of the given order, piece by piece over all of x."""
         x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
+        if order == 0:
+            out = np.where(x < self.intervals[0][0], self.left, self.right)
+        else:
+            out = np.zeros_like(x)
         for lo, hi, vl, vr in self.intervals:
-            if vl == vr:
+            if vl != vr:
+                piece = _Ramp(lo, hi, vl, vr)._jet(x, (order,))[0]
+            elif order == 0:
+                piece = vl
+            else:
                 continue
-            sel = (x >= lo) & (x < hi)
-            out = np.where(sel, (vr - vl) / (hi - lo) ** order * shape((x - lo) / (hi - lo)), out)
+            out = np.where((x >= lo) & (x < hi), piece, out)
         return out
 
-    def ramps(self) -> Tuple[Tuple[float, float], ...]:
-        return tuple((lo, hi) for lo, hi, vl, vr in self.intervals if vl != vr)
+    def _ramps(self) -> List[_Ramp]:
+        return [_Ramp(*piece) for piece in self.intervals if piece[2] != piece[3]]
 
 
 # The space-time cutoffs of the capacity integrals.  PSI, the time profile:
@@ -221,25 +268,28 @@ def _dyadic_nodes(a: float, b: float) -> np.ndarray:
 
 
 def _ramp_spans(profile: RampProfile,
-                core: Optional[Callable] = None) -> List[Tuple[float, float]]:
-    """The ramp bands of ``profile``, split at sign changes of ``core``."""
+                core: Optional[Callable] = None) -> List[Tuple[float, float, _Ramp]]:
+    """The ramp bands of ``profile`` as (lo, hi, ramp) spans, each with the
+    ramp piece it lies in, split at sign changes of ``core(x, ramp)``."""
     spans = []
-    for lo, hi in profile.ramps():
-        edges = _sign_split(core, lo, hi) if core is not None else (lo, hi)
-        spans += zip(edges, edges[1:])
+    for ramp in profile._ramps():
+        edges = ((ramp.lo, ramp.hi) if core is None
+                 else _sign_split(lambda x: core(x, ramp), ramp.lo, ramp.hi))
+        spans += [(lo, hi, ramp) for lo, hi in zip(edges, edges[1:])]
     return spans
 
 
-def _simpson_sums(fn: Callable[[np.ndarray], np.ndarray],
-                  spans: Sequence[Tuple[float, float]]) -> Tuple[float, float]:
+def _simpson_sums(fn: Callable[..., np.ndarray],
+                  spans: Sequence[tuple]) -> Tuple[float, float]:
     """(coarse, fine) composite Simpson sums over the (lo, hi) ramp spans.
 
     Each span's integrand is evaluated once, at _RAMP_STEPS + 1 nodes; the
-    coarse sum takes every other node.
+    coarse sum takes every other node.  A span (lo, hi, ramp) passes its
+    ramp piece to ``fn`` after the nodes.
     """
     coarse = fine = 0.0
-    for lo, hi in spans:
-        y = np.asarray(fn(np.linspace(lo, hi, _RAMP_STEPS + 1)), dtype=float)
+    for lo, hi, *ramp in spans:
+        y = np.asarray(fn(np.linspace(lo, hi, _RAMP_STEPS + 1), *ramp), dtype=float)
         h = (hi - lo) / _RAMP_STEPS
         coarse += _simpson(y[::2], 2.0 * h)
         fine += _simpson(y, h)
@@ -256,8 +306,8 @@ def _settled(coarse: float, fine: float, what: str) -> float:
     return fine
 
 
-def _integrate(fn: Callable[[np.ndarray], np.ndarray],
-               spans: Sequence[Tuple[float, float]], what: str) -> float:
+def _integrate(fn: Callable[..., np.ndarray],
+               spans: Sequence[tuple], what: str) -> float:
     """Composite Simpson over the (lo, hi) ramp spans, checked."""
     return _settled(*_simpson_sums(fn, spans), what)
 
@@ -280,10 +330,10 @@ def _profile_power_integral(profile: RampProfile, power: float,
             "(radial exponent %.6g <= 0)" % (what, exponent))
     lo0 = profile.intervals[0][0]
     total = coarse = profile.left ** power * _power_integral(0.0, lo0, exponent)
+    fn = lambda y, ramp: ramp._jet(y, (0,))[0] ** power * y ** (exponent - 1.0)
     for lo, hi, vl, vr in profile.intervals:
         if vl != vr:
-            fn = lambda y: profile(y) ** power * y ** (exponent - 1.0)
-            piece_coarse, piece = _simpson_sums(fn, [(lo, hi)])
+            piece_coarse, piece = _simpson_sums(fn, [(lo, hi, _Ramp(lo, hi, vl, vr))])
         elif vl != 0.0:
             piece_coarse = piece = vl ** power * _power_integral(lo, hi, exponent)
         else:
@@ -314,9 +364,10 @@ def _exponents(params: ProblemParams) -> Tuple[float, float, float]:
 
 def _space_core(phi: RampProfile, dim: float, kappa: float) -> Callable:
     # The Laplacian capacity integrand contains |Lap(phi^2k)|^k phi^(-2k/(p-1))
-    # whose phi powers cancel exactly; this is the bounded core left behind.
-    def core(y: np.ndarray) -> np.ndarray:
-        P, dP, d2P = phi(y), phi.d1(y), phi.d2(y)
+    # whose phi powers cancel exactly; this is the bounded core left behind,
+    # evaluated on the ramp piece of phi that holds y when one is given.
+    def core(y: np.ndarray, ramp=phi) -> np.ndarray:
+        P, dP, d2P = ramp._jet(y)
         return (2.0 * kappa - 1.0) * dP * dP + P * d2P + (dim - 1.0) * P * dP / y
     return core
 
@@ -337,15 +388,15 @@ def _model(params: ProblemParams) -> _Model:
     n_dim = float(params.N)
     omega = sphere_area(params.N)
 
-    c_dpsi = kappa ** kappa * _integrate(lambda s: np.abs(PSI.d1(s)) ** kappa,
-                                         _ramp_spans(PSI), "time cutoff derivative")
+    dpsi = lambda s, ramp: np.abs(ramp._jet(s, (1,))[0]) ** kappa
+    c_dpsi = kappa ** kappa * _integrate(dpsi, _ramp_spans(PSI), "time cutoff derivative")
     time = omega * c_dpsi * _profile_power_integral(PHI, 2.0 * kappa, a_time,
                                                     "time capacity")
     c_psi = _profile_power_integral(PSI, kappa, 1.0, "time cutoff plateau")
     core = _space_core(PHI, n_dim, kappa)
     weight_exp = n_dim - 1.0 - params.sigma2 / (params.p - 1.0)
-    c_space = _integrate(lambda y: (2.0 * kappa) ** kappa * np.abs(core(y)) ** kappa
-                         * y ** weight_exp,
+    c_space = _integrate(lambda y, ramp: (2.0 * kappa) ** kappa
+                         * np.abs(core(y, ramp)) ** kappa * y ** weight_exp,
                          _ramp_spans(PHI, core), "Laplacian capacity")
     return _Model(kappa, a_time, a_space, time, omega * c_psi * c_space)
 
@@ -509,14 +560,14 @@ def log_space_capacity(params: ProblemParams, R: float) -> float:
     n_dim = float(params.N)
     big_l = math.log(math.sqrt(R))
 
-    def core(s: np.ndarray) -> np.ndarray:
-        P, dP, d2P = LOG_PHI(s), LOG_PHI.d1(s), LOG_PHI.d2(s)
+    def core(s: np.ndarray, ramp: _Ramp) -> np.ndarray:
+        P, dP, d2P = ramp._jet(s)
         return ((2.0 * kappa - 1.0) * dP * dP / big_l ** 2
                 + P * d2P / big_l ** 2
                 + (n_dim - 2.0) * P * dP / big_l)
 
-    fn = lambda s: ((2.0 * kappa) ** kappa * np.abs(core(s)) ** kappa
-                    * np.exp(a_space * big_l * s))
+    fn = lambda s, ramp: ((2.0 * kappa) ** kappa * np.abs(core(s, ramp)) ** kappa
+                          * np.exp(a_space * big_l * s))
     integral = _integrate(fn, _ramp_spans(LOG_PHI, core), "log-cutoff capacity")
     return sphere_area(params.N) * R ** (a_space / 2.0) * big_l * integral
 

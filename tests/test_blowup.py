@@ -172,11 +172,13 @@ def test_global_run_takes_few_steps_and_mostly_reuses_factors(monkeypatch):
 
 def test_unweighted_blowup_has_the_type_one_rate():
     # Giga & Kohn (1985): with s1 = s2 = 0 the sup norm blows up like
-    # (T* - t)^(-1/(p-1)), slope -2 at p = 1.5.  T* is the time the norm
-    # passes the cap of 1e8, about 2e-4 before the blow-up itself, so
-    # the slope flattens as T* - t nears that gap; the window 0.3 / 2^j,
-    # j = 0..5, keeps that bias to a few percent.  Measured: -1.93, with
-    # local slopes -1.91 ... -1.95; the band is 10% of the rate.
+    # (T* - t)^(-1/(p-1)), slope -2 at p = 1.5.  T* is the singular time
+    # fitted to the run's last steps once the norm passes the cap of 1e8;
+    # the sampled run lands on other steps and fits its own T*, 1.4e-4
+    # before the first run's.  The window 0.3 / 2^j, j = 0..5, before that
+    # T* keeps the bias of the regular part of the solution to a few
+    # percent: the local slopes steepen from -1.91 to -1.97 as the gap
+    # shrinks.  Measured: -1.949; the band is 10% of the rate.
     g = _grid()
     u0 = radial.RadialField(g, np.zeros(g.m), 3.0)
     w = _forcing(g, 4.0)

@@ -55,6 +55,38 @@ def test_smoothness_at_plateau_junctions():
             capacity.PSI.d1(np.array([x + eps]))[0], abs=1e-5)
 
 
+@pytest.mark.parametrize("intervals, left, right, match", [
+    (((0.0, 1.0, 1.0, 1.0), (1.5, 2.0, 1.0, 0.0)), 1.0, 0.0, "must meet"),
+    (((0.0, 1.0, 1.0, 1.0), (0.5, 2.0, 1.0, 0.0)), 1.0, 0.0, "must meet"),
+    (((0.0, 1.0, 1.0, 1.0), (1.0, 2.0, 0.5, 0.0)), 1.0, 0.0, "must not jump"),
+    (((0.0, 1.0, 1.0, 1.0), (1.0, 2.0, 1.0, 0.0)), 0.0, 0.0, "must not jump"),
+    (((0.0, 1.0, 1.0, 1.0), (1.0, 2.0, 1.0, 0.0)), 1.0, 1.0, "must not jump"),
+    (((0.0, 0.0, 1.0, 1.0),), 1.0, 1.0, "nonempty"),
+    ((), 0.0, 0.0, "at least one piece"),
+])
+def test_profile_rejects_gaps_overlaps_and_jumps(intervals, left, right, match):
+    # a point in a gap would silently take the right value
+    with pytest.raises(ValueError, match=match):
+        capacity.RampProfile(intervals, left=left, right=right)
+
+
+@pytest.mark.parametrize("profile", [capacity.PSI, capacity.PHI, capacity.LOG_PHI])
+def test_span_evaluation_is_the_profile_bit_for_bit(profile):
+    # the quadrature evaluates each span on its own ramp piece; the value
+    # and both derivatives are those of the whole profile, to the bit,
+    # at the ends of the ramp included
+    for lo, hi, ramp in capacity._ramp_spans(profile):
+        mid = lo + 0.37 * (hi - lo)
+        grids = [np.linspace(lo, hi, 2049), np.linspace(lo, mid, 2049),
+                 np.linspace(mid, hi, 2049), np.array([lo]), np.array([hi])]
+        for x in grids:
+            want = (profile(x), profile.d1(x), profile.d2(x))
+            for got, ref in zip(ramp._jet(x), want):
+                assert np.array_equal(got, ref)
+            for k in range(3):
+                assert np.array_equal(ramp._jet(x, (k,))[0], want[k])
+
+
 # ---------------------------------------------------------------------------
 # fixed composite quadrature
 # ---------------------------------------------------------------------------
@@ -250,6 +282,48 @@ def test_integrals_reject_degenerate_geometry():
         capacity.capacity_integrals(_params(), 0.5, 1.0)
     with pytest.raises(ConditionViolation):
         capacity.capacity_integrals(_params(), 10.0, -1.0)
+
+
+# (N, sigma1, sigma2, rho, p), drawn as the capacity_sweep benchmark draws
+# its subcritical tuples
+_PINNED_TUPLES = {
+    (4, -0.16463, -0.368275, -0.225485, 1.25486):
+        "CapacityParts(time=1362581233.432571, space=6271794369.273204, "
+        "forcing=6.567103273461411)",
+    (3, 0.465572, 0.06674, 0.222128, 3.03235):
+        "CapacityParts(time=239200.46874451646, space=13020.827914857817, "
+        "forcing=30.48954198045524)",
+    (3, 0.152898, 0.305412, 0.411394, 3.29614):
+        "CapacityParts(time=54202.51804636712, space=9995.299818521744, "
+        "forcing=55.424233593490364)",
+    (2, -0.135709, 0.455236, -0.587596, 2.48114):
+        "CapacityParts(time=654.6927870016049, space=160.73118363761137, "
+        "forcing=2.4084074670593503)",
+    (4, 0.231146, -0.0595086, 0.296724, 1.6693):
+        "CapacityParts(time=12543169.99354331, space=833075.0581389955, "
+        "forcing=36.446406241774135)",
+    (2, 0.285885, 0.313431, -0.580162, 2.10358):
+        "CapacityParts(time=4829.229685585158, space=179.43614256484466, "
+        "forcing=2.4203242654812875)",
+}
+
+
+@pytest.mark.parametrize("key", list(_PINNED_TUPLES))
+def test_capacity_integrals_keep_their_bits(key):
+    n, s1, s2, rho, p = key
+    got = capacity.capacity_integrals(_params(p=p, rho=rho, s1=s1, s2=s2, n=n),
+                                      12.5, 40.0)
+    assert repr(got) == _PINNED_TUPLES[key]
+
+
+@pytest.mark.parametrize("n, s2, want", [
+    (4, 0.0, ["562.0494669562621", "53.10767115781393", "4.650163941739792"]),
+    (3, 0.3, ["67.99527047437036", "11.997919264900705", "3.266228300100856"]),
+])
+def test_log_space_capacity_keeps_its_bits(n, s2, want):
+    params = _params(p=(n + s2) / (n - 2), rho=0.0, s2=s2, n=n)
+    got = [repr(capacity.log_space_capacity(params, R)) for R in (1e2, 1e6, 1e100)]
+    assert got == want
 
 
 # ---------------------------------------------------------------------------
